@@ -5,10 +5,16 @@ The in-process baseline runs exactly the per-request work the serving
 front-end does — ``encap(payload)`` → ``send_batch`` → ``decap`` — with
 no sockets, no event loop, and no second process.  The socket number is
 the external load generator's achieved (verified-replies) rate against
-a real served UDP loopback socket at an offered rate comfortably above
-saturation.  The gate: sockets keep at least half the in-process rate
-(best socket round vs median in-process round), i.e. the kernel-bypass
-story's overhead budget.
+a real served UDP loopback socket.  The generator is its own process on
+its own CPU (the server keeps another), so what is measured is the
+served path and not two Python loops sharing one interpreter lock.  It
+offers the in-process rate measured in the same test: the socket path
+cannot beat the bridge it wraps, so that saturates it however fast the
+bridge gets, and at this run length the backlog it builds still fits
+the server's socket buffer (further above, replies are lost and the
+achieved rate dips).  The gate: sockets keep at least half the
+in-process rate (best socket round vs median in-process round), i.e.
+the kernel-bypass story's overhead budget.
 
 Results land in ``BENCH_serve.json`` at the repo root; the CI serve
 job uploads it without gating the merge (timing noise on shared
@@ -17,17 +23,20 @@ runners), while this test still gates locally.
 
 import gc
 import json
+import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
+import pytest
+
 from repro.deploy import deploy
-from repro.serve.loadgen import LoadGenConfig, run_loadgen
 from repro.serve.spec import resolve_binding
 
 RATIO_FLOOR = 0.5
 ROUNDS = 3
 REQUESTS = 1500
-OFFERED_QPS = 15000.0
 DURATION_S = 0.8
 SEED = 0x5EBE
 BENCH_PATH = Path(__file__).resolve().parent.parent / \
@@ -60,19 +69,36 @@ def _inprocess_rps(dep, binding, batch=64):
     return REQUESTS / elapsed
 
 
-def _socket_rps(dep):
-    """One loadgen round against a freshly served loopback socket."""
+#: The load generator as a child process that first moves itself to the
+#: CPU named by its first argument.
+_LOADGEN = ("import os, sys; "
+            "os.sched_setaffinity(0, {int(sys.argv[1])}); "
+            "from repro.serve.loadgen import main; "
+            "sys.exit(main(sys.argv[2:]))")
+
+
+def _socket_rps(dep, offered_qps, cpu, report_path):
+    """One load-generator round (pinned to *cpu*) against a freshly
+    served loopback socket.  The generator's exit code is not checked:
+    at saturation replies may go missing (13); verification failures
+    are asserted from its report."""
     server = dep.serve()
     try:
         host, port = server.address
-        result = run_loadgen(LoadGenConfig(
-            "memcached", host, port, qps=OFFERED_QPS,
-            duration_s=DURATION_S, seed=SEED, timeout_s=3.0))
+        subprocess.run(
+            [sys.executable, "-c", _LOADGEN, str(cpu),
+             "--service", "memcached", "--host", host,
+             "--port", str(port), "--qps", str(offered_qps),
+             "--duration", str(DURATION_S), "--seed", str(SEED),
+             "--timeout", "3.0", "--json", str(report_path)],
+            env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)),
+            stdout=subprocess.DEVNULL, timeout=60)
     finally:
         server.stop()
-    assert result.verify_failures == 0
-    assert result.ok > 0
-    return result.report()["achieved_qps"]
+    report = json.loads(report_path.read_text())
+    assert report["verify_failures"] == 0
+    assert report["replies"] > 0
+    return report["achieved_qps"]
 
 
 def _median(values):
@@ -80,19 +106,31 @@ def _median(values):
     return ordered[len(ordered) // 2]
 
 
-def test_loadgen_keeps_half_of_in_process_throughput(bench_once):
+def test_loadgen_keeps_half_of_in_process_throughput(bench_once, tmp_path):
+    allowed = sorted(os.sched_getaffinity(0))
+    if len(allowed) < 2:
+        pytest.skip("needs one CPU for the server and one for the "
+                    "load generator")
+    server_cpu, loadgen_cpu = allowed[0], allowed[-1]
+
     def measure():
+        # Threads started from here on (the serving loop) inherit it.
+        os.sched_setaffinity(0, {server_cpu})
         dep = deploy("memcached").on("cpu").start()
         try:
             binding = resolve_binding(dep.spec, "udp")
             inproc = [_inprocess_rps(dep, binding)
                       for _ in range(ROUNDS)]
-            sock = [_socket_rps(dep) for _ in range(ROUNDS)]
+            offered_qps = _median(inproc)
+            sock = [_socket_rps(dep, offered_qps, loadgen_cpu,
+                                tmp_path / "loadgen.json")
+                    for _ in range(ROUNDS)]
         finally:
             dep.stop()
-        return inproc, sock
+            os.sched_setaffinity(0, allowed)
+        return inproc, offered_qps, sock
 
-    inproc, sock = bench_once(measure)
+    inproc, offered_qps, sock = bench_once(measure)
     baseline = _median(inproc)
     best_socket = max(sock)
     ratio = best_socket / baseline
@@ -101,7 +139,9 @@ def test_loadgen_keeps_half_of_in_process_throughput(bench_once):
         "transport": "udp",
         "rounds": ROUNDS,
         "requests": REQUESTS,
-        "offered_qps": OFFERED_QPS,
+        "offered_qps": round(offered_qps, 1),
+        "server_cpu": server_cpu,
+        "loadgen_cpu": loadgen_cpu,
         "duration_s": DURATION_S,
         "inprocess_rps": round(baseline, 1),
         "inprocess_rounds": [round(value, 1) for value in inproc],

@@ -25,10 +25,10 @@ class TData(bytearray):
         return self.ethertype() == ethertype
 
     def is_ipv4(self):
-        return self.ethertype_is(EtherTypes.IPV4)
+        return self.ethertype() == EtherTypes.IPV4
 
     def is_arp(self):
-        return self.ethertype_is(EtherTypes.ARP)
+        return self.ethertype() == EtherTypes.ARP
 
 
 class NetFPGAData:

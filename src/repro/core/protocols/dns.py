@@ -7,10 +7,15 @@ pointers on decode) so the constraint is a *server* policy, not a parser
 limitation — matching "these constraints can be relaxed".
 """
 
+import struct
+
 from repro.errors import ParseError
-from repro.utils.bitutil import BitUtil
+from repro.utils.bitutil import _unsigned
 
 HEADER_BYTES = 12
+_HEADER = struct.Struct("!HHHHHH")  # txid, flags, qd/an/ns/ar counts
+_QUESTION_TAIL = struct.Struct("!HH")       # qtype, qclass
+_ANSWER_FIXED = struct.Struct("!HHIH")      # qtype, qclass, ttl, rdlength
 MAX_PAPER_NAME_BYTES = 26
 
 
@@ -109,23 +114,16 @@ class DNSHeader:
         return bool(self.flags & 0x0100)
 
     def encode(self):
-        out = bytearray(HEADER_BYTES)
-        BitUtil.set16(out, 0, self.txid)
-        BitUtil.set16(out, 2, self.flags)
-        BitUtil.set16(out, 4, self.qdcount)
-        BitUtil.set16(out, 6, self.ancount)
-        BitUtil.set16(out, 8, self.nscount)
-        BitUtil.set16(out, 10, self.arcount)
-        return bytes(out)
+        fields = (self.txid, self.flags, self.qdcount, self.ancount,
+                  self.nscount, self.arcount)
+        _unsigned(*fields)
+        return _HEADER.pack(*[field & 0xFFFF for field in fields])
 
     @classmethod
     def decode(cls, data):
         if len(data) < HEADER_BYTES:
             raise ParseError("truncated DNS header")
-        return cls(
-            BitUtil.get16(data, 0), BitUtil.get16(data, 2),
-            BitUtil.get16(data, 4), BitUtil.get16(data, 6),
-            BitUtil.get16(data, 8), BitUtil.get16(data, 10))
+        return cls(*_HEADER.unpack_from(data))
 
 
 class DNSQuestion:
@@ -149,8 +147,7 @@ class DNSQuestion:
         name, offset = decode_name(data, offset)
         if offset + 4 > len(data):
             raise ParseError("truncated DNS question")
-        qtype = BitUtil.get16(data, offset)
-        qclass = BitUtil.get16(data, offset + 2)
+        qtype, qclass = _QUESTION_TAIL.unpack_from(data, offset)
         return cls(name, qtype, qclass), offset + 4
 
 
@@ -170,10 +167,8 @@ class DNSWrapper:
             name, offset = decode_name(data, offset)
             if offset + 10 > len(data):
                 raise ParseError("truncated DNS answer")
-            qtype = BitUtil.get16(data, offset)
-            qclass = BitUtil.get16(data, offset + 2)
-            ttl = BitUtil.get32(data, offset + 4)
-            rdlength = BitUtil.get16(data, offset + 8)
+            qtype, qclass, ttl, rdlength = \
+                _ANSWER_FIXED.unpack_from(data, offset)
             offset += 10
             if offset + rdlength > len(data):
                 raise ParseError("truncated DNS rdata")

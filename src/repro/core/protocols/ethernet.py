@@ -1,9 +1,10 @@
 """Ethernet II framing."""
 
 from repro.errors import ParseError
-from repro.utils.bitutil import BitUtil
+from repro.utils.bitutil import BitUtil, _unsigned
 
 HEADER_BYTES = 14
+_MAC_MASK = (1 << 48) - 1
 
 
 class EtherTypes:
@@ -60,9 +61,8 @@ class EthernetWrapper:
 
     def swap_macs(self):
         """Swap source and destination (echo/reply services)."""
-        src, dst = self.source_mac, self.destination_mac
-        self.destination_mac = src
-        self.source_mac = dst
+        macs = BitUtil.get_bytes(self._buf, 0, 12)      # range-checked
+        self._buf[0:12] = macs[6:] + macs[:6]
 
     def payload_offset(self):
         return HEADER_BYTES
@@ -70,9 +70,10 @@ class EthernetWrapper:
 
 def build_ethernet(dst_mac, src_mac, ethertype, payload=b""):
     """Assemble an Ethernet frame (unpadded; see ``Frame.pad``)."""
-    buf = bytearray(HEADER_BYTES)
-    BitUtil.set48(buf, 0, dst_mac)
-    BitUtil.set48(buf, 6, src_mac)
-    BitUtil.set16(buf, 12, ethertype)
+    _unsigned(dst_mac, src_mac, ethertype)
+    # No struct code is 48 bits wide: the header is one 112-bit integer.
+    buf = bytearray(((dst_mac & _MAC_MASK) << 64 |
+                     (src_mac & _MAC_MASK) << 16 |
+                     ethertype & 0xFFFF).to_bytes(HEADER_BYTES, "big"))
     buf.extend(payload)
     return buf

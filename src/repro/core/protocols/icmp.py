@@ -1,12 +1,15 @@
 """ICMP (echo request/reply) for the ICMP Echo service (§4.2)."""
 
+import struct
+
 from repro.core.checksum import internet_checksum
-from repro.core.protocols.ipv4 import IPProtocols, IPv4Wrapper, \
+from repro.core.protocols.ipv4 import IPProtocols, _payload_offset, \
     build_ipv4_frame
 from repro.errors import ParseError
-from repro.utils.bitutil import BitUtil
+from repro.utils.bitutil import BitUtil, _unsigned
 
 HEADER_BYTES = 8
+_HEADER = struct.Struct("!BBHHH")   # type, code, checksum, id, sequence
 
 
 class ICMPTypes:
@@ -21,7 +24,7 @@ class ICMPWrapper:
 
     def __init__(self, buf, offset=None):
         if offset is None:
-            offset = IPv4Wrapper(buf).payload_offset()
+            offset = _payload_offset(buf)
         if len(buf) < offset + HEADER_BYTES:
             raise ParseError("frame too short for ICMP: %d bytes" % len(buf))
         self._buf = buf
@@ -90,10 +93,9 @@ class ICMPWrapper:
 def build_icmp_echo_request(dst_mac, src_mac, src_ip, dst_ip,
                             identifier=1, sequence=1, payload=b"emu-ping"):
     """Assemble a complete Ethernet+IPv4+ICMP echo request frame."""
-    icmp = bytearray(HEADER_BYTES)
-    BitUtil.set8(icmp, 0, ICMPTypes.ECHO_REQUEST)
-    BitUtil.set16(icmp, 4, identifier)
-    BitUtil.set16(icmp, 6, sequence)
+    _unsigned(identifier, sequence)
+    icmp = bytearray(_HEADER.pack(ICMPTypes.ECHO_REQUEST, 0, 0,
+                                  identifier & 0xFFFF, sequence & 0xFFFF))
     icmp.extend(payload)
     BitUtil.set16(icmp, 2, internet_checksum(icmp))
     return build_ipv4_frame(dst_mac, src_mac, src_ip, dst_ip,

@@ -1,18 +1,31 @@
 """IPv4 header wrapper (paper Fig. 4 shows two of these accessors)."""
 
+import struct
+
 from repro.core.checksum import internet_checksum
 from repro.core.protocols.ethernet import EtherTypes, HEADER_BYTES, \
     build_ethernet
 from repro.errors import ParseError
-from repro.utils.bitutil import BitUtil
+from repro.utils.bitutil import BitUtil, _unsigned
 
 MIN_HEADER_BYTES = 20
+# version/IHL, DSCP, total length, identification, flags/fragment, TTL,
+# protocol, checksum, source, destination.
+_HEADER = struct.Struct("!BBHHHBBHII")
 
 
 class IPProtocols:
     ICMP = 1
     TCP = 6
     UDP = 17
+
+
+def _payload_offset(buf):
+    """``IPv4Wrapper(buf).payload_offset()`` without the wrapper: the L4
+    wrappers only need the number."""
+    if len(buf) < HEADER_BYTES + MIN_HEADER_BYTES:
+        raise ParseError("frame too short for IPv4: %d bytes" % len(buf))
+    return HEADER_BYTES + (buf[HEADER_BYTES] & 0x0F) * 4
 
 
 class IPv4Wrapper:
@@ -26,7 +39,7 @@ class IPv4Wrapper:
 
     @property
     def version(self):
-        return BitUtil.get_bits(self._buf, self._off, 7, 4)
+        return BitUtil.get8(self._buf, self._off) >> 4
 
     @version.setter
     def version(self, value):
@@ -34,7 +47,7 @@ class IPv4Wrapper:
 
     @property
     def ihl(self):
-        return BitUtil.get_bits(self._buf, self._off, 3, 4)
+        return BitUtil.get8(self._buf, self._off) & 0x0F
 
     @ihl.setter
     def ihl(self, value):
@@ -135,23 +148,21 @@ class IPv4Wrapper:
         return internet_checksum(self.header()) == 0
 
     def swap_ips(self):
-        src, dst = self.source_ip_address, self.destination_ip_address
-        self.source_ip_address = dst
-        self.destination_ip_address = src
+        off = self._off + 12
+        pair = BitUtil.get_bytes(self._buf, off, 8)     # range-checked
+        self._buf[off:off + 8] = pair[4:] + pair[:4]
 
 
 def build_ipv4(src_ip, dst_ip, protocol, payload, ttl=64, identification=0):
     """Assemble an IPv4 header (20 bytes, checksummed) + payload."""
-    header = bytearray(MIN_HEADER_BYTES)
-    BitUtil.set8(header, 0, 0x45)                 # version 4, IHL 5
-    BitUtil.set16(header, 2, MIN_HEADER_BYTES + len(payload))
-    BitUtil.set16(header, 4, identification)
-    BitUtil.set8(header, 8, ttl)
-    BitUtil.set8(header, 9, protocol)
-    BitUtil.set32(header, 12, src_ip)
-    BitUtil.set32(header, 16, dst_ip)
+    _unsigned(identification, ttl, protocol, src_ip, dst_ip)
+    header = bytearray(_HEADER.pack(
+        0x45, 0,                                  # version 4, IHL 5
+        (MIN_HEADER_BYTES + len(payload)) & 0xFFFF,
+        identification & 0xFFFF, 0, ttl & 0xFF, protocol & 0xFF, 0,
+        src_ip & 0xFFFFFFFF, dst_ip & 0xFFFFFFFF))
     BitUtil.set16(header, 10, internet_checksum(header))
-    return bytes(header) + bytes(payload)
+    return b"".join((header, payload))
 
 
 def build_ipv4_frame(dst_mac, src_mac, src_ip, dst_ip, protocol, payload,

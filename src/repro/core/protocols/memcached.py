@@ -10,12 +10,19 @@ sequence, total datagrams, reserved) to every datagram; both codecs
 account for it.
 """
 
+import struct
+
 from repro.core.protocols.udp import UDPWrapper
 from repro.errors import ParseError
-from repro.utils.bitutil import BitUtil
+from repro.utils.bitutil import BitUtil, _unsigned
 
 UDP_FRAME_HEADER_BYTES = 8
 BINARY_HEADER_BYTES = 24
+# request id, sequence, total datagrams, reserved.
+_FRAME_HEADER = struct.Struct("!HHHH")
+# magic, opcode, key length, extras length, data type, status/vbucket,
+# total body length, opaque, CAS.
+_BINARY_HEADER = struct.Struct("!BBHBBHIIQ")
 
 
 class BinaryMagic:
@@ -42,11 +49,9 @@ class BinaryStatus:
 
 def build_udp_frame_header(request_id, sequence=0, total=1):
     """The 8-byte memcached-over-UDP frame header."""
-    out = bytearray(UDP_FRAME_HEADER_BYTES)
-    BitUtil.set16(out, 0, request_id)
-    BitUtil.set16(out, 2, sequence)
-    BitUtil.set16(out, 4, total)
-    return bytes(out)
+    _unsigned(request_id, sequence, total)
+    return _FRAME_HEADER.pack(request_id & 0xFFFF, sequence & 0xFFFF,
+                              total & 0xFFFF, 0)
 
 
 def split_udp_frame(payload):
@@ -63,10 +68,11 @@ def memcached_is_write(frame):
     try:
         udp = UDPWrapper(frame.data)
         _, body = split_udp_frame(udp.payload())
-    except Exception:
+    except ParseError:
         return False
     if body[:1] == b"\x80":
-        return body[1] in (BinaryOpcodes.SET, BinaryOpcodes.DELETE)
+        return len(body) > 1 and \
+            body[1] in (BinaryOpcodes.SET, BinaryOpcodes.DELETE)
     return body[:4] == b"set " or body[:7] == b"delete "
 
 
@@ -77,39 +83,10 @@ class MemcachedBinaryWrapper:
         if len(data) < BINARY_HEADER_BYTES:
             raise ParseError("memcached binary message too short")
         self._data = bytes(data)
-
-    @property
-    def magic(self):
-        return self._data[0]
-
-    @property
-    def opcode(self):
-        return self._data[1]
-
-    @property
-    def key_length(self):
-        return BitUtil.get16(self._data, 2)
-
-    @property
-    def extras_length(self):
-        return self._data[4]
-
-    @property
-    def status(self):
-        """Status (responses) / vbucket id (requests)."""
-        return BitUtil.get16(self._data, 6)
-
-    @property
-    def total_body_length(self):
-        return BitUtil.get32(self._data, 8)
-
-    @property
-    def opaque(self):
-        return BitUtil.get32(self._data, 12)
-
-    @property
-    def cas(self):
-        return BitUtil.get64(self._data, 16)
+        # ``status`` is the vbucket id on requests.
+        (self.magic, self.opcode, self.key_length, self.extras_length, _,
+         self.status, self.total_body_length, self.opaque, self.cas) = \
+            _BINARY_HEADER.unpack_from(self._data)
 
     @property
     def is_request(self):
@@ -136,20 +113,12 @@ class MemcachedBinaryWrapper:
 
 def _build_binary(magic, opcode, key=b"", extras=b"", value=b"",
                   status=0, opaque=0, cas=0):
-    body_length = len(extras) + len(key) + len(value)
-    out = bytearray(BINARY_HEADER_BYTES)
-    out[0] = magic
-    out[1] = opcode
-    BitUtil.set16(out, 2, len(key))
-    out[4] = len(extras)
-    BitUtil.set16(out, 6, status)
-    BitUtil.set32(out, 8, body_length)
-    BitUtil.set32(out, 12, opaque)
-    BitUtil.set64(out, 16, cas)
-    out.extend(extras)
-    out.extend(key)
-    out.extend(value)
-    return bytes(out)
+    _unsigned(status, opaque, cas)
+    header = _BINARY_HEADER.pack(
+        magic, opcode, len(key) & 0xFFFF, len(extras), 0, status & 0xFFFF,
+        (len(extras) + len(key) + len(value)) & 0xFFFFFFFF,
+        opaque & 0xFFFFFFFF, cas & 0xFFFFFFFFFFFFFFFF)
+    return b"".join((header, extras, key, value))
 
 
 def build_binary_get(key, opaque=0):

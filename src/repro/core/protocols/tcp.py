@@ -1,12 +1,16 @@
 """TCP wrapper — enough for TCP Ping (SYN/SYN-ACK, §4.2) and NAT (§4.4)."""
 
+import struct
+
 from repro.core.checksum import tcp_checksum
 from repro.core.protocols.ipv4 import IPProtocols, IPv4Wrapper, \
-    build_ipv4_frame
+    _payload_offset, build_ipv4_frame
 from repro.errors import ParseError
-from repro.utils.bitutil import BitUtil
+from repro.utils.bitutil import BitUtil, _unsigned
 
 MIN_HEADER_BYTES = 20
+# ports, sequence, ack, data offset, flags, window, checksum, urgent.
+_HEADER = struct.Struct("!HHIIBBHHH")
 
 
 class TCPFlags:
@@ -23,7 +27,7 @@ class TCPWrapper:
 
     def __init__(self, buf, offset=None):
         if offset is None:
-            offset = IPv4Wrapper(buf).payload_offset()
+            offset = _payload_offset(buf)
         if len(buf) < offset + MIN_HEADER_BYTES:
             raise ParseError("frame too short for TCP: %d bytes" % len(buf))
         self._buf = buf
@@ -63,7 +67,7 @@ class TCPWrapper:
 
     @property
     def data_offset(self):
-        return BitUtil.get_bits(self._buf, self._off + 12, 7, 4)
+        return BitUtil.get8(self._buf, self._off + 12) >> 4
 
     @data_offset.setter
     def data_offset(self, value):
@@ -122,9 +126,9 @@ class TCPWrapper:
         return bytes(self._buf[self._off:])
 
     def swap_ports(self):
-        src, dst = self.source_port, self.destination_port
-        self.destination_port = src
-        self.source_port = dst
+        off = self._off
+        pair = BitUtil.get_bytes(self._buf, off, 4)     # range-checked
+        self._buf[off:off + 4] = pair[2:] + pair[:2]
 
     def update_checksum(self, ip=None):
         ip = ip or IPv4Wrapper(self._buf)
@@ -141,15 +145,12 @@ class TCPWrapper:
 def build_tcp_segment(src_port, dst_port, seq, ack, flags, window=65535,
                       payload=b""):
     """Assemble a TCP header (no options) + payload, checksum 0."""
-    header = bytearray(MIN_HEADER_BYTES)
-    BitUtil.set16(header, 0, src_port)
-    BitUtil.set16(header, 2, dst_port)
-    BitUtil.set32(header, 4, seq)
-    BitUtil.set32(header, 8, ack)
-    BitUtil.set_bits(header, 12, 7, 4, MIN_HEADER_BYTES // 4)
-    BitUtil.set8(header, 13, flags)
-    BitUtil.set16(header, 14, window)
-    return bytes(header) + bytes(payload)
+    _unsigned(src_port, dst_port, seq, ack, flags, window)
+    return _HEADER.pack(
+        src_port & 0xFFFF, dst_port & 0xFFFF,
+        seq & 0xFFFFFFFF, ack & 0xFFFFFFFF,
+        (MIN_HEADER_BYTES // 4) << 4, flags & 0xFF, window & 0xFFFF, 0, 0) + \
+        bytes(payload)
 
 
 def build_tcp(dst_mac, src_mac, src_ip, dst_ip, src_port, dst_port,

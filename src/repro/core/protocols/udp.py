@@ -1,12 +1,15 @@
 """UDP wrapper (DNS, Memcached-over-UDP, NAT all ride on this)."""
 
+import struct
+
 from repro.core.checksum import udp_checksum
 from repro.core.protocols.ipv4 import IPProtocols, IPv4Wrapper, \
-    build_ipv4_frame
+    _payload_offset, build_ipv4_frame
 from repro.errors import ParseError
-from repro.utils.bitutil import BitUtil
+from repro.utils.bitutil import BitUtil, _unsigned
 
 HEADER_BYTES = 8
+_HEADER = struct.Struct("!HHHH")    # source, destination, length, checksum
 
 
 class UDPWrapper:
@@ -14,7 +17,7 @@ class UDPWrapper:
 
     def __init__(self, buf, offset=None):
         if offset is None:
-            offset = IPv4Wrapper(buf).payload_offset()
+            offset = _payload_offset(buf)
         if len(buf) < offset + HEADER_BYTES:
             raise ParseError("frame too short for UDP: %d bytes" % len(buf))
         self._buf = buf
@@ -56,7 +59,8 @@ class UDPWrapper:
         return self._off + HEADER_BYTES
 
     def payload(self):
-        end = self._off + self.length if self.length else len(self._buf)
+        length = self.length
+        end = self._off + length if length else len(self._buf)
         return bytes(self._buf[self._off + HEADER_BYTES:end])
 
     def set_payload(self, payload):
@@ -66,13 +70,14 @@ class UDPWrapper:
         self.length = HEADER_BYTES + len(payload)
 
     def datagram(self):
-        end = self._off + self.length if self.length else len(self._buf)
+        length = self.length
+        end = self._off + length if length else len(self._buf)
         return bytes(self._buf[self._off:end])
 
     def swap_ports(self):
-        src, dst = self.source_port, self.destination_port
-        self.destination_port = src
-        self.source_port = dst
+        off = self._off
+        pair = BitUtil.get_bytes(self._buf, off, 4)     # range-checked
+        self._buf[off:off + 4] = pair[2:] + pair[:2]
 
     def update_checksum(self, ip=None):
         ip = ip or IPv4Wrapper(self._buf)
@@ -81,11 +86,11 @@ class UDPWrapper:
             ip.source_ip_address, ip.destination_ip_address, self.datagram())
 
     def checksum_ok(self, ip=None):
-        if self.checksum == 0:      # checksum disabled
+        stored = self.checksum
+        if stored == 0:             # checksum disabled
             return True
         ip = ip or IPv4Wrapper(self._buf)
         data = bytearray(self.datagram())
-        stored = self.checksum
         BitUtil.set16(data, 6, 0)
         return udp_checksum(ip.source_ip_address, ip.destination_ip_address,
                             data) == stored
@@ -93,11 +98,10 @@ class UDPWrapper:
 
 def build_udp_datagram(src_port, dst_port, payload):
     """Assemble a UDP header + payload (checksum left 0 = disabled)."""
-    header = bytearray(HEADER_BYTES)
-    BitUtil.set16(header, 0, src_port)
-    BitUtil.set16(header, 2, dst_port)
-    BitUtil.set16(header, 4, HEADER_BYTES + len(payload))
-    return bytes(header) + bytes(payload)
+    _unsigned(src_port, dst_port)
+    return _HEADER.pack(src_port & 0xFFFF, dst_port & 0xFFFF,
+                        (HEADER_BYTES + len(payload)) & 0xFFFF, 0) + \
+        bytes(payload)
 
 
 def build_udp(dst_mac, src_mac, src_ip, dst_ip, src_port, dst_port,

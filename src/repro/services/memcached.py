@@ -13,6 +13,8 @@ Eviction is LRU via the Fig. 9 construction (HashCAM + NaughtyQ) when
 the store fills.
 """
 
+from collections import OrderedDict
+
 from repro.core import netfpga as NetFPGA
 from repro.core.protocols.ethernet import EthernetWrapper
 from repro.core.protocols.ipv4 import IPProtocols, IPv4Wrapper
@@ -60,7 +62,7 @@ class MemcachedService(EmuService):
         self.binary_enabled = config["binary"]
         self.storage = storage
         self._store = {}
-        self._recency = []
+        self._recency = OrderedDict()    # keys, least recent first
         self._dram = DramModel(width=8, depth=1 << 24) \
             if storage == "dram" else None
         self.gets = 0
@@ -73,9 +75,8 @@ class MemcachedService(EmuService):
     # -- store ---------------------------------------------------------------
 
     def _touch(self, key):
-        if key in self._recency:
-            self._recency.remove(key)
-        self._recency.append(key)
+        self._recency[key] = None
+        self._recency.move_to_end(key)
 
     def store_set(self, key, value, flags=0):
         if len(key) > self.max_key:
@@ -83,7 +84,7 @@ class MemcachedService(EmuService):
         if len(value) > self.max_value:
             return BinaryStatus.VALUE_TOO_LARGE
         if key not in self._store and len(self._store) >= self.capacity:
-            victim = self._recency.pop(0)       # LRU eviction
+            victim, _ = self._recency.popitem(last=False)  # LRU eviction
             del self._store[victim]
         self._store[key] = (bytes(value), flags)
         self._touch(key)
@@ -107,7 +108,7 @@ class MemcachedService(EmuService):
     def store_delete(self, key):
         if key in self._store:
             del self._store[key]
-            self._recency.remove(key)
+            del self._recency[key]
             return True
         return False
 
@@ -256,7 +257,7 @@ class MemcachedService(EmuService):
 
     def reset(self):
         self._store.clear()
-        self._recency = []
+        self._recency.clear()
         self.gets = self.sets = self.deletes = 0
         self.hits = self.misses = 0
 

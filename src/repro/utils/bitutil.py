@@ -6,7 +6,14 @@ byte order (big-endian) is used throughout, matching wire formats.
 
 All setters operate on :class:`bytearray` in place, because the wrappers
 share one underlying frame buffer (the dataplane ``tdata``).
+
+The named widths ``struct`` has (8/16/32/64 bits) go through one
+precompiled :class:`struct.Struct` each — ``unpack_from``/``pack_into``
+read and write the shared buffer without copying it.  The generic
+``get``/``set`` remain for the widths it lacks (48-bit MACs).
 """
+
+import struct
 
 from repro.errors import BitRangeError
 
@@ -21,6 +28,47 @@ def _check(buf, offset, nbytes):
         )
 
 
+def _unsigned(*fields):
+    """The setters' sign check for builders that pack a whole header in
+    one call (they mask each field to its width themselves)."""
+    if min(fields) < 0:
+        raise BitRangeError("header fields must be unsigned, got %d"
+                            % min(fields))
+
+
+def _fixed_width(fmt):
+    """``(get, set)`` for one ``struct`` width, same checks as the
+    generic pair: ``unpack_from``/``pack_into`` bound the far end
+    themselves but read a negative offset from the end of the buffer,
+    so that one is rejected here."""
+    codec = struct.Struct(fmt)
+    unpack_from, pack_into, nbytes = \
+        codec.unpack_from, codec.pack_into, codec.size
+    mask = (1 << (8 * nbytes)) - 1
+
+    def getter(buf, offset):
+        if offset < 0:
+            raise BitRangeError("negative offset %d" % offset)
+        try:
+            return unpack_from(buf, offset)[0]
+        except struct.error:
+            _check(buf, offset, nbytes)
+            raise
+
+    def setter(buf, offset, value):
+        if offset < 0:
+            raise BitRangeError("negative offset %d" % offset)
+        if value < 0:
+            raise BitRangeError("value must be unsigned, got %d" % value)
+        try:
+            pack_into(buf, offset, value & mask)
+        except struct.error:
+            _check(buf, offset, nbytes)
+            raise
+
+    return staticmethod(getter), staticmethod(setter)
+
+
 class BitUtil:
     """Static helpers for reading and writing big-endian fields."""
 
@@ -28,7 +76,7 @@ class BitUtil:
     def get(buf, offset, nbytes):
         """Read *nbytes* at *offset* as an unsigned big-endian integer."""
         _check(buf, offset, nbytes)
-        return int.from_bytes(bytes(buf[offset:offset + nbytes]), "big")
+        return int.from_bytes(buf[offset:offset + nbytes], "big")
 
     @staticmethod
     def set(buf, offset, nbytes, value):
@@ -41,29 +89,10 @@ class BitUtil:
 
     # Named-width variants mirroring the paper's API surface.
 
-    @staticmethod
-    def get8(buf, offset):
-        return BitUtil.get(buf, offset, 1)
-
-    @staticmethod
-    def set8(buf, offset, value):
-        BitUtil.set(buf, offset, 1, value)
-
-    @staticmethod
-    def get16(buf, offset):
-        return BitUtil.get(buf, offset, 2)
-
-    @staticmethod
-    def set16(buf, offset, value):
-        BitUtil.set(buf, offset, 2, value)
-
-    @staticmethod
-    def get32(buf, offset):
-        return BitUtil.get(buf, offset, 4)
-
-    @staticmethod
-    def set32(buf, offset, value):
-        BitUtil.set(buf, offset, 4, value)
+    get8, set8 = _fixed_width("!B")
+    get16, set16 = _fixed_width("!H")
+    get32, set32 = _fixed_width("!I")
+    get64, set64 = _fixed_width("!Q")
 
     @staticmethod
     def get48(buf, offset):
@@ -72,14 +101,6 @@ class BitUtil:
     @staticmethod
     def set48(buf, offset, value):
         BitUtil.set(buf, offset, 6, value)
-
-    @staticmethod
-    def get64(buf, offset):
-        return BitUtil.get(buf, offset, 8)
-
-    @staticmethod
-    def set64(buf, offset, value):
-        BitUtil.set(buf, offset, 8, value)
 
     @staticmethod
     def get_bit(buf, byte_offset, bit):

@@ -238,6 +238,32 @@ class TestUniformDispatch:
         assert dep.target.batches == 1          # native batched path
         assert dep.metrics.batches == 1
 
+    @pytest.mark.parametrize("backend, kwargs", [
+        ("multicore", {"cores": 2}), ("cluster", {"shards": 2})])
+    def test_write_classifier_survives_a_lone_magic_byte(self, backend,
+                                                         kwargs):
+        """A UDP payload of the 8-byte frame header plus the single
+        byte 0x80 looks binary and has no opcode to index: the write
+        classifier both dispatchers run on every frame says "not a
+        write", the service drops it, and the deployment keeps
+        serving."""
+        from repro.core.protocols.memcached import memcached_is_write
+        from repro.core.protocols.udp import build_udp
+        from repro.net.packet import Frame
+        from repro.services.catalog import CLIENT_IP, SERVICE_IP
+        hostile = Frame(build_udp(
+            0x02_00_00_00_00_01, 0x02_00_00_00_00_AA, CLIENT_IP,
+            SERVICE_IP, 40000, 11211, bytes(8) + b"\x80")).pad()
+        assert memcached_is_write(hostile) is False
+        dep = deploy("memcached").on(backend, **kwargs) \
+            .with_seed(SEED).start()
+        emitted, _ = dep.send(hostile.copy())
+        assert emitted == []
+        (emitted, _), = dep.send_batch([hostile.copy()])
+        assert emitted == []
+        request = dep.spec.client.request(seed=SEED)
+        assert dep.send(request)[0]
+
     def test_max_qps_blends_reads_and_writes(self):
         from repro.harness.multicore import memaslap_rw_pair
         read_frame, write_frame = memaslap_rw_pair(SEED)

@@ -215,6 +215,50 @@ class TestMemcached:
         assert svc.store_get(b"b") is None
         assert svc.store_get(b"a") is not None
 
+    def test_recency_matches_the_list_model_on_a_seeded_trace(self):
+        """Eviction order, ``store_delete`` and ``reset()`` against the
+        recency *list* this store used to keep (scan, remove, append;
+        evict index 0), on SET/GET/DELETE at capacity."""
+        import random
+        rng = random.Random(0xE17C)
+        svc = self.make()
+        svc.capacity = 8
+        keys = [b"k%02d" % index for index in range(24)]
+        store, recency, evictions = {}, [], 0
+
+        def touch(key):
+            if key in recency:
+                recency.remove(key)
+            recency.append(key)
+
+        for step in range(4000):
+            key = rng.choice(keys)
+            roll = rng.random()
+            if step == 2000:
+                svc.reset()
+                store, recency = {}, []
+            elif roll < 0.5:
+                if key not in store and len(store) >= svc.capacity:
+                    del store[recency.pop(0)]
+                    evictions += 1
+                store[key] = b"v%d" % step
+                touch(key)
+                assert svc.store_set(key, store[key]) == \
+                    BinaryStatus.NO_ERROR
+            elif roll < 0.85:
+                entry = svc.store_get(key)
+                assert (entry[0] if entry else None) == store.get(key)
+                if key in store:
+                    touch(key)
+            else:
+                assert svc.store_delete(key) == (key in store)
+                if key in store:
+                    del store[key]
+                    recency.remove(key)
+            assert {k: v for k, (v, _) in svc._store.items()} == store
+            assert list(svc._recency) == recency
+        assert evictions > 100                  # the trace ran full
+
     def test_stats_counters(self):
         svc = self.make()
         self.request(svc, build_ascii_set(b"k", b"v"))

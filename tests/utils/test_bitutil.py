@@ -117,3 +117,78 @@ def test_property_get16_matches_int_from_bytes(data, offset):
     buf = bytearray(data)
     assert BitUtil.get16(buf, offset) == \
         int.from_bytes(data[offset:offset + 2], "big")
+
+
+# -- the struct-backed named widths against the generic reference -----------
+
+WIDTHS = {1: (BitUtil.get8, BitUtil.set8), 2: (BitUtil.get16, BitUtil.set16),
+          4: (BitUtil.get32, BitUtil.set32), 8: (BitUtil.get64, BitUtil.set64)}
+
+
+def _tdata(data):
+    from repro.core.dataplane import TData
+    return TData(data)
+
+
+READABLE = (bytes, bytearray, memoryview, _tdata)
+WRITABLE = (bytearray, lambda data: memoryview(bytearray(data)), _tdata)
+
+
+def _outcome(call):
+    try:
+        return call()
+    except BitRangeError:
+        return BitRangeError
+
+
+@given(st.sampled_from(sorted(WIDTHS)), st.binary(max_size=20),
+       st.integers(min_value=-3, max_value=22), st.sampled_from(READABLE))
+def test_named_getters_equal_generic_get(nbytes, data, offset, kind):
+    """Same value or the same BitRangeError (negative offset, overrun
+    by one or more) on every buffer type."""
+    getter, _ = WIDTHS[nbytes]
+    assert _outcome(lambda: getter(kind(data), offset)) == \
+        _outcome(lambda: BitUtil.get(kind(data), offset, nbytes))
+
+
+@given(st.sampled_from(sorted(WIDTHS)), st.binary(max_size=20),
+       st.integers(min_value=-3, max_value=22),
+       st.one_of(st.integers(min_value=-2, max_value=2 ** 70),
+                 st.sampled_from([0, 0xFF, 0x100, 0xFFFF, 0x10000,
+                                  2 ** 32 - 1, 2 ** 32, 2 ** 64 - 1,
+                                  2 ** 64])),
+       st.sampled_from(WRITABLE))
+def test_named_setters_equal_generic_set(nbytes, data, offset, value, kind):
+    """Same bytes written (truncated to the field width) or the same
+    BitRangeError (negative offset, overrun, negative value), and a
+    refused write leaves the buffer untouched."""
+    _, setter = WIDTHS[nbytes]
+    fast, reference = kind(data), kind(data)
+    assert _outcome(lambda: setter(fast, offset, value)) == \
+        _outcome(lambda: BitUtil.set(reference, offset, nbytes, value))
+    assert bytes(fast) == bytes(reference)
+    assert len(fast) == len(data)
+
+
+@pytest.mark.parametrize("nbytes", sorted(WIDTHS))
+def test_named_widths_reject_the_edges(nbytes):
+    getter, setter = WIDTHS[nbytes]
+    buf = bytearray(range(1, nbytes + 3))
+    last = len(buf) - nbytes
+    assert getter(buf, last) == BitUtil.get(buf, last, nbytes)
+    for bad_offset in (-1, -nbytes, last + 1, len(buf), len(buf) + 5):
+        with pytest.raises(BitRangeError):
+            getter(buf, bad_offset)
+        with pytest.raises(BitRangeError):
+            setter(buf, bad_offset, 1)
+    with pytest.raises(BitRangeError):
+        setter(buf, 0, -1)
+    assert bytes(buf) == bytes(range(1, nbytes + 3))
+    setter(buf, 1, (1 << (8 * nbytes)) + 5)          # truncates
+    assert getter(buf, 1) == 5
+
+
+def test_setters_refuse_immutable_buffers():
+    for _, setter in WIDTHS.values():
+        with pytest.raises(TypeError):
+            setter(b"\x00" * 8, 0, 1)
