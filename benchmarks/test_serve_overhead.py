@@ -5,16 +5,20 @@ The in-process baseline runs exactly the per-request work the serving
 front-end does — ``encap(payload)`` → ``send_batch`` → ``decap`` — with
 no sockets, no event loop, and no second process.  The socket number is
 the external load generator's achieved (verified-replies) rate against
-a real served UDP loopback socket.  The generator is its own process on
-its own CPU (the server keeps another), so what is measured is the
-served path and not two Python loops sharing one interpreter lock.  It
-offers the in-process rate measured in the same test: the socket path
-cannot beat the bridge it wraps, so that saturates it however fast the
-bridge gets, and at this run length the backlog it builds still fits
-the server's socket buffer (further above, replies are lost and the
-achieved rate dips).  The gate: sockets keep at least half the
-in-process rate (best socket round vs median in-process round), i.e.
-the kernel-bypass story's overhead budget.
+a real served UDP loopback socket.  The generator is its own process
+(``python -m repro.serve.loadgen``, as its docstring says), and where
+the platform can pin threads the server and the generator get
+different CPUs: a generator inside this interpreter takes the lock the
+serving thread needs, and what is read then is how CPython hands one
+lock between two busy threads (0.46-0.53 of a 33k rps bridge, by run).
+It offers the in-process rate measured in the same test: the socket
+path cannot beat the bridge it wraps, so that saturates it however
+fast the bridge gets, and at this run length the backlog it builds
+still fits the server's socket buffer (further above, replies are lost
+and the achieved rate dips).  With one CPU only, both share it and the
+gate judges that.  The gate: sockets keep at least half the in-process
+rate (best socket round vs median in-process round), i.e. the
+kernel-bypass story's overhead budget.
 
 Results land in ``BENCH_serve.json`` at the repo root; the CI serve
 job uploads it without gating the merge (timing noise on shared
@@ -28,8 +32,6 @@ import subprocess
 import sys
 import time
 from pathlib import Path
-
-import pytest
 
 from repro.deploy import deploy
 from repro.serve.spec import resolve_binding
@@ -69,24 +71,36 @@ def _inprocess_rps(dep, binding, batch=64):
     return REQUESTS / elapsed
 
 
-#: The load generator as a child process that first moves itself to the
-#: CPU named by its first argument.
+#: Exit codes of a generator run that measured something: all replies
+#: verified, or some went missing (expected when offered > capacity).
+_MEASURED = (0, 13)
+
+#: ``python -m repro.serve.loadgen`` that first moves itself to the CPU
+#: named by its first argument ("" = stay where the scheduler puts it).
 _LOADGEN = ("import os, sys; "
-            "os.sched_setaffinity(0, {int(sys.argv[1])}); "
+            "sys.argv[1] and os.sched_setaffinity(0, {int(sys.argv[1])}); "
             "from repro.serve.loadgen import main; "
             "sys.exit(main(sys.argv[2:]))")
 
 
+def _cpus():
+    """``(all allowed, server's, generator's)`` CPUs, or three Nones
+    where threads cannot be pinned."""
+    if not hasattr(os, "sched_setaffinity"):
+        return None, None, None
+    allowed = sorted(os.sched_getaffinity(0))
+    return allowed, allowed[0], allowed[-1]
+
+
 def _socket_rps(dep, offered_qps, cpu, report_path):
-    """One load-generator round (pinned to *cpu*) against a freshly
-    served loopback socket.  The generator's exit code is not checked:
-    at saturation replies may go missing (13); verification failures
-    are asserted from its report."""
+    """One load-generator round against a freshly served loopback
+    socket; *report_path* is this round's own file."""
     server = dep.serve()
     try:
         host, port = server.address
-        subprocess.run(
-            [sys.executable, "-c", _LOADGEN, str(cpu),
+        done = subprocess.run(
+            [sys.executable, "-c", _LOADGEN,
+             "" if cpu is None else str(cpu),
              "--service", "memcached", "--host", host,
              "--port", str(port), "--qps", str(offered_qps),
              "--duration", str(DURATION_S), "--seed", str(SEED),
@@ -95,6 +109,7 @@ def _socket_rps(dep, offered_qps, cpu, report_path):
             stdout=subprocess.DEVNULL, timeout=60)
     finally:
         server.stop()
+    assert done.returncode in _MEASURED, done.returncode
     report = json.loads(report_path.read_text())
     assert report["verify_failures"] == 0
     assert report["replies"] > 0
@@ -107,27 +122,28 @@ def _median(values):
 
 
 def test_loadgen_keeps_half_of_in_process_throughput(bench_once, tmp_path):
-    allowed = sorted(os.sched_getaffinity(0))
-    if len(allowed) < 2:
-        pytest.skip("needs one CPU for the server and one for the "
-                    "load generator")
-    server_cpu, loadgen_cpu = allowed[0], allowed[-1]
+    allowed, server_cpu, loadgen_cpu = _cpus()
 
     def measure():
-        # Threads started from here on (the serving loop) inherit it.
-        os.sched_setaffinity(0, {server_cpu})
-        dep = deploy("memcached").on("cpu").start()
+        dep = None
         try:
+            if allowed:
+                # Threads started from here on (the serving loop)
+                # inherit it.
+                os.sched_setaffinity(0, {server_cpu})
+            dep = deploy("memcached").on("cpu").start()
             binding = resolve_binding(dep.spec, "udp")
             inproc = [_inprocess_rps(dep, binding)
                       for _ in range(ROUNDS)]
             offered_qps = _median(inproc)
             sock = [_socket_rps(dep, offered_qps, loadgen_cpu,
-                                tmp_path / "loadgen.json")
-                    for _ in range(ROUNDS)]
+                                tmp_path / ("loadgen%d.json" % number))
+                    for number in range(ROUNDS)]
         finally:
-            dep.stop()
-            os.sched_setaffinity(0, allowed)
+            if dep is not None:
+                dep.stop()
+            if allowed:
+                os.sched_setaffinity(0, allowed)
         return inproc, offered_qps, sock
 
     inproc, offered_qps, sock = bench_once(measure)

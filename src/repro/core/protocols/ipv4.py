@@ -20,20 +20,20 @@ class IPProtocols:
     UDP = 17
 
 
-def _payload_offset(buf):
-    """``IPv4Wrapper(buf).payload_offset()`` without the wrapper: the L4
-    wrappers only need the number."""
-    if len(buf) < HEADER_BYTES + MIN_HEADER_BYTES:
+def _payload_offset(buf, offset=HEADER_BYTES):
+    """Where the IPv4 header at *offset* ends, after checking that a
+    minimal one fits.  :class:`IPv4Wrapper` answers with it; the L4
+    wrappers call it directly, as they only need the number."""
+    if len(buf) < offset + MIN_HEADER_BYTES:
         raise ParseError("frame too short for IPv4: %d bytes" % len(buf))
-    return HEADER_BYTES + (buf[HEADER_BYTES] & 0x0F) * 4
+    return offset + (buf[offset] & 0x0F) * 4
 
 
 class IPv4Wrapper:
     """Typed view of an IPv4 header following the Ethernet header."""
 
     def __init__(self, buf, offset=HEADER_BYTES):
-        if len(buf) < offset + MIN_HEADER_BYTES:
-            raise ParseError("frame too short for IPv4: %d bytes" % len(buf))
+        _payload_offset(buf, offset)         # raises on a short frame
         self._buf = buf
         self._off = offset
 
@@ -134,7 +134,7 @@ class IPv4Wrapper:
     # -- derived -----------------------------------------------------------
 
     def payload_offset(self):
-        return self._off + self.header_bytes
+        return _payload_offset(self._buf, self._off)
 
     def header(self):
         return bytes(self._buf[self._off:self._off + self.header_bytes])

@@ -10,7 +10,10 @@ share one underlying frame buffer (the dataplane ``tdata``).
 The named widths ``struct`` has (8/16/32/64 bits) go through one
 precompiled :class:`struct.Struct` each — ``unpack_from``/``pack_into``
 read and write the shared buffer without copying it.  The generic
-``get``/``set`` remain for the widths it lacks (48-bit MACs).
+``get``/``set`` remain for the widths it lacks (48-bit MACs).  The
+header builders in ``repro.core.protocols`` pack a whole header in one
+call and share the setters' sign check through the module-level
+``_unsigned`` (library-internal, like ``_check``).
 """
 
 import struct
