@@ -1,15 +1,16 @@
 """Non-gating-in-CI observability overhead benchmark.
 
-PR 5's compiled execution spine is the repo's perf floor; the obs
-layer must not erode it when switched off.  The only code the
-profiler added to the hot path is one ``state_counts is None`` test
-per :meth:`CompiledKernel.run` (the compiled ``_run`` / ``_run_profiled``
-twins carry the counter bumps out of the disabled loop entirely).
+The compiled execution spine is the repo's perf floor; the obs layer
+must not erode it when switched off.  Profiling costs two things while
+on — the kernel runs its untraced layout, and the driver bumps a
+counter per executed state — and must cost nothing once off again:
+``state_counts`` back to ``None`` puts the kernel back on the traced
+layouts it compiled before.
 
-This bench measures that claim honestly: the shipped ``run()`` with
-profiling disabled against a local replica of the pre-obs ``run()``
-that calls ``_run_fn`` unconditionally, on the same warm memcached
-request stream, replies cross-checked.  The gate is
+This bench measures that claim honestly: a kernel whose profiling was
+enabled and then disabled against one that never had it on, on the
+same warm memcached request stream, replies cross-checked.  The gate
+is
 
     median disabled/baseline ratio >= OVERHEAD_FLOOR     (floor 0.95)
 
@@ -45,7 +46,6 @@ runners), while this test still gates locally.
 import gc
 import json
 import time
-import types
 from pathlib import Path
 
 from repro.deploy import deploy
@@ -70,28 +70,6 @@ def _request_stream(count):
     get_frame = memcached_binary_frame(0, key)
     return [set_frame if index % 2 == 0 else get_frame
             for index in range(count)]
-
-
-def _pre_obs_run(self, max_cycles=100000, memories=None, **scalars):
-    """``CompiledKernel.run`` exactly as it shipped before the obs
-    layer: same signature, same body, no ``state_counts`` dispatch.
-    Bound onto a kernel instance so the calling convention matches."""
-    if memories:
-        for name, contents in memories.items():
-            self.load_memory(name, contents)
-    for name, value in scalars.items():
-        width = self._scalar_widths.get(name)
-        if width is None:
-            raise RuntimeError("no scalar %r" % name)
-        self._inputs[name] = value & ((1 << width) - 1)
-    regs = list(self._regs)
-    for name, slot in zip(self._latch_names, self._latch_slots):
-        regs[slot] = self._inputs[name]
-    regs, latency = self._run_fn(tuple(regs), max_cycles)
-    self._regs = regs
-    self.invocations += 1
-    results = tuple(regs[slot] for slot in self._result_slots)
-    return results, latency, self
 
 
 def _one_pass(run_one, frames):
@@ -158,12 +136,14 @@ def test_disabled_observability_keeps_engine_throughput():
     design = compile_function(memcached_kernel, opt_level=0)
 
     baseline = compile_design(design)
-    bare = types.MethodType(_pre_obs_run, baseline)
-    disabled = compile_design(design)
+    disabled = compile_design(design).enable_profiling()
+    disabled.run(memories={"frame": list(frames[0])}, my_ip=MY_IP)
+    disabled.disable_profiling()
+    disabled.reset()
     profiled = compile_design(design).enable_profiling()
 
     per_round, all_replies = _measure_rounds(
-        [lambda frame: bare(
+        [lambda frame: baseline.run(
             memories={"frame": list(frame)}, my_ip=MY_IP)[:2],
          lambda frame: disabled.run(
             memories={"frame": list(frame)}, my_ip=MY_IP)[:2],
@@ -202,8 +182,9 @@ def test_disabled_observability_keeps_engine_throughput():
     print()
     print(render_table(
         ["Mode", "Best simulated requests/s", "Median vs baseline"],
-        [["pre-obs replica", "%.1f" % baseline_rps, "1.000x"],
-         ["obs disabled", "%.1f" % disabled_rps, "%.3fx" % ratio],
+        [["never profiled", "%.1f" % baseline_rps, "1.000x"],
+         ["profiling on, then off", "%.1f" % disabled_rps,
+          "%.3fx" % ratio],
          ["obs profiling", "%.1f" % profiled_rps,
           "%.3fx" % profiled_ratio]],
         title="Observability overhead: memcached kernel "

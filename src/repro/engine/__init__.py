@@ -6,21 +6,23 @@ allows):
 
 * :mod:`repro.engine.compiler` compiles a Kiwi
   :class:`~repro.kiwi.compiler.CompiledDesign` into exec-generated
-  Python closures — one step function per FSM state, expression DAGs
-  flattened to straight-line locals, memories as preallocated lists —
-  replacing per-cycle netlist interpretation on the hot path.
-  :mod:`repro.engine.batch` raises that to lockstep structure-of-arrays
-  execution: N requests advance through fused superblocks per dispatch
-  (``compile_kernel(fn, batch=N)``), with per-lane early exits and
-  loop-invariant hoisting.  :mod:`repro.engine.pipelined` overlaps
-  requests *within* one kernel the way the -O3 hardware schedule does
-  — a new request issues every II cycles, hazard stalls only on real
-  memory dependences, strict in-order retire.
+  Python superblocks — fused runs of FSM states over structure-of-
+  arrays registers, expression DAGs flattened to straight-line locals,
+  memories as preallocated lists — replacing per-cycle netlist
+  interpretation on the hot path.  That is the only code generator;
+  three drivers execute its blocks on one warm kernel:
+  ``CompiledKernel.run`` (one lane),
+  :mod:`repro.engine.batch`'s ``run_batch`` (N lanes in lockstep per
+  dispatch, ``compile_kernel(fn, batch=N)``, hazard-gated) and
+  :mod:`repro.engine.pipelined`'s ``run_stream`` (requests overlap
+  *within* one kernel the way the -O3 hardware schedule does — a new
+  request issues every II cycles, hazard stalls only on real memory
+  dependences, strict in-order retire).
   :mod:`repro.engine.verify` proves the compiled kernel equivalent to
   the interpreted :class:`~repro.rtl.simulator.Simulator` on random
   inputs (results, final memories, and same-level cycle counts), the
-  batched engine equivalent to both on warm job streams, and the
-  pipelined executor equivalent to the sequential -O0 engine with N
+  lockstep driver equivalent to both on warm job streams, and the
+  pipelined driver equivalent to the sequential -O0 engine with N
   requests in flight.
 * :mod:`repro.engine.sched` is the one discrete-event scheduler every
   layer now shares (the netsim event loop subclasses it), with
@@ -29,7 +31,7 @@ allows):
   open-loop arrivals so latency distributions are queueing-derived.
 """
 
-from repro.engine.batch import BatchedKernel, compile_design_batched
+from repro.engine.batch import BatchedKernel
 from repro.engine.compiler import (
     CompiledKernel, compile_design, compile_kernel,
 )
@@ -51,7 +53,7 @@ __all__ = [
     "PipelinedKernel", "Process", "Queue", "Scheduler",
     "assert_batch_equivalent", "assert_engine_equivalent",
     "assert_pipeline_equivalent", "batch_differential_check",
-    "compile_design", "compile_design_batched", "compile_kernel",
+    "compile_design", "compile_kernel",
     "compile_pipelined", "engine_differential_check",
     "pipeline_differential_check", "run_open_loop",
 ]

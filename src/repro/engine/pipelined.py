@@ -1,12 +1,12 @@
-"""Multi-request-in-flight execution of a compiled kernel.
+"""The pipelined driver: several requests in flight on one kernel.
 
-:class:`PipelinedKernel` drives the scalar engine's generated state
-closures (:mod:`repro.engine.compiler`) with up to *depth* requests in
-flight at once, cycle by cycle, the way the pipelined hardware would:
-a new request issues every II cycles (the ``-O3`` schedule's
-initiation interval), each in-flight request owns a private register
-file and a private copy of its stream memories (the per-request
-``frame`` buffer), and warm memories stay shared.
+:class:`PipelinedKernel` steps the kernel's generated blocks — compiled
+one state per block — with up to *depth* requests in flight at once,
+cycle by cycle, the way the pipelined hardware would: a new request
+issues every II cycles (the ``-O3`` schedule's initiation interval),
+each in-flight request owns a lane (a private register column entry
+and a private row of each stream memory, the per-request ``frame``
+buffer), and warm memories stay shared.
 
 Correctness does not lean on the static schedule: every cycle, a
 younger request stalls before executing a state that
@@ -29,51 +29,39 @@ against the sequential ``-O0`` engine.
 
 When the kernel has no feasible schedule (data-dependent loops, stale
 register observables, timing budget), the same loop degrades to
-serial issue — one request at a time, cycle counts identical to the
-scalar engine.
+serial issue — one request at a time, cycle counts identical to
+:meth:`~repro.engine.compiler.CompiledKernel.run`.
 """
 
 from repro.errors import EngineError
-from repro.engine.batch import _mems_touched
-from repro.engine.compiler import CompiledKernel, _mask
+from repro.engine.compiler import STEP, CompiledKernel
+from repro.kiwi.analysis import reach_union
+from repro.kiwi.opt.pipeline import DEFAULT_STREAM_MEMORIES
 
 
 class _Context:
     """One in-flight request."""
 
-    __slots__ = ("job", "regs", "state", "streams", "overrides",
-                 "issue_cycle", "finish_cycle", "stalls")
+    __slots__ = ("lanes", "uniform", "state", "streams", "issue_cycle",
+                 "finish_cycle", "stalls")
 
-    def __init__(self, job, regs, state, streams):
-        self.job = job
-        self.regs = regs
+    def __init__(self, lane, uniform, state, streams, issue_cycle):
+        self.lanes = (lane,)
+        self.uniform = uniform
         self.state = state
         self.streams = streams
-        self.overrides = {"m_" + name: image
-                          for name, image in streams.items()}
-        self.issue_cycle = 0
+        self.issue_cycle = issue_cycle
         self.finish_cycle = None
         self.stalls = 0
 
-    @property
-    def finished(self):
-        return self.state == 0
 
-
-class PipelinedKernel:
-    """A compiled kernel executed with overlapping requests.
-
-    Wraps a scalar :class:`~repro.engine.compiler.CompiledKernel`
-    (same generated closures, same warm memories) and adds
-    :meth:`run_stream`.  The scalar ``run`` surface stays available
-    for warm-up / mixed use.
-    """
+class PipelinedKernel(CompiledKernel):
+    """A :class:`CompiledKernel` that additionally offers
+    :meth:`run_stream` — same generated code, same warm state,
+    overlapping requests."""
 
     def __init__(self, design, depth=None, schedule=None):
-        self._scalar = CompiledKernel(design)
-        self.design = design
-        self.spec = design.spec
-        self.opt_level = design.opt_level
+        super().__init__(design)
         if schedule is None:
             schedule = getattr(design.fsm, "pipeline_schedule", None)
         self.schedule = schedule
@@ -84,16 +72,19 @@ class PipelinedKernel:
             depth = (-(-schedule.latency_cycles // self.ii)
                      if feasible else 1)
         self.depth = max(1, int(depth))
-        mem_names = set(self._scalar._mem_names)
-        if feasible:
-            streams = [name for name in schedule.stream_memories
-                       if name in mem_names]
-        else:
-            from repro.kiwi.opt.pipeline import DEFAULT_STREAM_MEMORIES
-            streams = [name for name in DEFAULT_STREAM_MEMORIES
-                       if name in mem_names]
-        self.stream_memories = tuple(streams)
-        self._build_hazard_sets()
+        streams = (schedule.stream_memories if feasible
+                   else DEFAULT_STREAM_MEMORIES)
+        self.stream_memories = tuple(name for name in streams
+                                     if name in self._mems)
+        # Name-level per-state access sets on *shared* memories and
+        # their reachability closure — the "may still touch" relation
+        # hazard stalls use.
+        stream_set = frozenset(self.stream_memories)
+        fsm = design.fsm
+        self._shared_reads = [s - stream_set for s in self._reads]
+        self._shared_writes = [s - stream_set for s in self._writes]
+        self._reads_reach = reach_union(fsm, self._shared_reads)
+        self._writes_reach = reach_union(fsm, self._shared_writes)
         #: Cycle numbers at which requests retired, for steady-state
         #: throughput measurement across one :meth:`run_stream` call.
         self.retire_cycles = []
@@ -103,124 +94,15 @@ class PipelinedKernel:
         #: check cannot pass without ever overlapping requests.
         self.peak_in_flight = 0
 
-    def _build_hazard_sets(self):
-        """Name-level per-state access sets and their reachability
-        closure (the "may still touch" relation hazard stalls use)."""
-        fsm = self.design.fsm
-        stream_set = set(self.stream_memories)
-        count = len(fsm.states)
-        self._reads = [frozenset()] * count
-        self._writes = [frozenset()] * count
-        for state in fsm.states:
-            if state is fsm.idle:
-                continue
-            read, written = _mems_touched(state)
-            self._reads[state.index] = frozenset(read - stream_set)
-            self._writes[state.index] = frozenset(written - stream_set)
-        reads_reach = [set(s) for s in self._reads]
-        writes_reach = [set(s) for s in self._writes]
-        changed = True
-        while changed:
-            changed = False
-            for state in fsm.states:
-                if state is fsm.idle:
-                    continue
-                index = state.index
-                for succ in fsm.successors(state):
-                    if succ is fsm.idle:
-                        continue
-                    for acc, reach in ((reads_reach, reads_reach),
-                                       (writes_reach, writes_reach)):
-                        before = len(acc[index])
-                        acc[index] |= reach[succ.index]
-                        if len(acc[index]) != before:
-                            changed = True
-        self._reads_reach = [frozenset(s) for s in reads_reach]
-        self._writes_reach = [frozenset(s) for s in writes_reach]
-
-    # -- scalar surface (delegation) ----------------------------------------
-
-    @property
-    def name(self):
-        return self._scalar.name
-
-    def run(self, **kwargs):
-        return self._scalar.run(**kwargs)
-
-    def reset(self):
-        self._scalar.reset()
-
-    def load_memory(self, name, contents):
-        self._scalar.load_memory(name, contents)
-
-    def poke_memory(self, name, addr, value):
-        self._scalar.poke_memory(name, addr, value)
-
-    def peek_memory(self, name, addr):
-        return self._scalar.peek_memory(name, addr)
-
-    def memory_image(self, name):
-        return self._scalar.memory_image(name)
-
-    # -- pipelined execution ------------------------------------------------
-
-    def _issue(self, job, cycle):
-        """Latch one request into a fresh context (the idle cycle)."""
-        scalar = self._scalar
-        scalars, memories = job
-        for name, value in scalars.items():
-            width = scalar._scalar_widths.get(name)
-            if width is None:
-                raise EngineError("kernel %r has no scalar %r"
-                                  % (self.name, name))
-            scalar._inputs[name] = value & _mask(width)
-        streams = {}
-        for name in self.stream_memories:
-            depth = scalar._mem_depths[name]
-            width_mask = _mask(scalar._mem_widths[name])
-            image = memories.get(name)
-            if image is None:
-                # Unloaded stream buffer: the request sees whatever
-                # the shared memory holds right now (nothing else is
-                # in flight writing it — it is a stream memory).
-                streams[name] = list(scalar._mems[name])
-            else:
-                streams[name] = [value & width_mask for value in image]
-        for name in memories:
-            if name not in self.stream_memories:
-                raise EngineError(
-                    "per-request image for shared memory %r: only "
-                    "stream memories %r may be loaded per request "
-                    "in pipelined execution"
-                    % (name, list(self.stream_memories)))
-            if len(streams[name]) != scalar._mem_depths[name]:
-                raise EngineError(
-                    "pipelined stream memory %r needs a full %d-word "
-                    "image (got %d words)"
-                    % (name, scalar._mem_depths[name],
-                       len(streams[name])))
-        regs = list(scalar._regs)
-        for name, slot in zip(scalar._latch_names, scalar._latch_slots):
-            regs[slot] = scalar._inputs[name]
-        entry = self.design.fsm.idle.transition.if_true.index
-        context = _Context(job, tuple(regs), entry, streams)
-        context.issue_cycle = cycle
-        return context
-
-    def _may_conflict(self, context, older):
-        """Must *context* hold back this cycle because of *older*?"""
-        state = context.state
-        need_r = self._reads[state]
-        need_w = self._writes[state]
-        if not need_r and not need_w:
-            return False
-        older_state = older.state
+    def _may_conflict(self, state, older_state):
+        """Must a request at *state* hold back this cycle because of
+        an older one at *older_state*?"""
+        need_r = self._shared_reads[state]
+        need_w = self._shared_writes[state]
         if need_r & self._writes_reach[older_state]:
             return True                                  # RAW
-        if need_w & (self._writes_reach[older_state] |
-                     self._reads_reach[older_state]):
-            return True                                  # WAW / WAR
-        return False
+        return bool(need_w & (self._writes_reach[older_state] |
+                              self._reads_reach[older_state]))  # WAW/WAR
 
     def run_stream(self, jobs, max_cycles=1000000):
         """Execute *jobs* (``(scalars, memories)`` pairs, like
@@ -235,7 +117,39 @@ class PipelinedKernel:
         stream the shared state matches sequential execution of the
         same jobs.
         """
-        jobs = list(jobs)
+        jobs = [(scalars, memories or {}) for scalars, memories in jobs]
+        if not jobs:
+            return []
+        self._validate(jobs)
+        for _, memories in jobs:
+            for name, image in memories.items():
+                if name not in self.stream_memories:
+                    raise EngineError(
+                        "per-request image for shared memory %r: only "
+                        "stream memories %r may be loaded per request "
+                        "in pipelined execution"
+                        % (name, list(self.stream_memories)))
+                if len(image) != self._mem_depths[name]:
+                    raise EngineError(
+                        "pipelined stream memory %r needs a full %d-word "
+                        "image (got %d words)"
+                        % (name, self._mem_depths[name], len(image)))
+        layout = self._layout(frozenset(self.stream_memories),
+                              self._latch_only, STEP)
+        blocks = layout.blocks
+        counts = self.state_counts
+        # Lane 0 is the warm register file; in-flight requests take
+        # lanes 1..depth.
+        lanes = self.depth + 1
+        cols = [self._cols[name] for name in layout.soa_regs]
+        for col in cols:
+            col[1:] = [0] * self.depth
+        rows = {name: self._rows[name] for name in self.stream_memories}
+        for lane_rows in rows.values():
+            lane_rows[:] = [None] * lanes
+        free = list(range(self.depth, 0, -1))
+        nxt = [0] * lanes
+        cyc = [0] * lanes
         out = []
         self.retire_cycles = []
         self.stall_cycles = 0
@@ -244,8 +158,6 @@ class PipelinedKernel:
         next_job = 0
         last_issue = None
         cycle = 0
-        table = self._scalar._namespace["_STATES"]
-        has_regs = bool(self._scalar._reg_names)
         while len(out) < len(jobs):
             cycle += 1
             if cycle > max_cycles:
@@ -257,50 +169,44 @@ class PipelinedKernel:
             stepping = []
             claimed = set()
             for position, context in enumerate(active):
-                if context.finished:
+                state = context.state
+                if not state:
                     continue
-                stall = False
-                for older in active[:position]:
-                    if not older.finished and \
-                            self._may_conflict(context, older):
-                        stall = True
-                        break
-                if not stall:
-                    touched = (self._reads[context.state] |
-                               self._writes[context.state])
-                    if touched & claimed:
-                        stall = True
-                    else:
-                        claimed |= touched
+                touched = (self._shared_reads[state] |
+                           self._shared_writes[state])
+                stall = bool(touched & claimed) or (touched and any(
+                    older.state and self._may_conflict(state, older.state)
+                    for older in active[:position]))
                 if stall:
                     context.stalls += 1
                     self.stall_cycles += 1
                 else:
+                    claimed |= touched
                     stepping.append(context)
             # Phase 2: execute.  No two stepping contexts touch the
             # same shared memory this cycle, so order is immaterial.
             for context in stepping:
-                fn = table[context.state]
-                if has_regs:
-                    result = fn(*context.regs, **context.overrides)
-                    context.regs = result[:-1]
-                    context.state = result[-1]
-                else:
-                    context.state = fn(**context.overrides)
-                if context.finished:
+                block = blocks[context.state]
+                block.fn(context.lanes, nxt, cyc, context.uniform)
+                if counts is not None:
+                    counts[context.state] += 1
+                context.state = block.next_const
+                if context.state is None:
+                    context.state = nxt[context.lanes[0]]
+                if not context.state:
                     context.finish_cycle = cycle
             # Phase 3: retire strictly in issue order.
-            while active and active[0].finished:
+            while active and not active[0].state:
                 context = active.pop(0)
-                scalar = self._scalar
+                lane = context.lanes[0]
+                for col in cols:
+                    col[0] = col[lane]
                 for name, image in context.streams.items():
-                    scalar._mems[name][:] = image
-                scalar._regs = tuple(context.regs)
-                scalar.invocations += 1
-                results = tuple(context.regs[slot]
-                                for slot in scalar._result_slots)
-                latency = 1 + context.finish_cycle - context.issue_cycle
-                out.append((results, latency,
+                    self._mems[name][:] = image
+                free.append(lane)
+                self.invocations += 1
+                out.append((tuple([col[0] for _, col in self._results]),
+                            1 + context.finish_cycle - context.issue_cycle,
                             {name: list(image) for name, image
                              in context.streams.items()}))
                 self.retire_cycles.append(cycle)
@@ -312,11 +218,25 @@ class PipelinedKernel:
                         cycle - last_issue >= self.ii) or
                        (self.ii is None and not active))
                 if due:
-                    active.append(self._issue(jobs[next_job], cycle))
+                    memories = jobs[next_job][1]
+                    lane = free.pop()
+                    for col in cols:
+                        col[lane] = col[0]
+                    uniform = self._latch_lane(jobs[next_job], lane,
+                                               layout)
+                    # An unloaded stream buffer sees whatever the
+                    # shared memory holds right now (nothing else in
+                    # flight writes it — it is a stream memory).
+                    streams = {name: self._private_rows(
+                        name, (memories.get(name, self._mems[name]),))[0]
+                        for name in self.stream_memories}
+                    for name, image in streams.items():
+                        rows[name][lane] = image
+                    active.append(_Context(lane, uniform, layout.entry,
+                                           streams, cycle))
                     next_job += 1
                     last_issue = cycle
-            in_flight = sum(1 for context in active
-                            if not context.finished)
+            in_flight = sum(1 for context in active if context.state)
             if in_flight > self.peak_in_flight:
                 self.peak_in_flight = in_flight
         return out

@@ -131,7 +131,7 @@ def engine_differential_check(fn, opt_level=0, base_level=None, runs=12,
 
 class BatchReport:
     """Outcome of one batch-differential session (three legs: lockstep
-    batched engine, scalar engine, interpreted netlist)."""
+    driver, one-lane ``run``, interpreted netlist)."""
 
     def __init__(self, name, opt_level, batch):
         self.name = name
@@ -141,8 +141,8 @@ class BatchReport:
         self.runs = 0
         self.skipped = 0
         self.mismatches = []
-        #: Batches the SoA engine actually ran in lockstep (vs its
-        #: scalar fallback) — callers assert this is > 0 so the check
+        #: Batches the driver actually ran in lockstep (vs its
+        #: one-lane fallback) — callers assert this is > 0 so the check
         #: cannot silently pass by never engaging the batched code.
         self.lockstep_batches = 0
         self.fallback_batches = 0
@@ -163,11 +163,11 @@ def batch_differential_check(fn, opt_level=0, batch=8, batches=8,
                              seed="engine-batch", max_cycles=200000,
                              input_factory=None, deep_inputs=None):
     """Three-legged warm-stream differential proof for the lockstep
-    SoA engine (:mod:`repro.engine.batch`).
+    driver (:mod:`repro.engine.batch`).
 
-    The same job stream runs through the batched engine (*batch* jobs
-    per ``run_batch`` call, ragged final batch included), the scalar
-    engine, and the warm interpreted netlist.  None of the legs reset
+    The same job stream runs through ``run_batch`` (*batch* jobs per
+    call, ragged final batch included), one-lane ``run`` on a second
+    kernel, and the warm interpreted netlist.  None of the legs reset
     between jobs, so the comparison covers warm-state parity across
     successive batches as well as per-lane results, per-lane cycle
     counts, and the final memory images after every batch.
@@ -175,7 +175,7 @@ def batch_differential_check(fn, opt_level=0, batch=8, batches=8,
     Even-numbered batches load every memory with a fresh full image
     (the lockstep-capable shape); odd-numbered batches load only a
     random subset of memories per job, leaving the rest warm — that
-    shape exercises the engine's scalar-fallback path and warm-memory
+    shape exercises the driver's one-lane fallback and warm-memory
     carry-over.  *deep_inputs* (a list of ``(scalars, memories)``
     jobs) is prepended to the random stream for crafted deep request
     paths; *input_factory(rng)* overrides the random generator.
@@ -283,7 +283,7 @@ def batch_differential_check(fn, opt_level=0, batch=8, batches=8,
 
 def assert_batch_equivalent(fn, opt_level=0, batch=8, **kwargs):
     """Raise :class:`~repro.errors.EngineError` unless the batched
-    engine matches the scalar engine and the interpreter on a warm
+    driver matches one-lane execution and the interpreter on a warm
     job stream; returns the report otherwise."""
     report = batch_differential_check(fn, opt_level=opt_level,
                                       batch=batch, **kwargs)

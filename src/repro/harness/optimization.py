@@ -20,6 +20,7 @@ through the targets' ``opt_level`` threading.
 
 from repro.core.protocols.icmp import build_icmp_echo_request
 from repro.deploy import deploy
+from repro.engine import compile_design
 from repro.errors import CompileError
 from repro.harness.report import render_table
 from repro.kiwi import compile_function
@@ -148,13 +149,11 @@ SERVICE_KERNELS = [
 ]
 
 
-def measure_kernel(case, opt_level, use_engine=True, level_budget=None):
+def measure_kernel(case, opt_level, level_budget=None):
     """(design, results, cycles) for one case at one level.
 
-    Measured on the compiled execution engine by default
-    (cycle-identical to the interpreted simulator by the engine's
-    differential proof); ``use_engine=False`` falls back to the
-    deprecated warm-:class:`Simulator` stepping for cross-checks.
+    Measured on the compiled execution engine (cycle-identical to the
+    interpreted simulator by the engine's differential proof).
     *level_budget* bounds -O2 fusion and -O3 pipelining (default: the
     compiler's 48-level budget).
     """
@@ -163,26 +162,12 @@ def measure_kernel(case, opt_level, use_engine=True, level_budget=None):
     else:
         design = compile_function(case.kernel, opt_level=opt_level,
                                   level_budget=level_budget)
-    if use_engine:
-        from repro.engine import compile_design
-        runner = compile_design(design)
-
-        def one(memories, scalars):
-            return runner.run(
-                memories={k: list(v) for k, v in memories.items()},
-                **scalars)
-    else:
-        sim = design.simulator()
-
-        def one(memories, scalars):
-            return design.run_on(
-                sim,
-                memories={k: list(v) for k, v in memories.items()},
-                **scalars)
-
-    for memories, scalars in case.warmups:
-        one(memories, scalars)
-    results, cycles, _ = one(case.memories, case.scalars)
+    runner = compile_design(design)
+    for memories, scalars in case.warmups + [(case.memories,
+                                              case.scalars)]:
+        results, cycles, _ = runner.run(
+            memories={k: list(v) for k, v in memories.items()},
+            **scalars)
     return design, results, cycles
 
 

@@ -26,6 +26,7 @@ a property test).
 """
 
 from repro.errors import CompileError
+from repro.kiwi.analysis import state_roots
 from repro.kiwi.builder import FsmBuilder
 from repro.kiwi.codegen import generate
 from repro.kiwi.frontend import parse_function
@@ -113,17 +114,9 @@ def compute_timing(fsm):
     max_levels = 0
     per_state = {}
     for state in fsm.states:
-        levels = 0
         memo = {}
-        for expr in state.updates.values():
-            levels = max(levels, _expr_depth(expr, memo))
-        transition = state.transition
-        if hasattr(transition, "cond"):
-            levels = max(levels, _expr_depth(transition.cond, memo))
-        for _, addr, data, enable in state.writes:
-            levels = max(levels, _expr_depth(addr, memo),
-                         _expr_depth(data, memo),
-                         _expr_depth(enable, memo))
+        levels = max((_expr_depth(root, memo)
+                      for root in state_roots(state)), default=0)
         per_state[state.index] = levels
         max_levels = max(max_levels, levels)
     return TimingReport(fsm.state_count, max_levels, per_state,

@@ -31,8 +31,8 @@ optimistic:
 * data-dependent loops have no static stage numbers — no pipelining;
 * a kernel whose observable outputs can depend on *stale* registers
   (values left by the previous request) serialises on the register
-  file — the lockstep cleanliness analysis from the batched engine
-  answers this exactly, and a dirty kernel is not pipelined;
+  file — :func:`repro.kiwi.analysis.lockstep_safe` answers this
+  exactly, and a dirty kernel is not pipelined;
 * pipeline issue/hazard control costs logic depth
   (:data:`PIPELINE_CONTROL_LEVELS`); if the machine no longer fits
   the timing budget with that margin, pipelining is refused instead
@@ -45,8 +45,9 @@ excluded from both bounds — each in-flight request owns a private
 copy.
 """
 
-from repro.kiwi.builder import MemReadRef
-from repro.kiwi.fsm import Branch
+from repro.kiwi.analysis import (
+    lockstep_safe, mems_read, mems_written, stage_intervals, state_roots,
+)
 from repro.rtl.expr import expr_depth
 
 #: Depth margin charged for the pipeline's issue counter and hazard
@@ -56,34 +57,6 @@ PIPELINE_CONTROL_LEVELS = 2
 #: Memories treated as per-request stream buffers when the kernel has
 #: them (every service kernel calls its packet buffer ``frame``).
 DEFAULT_STREAM_MEMORIES = ("frame",)
-
-
-def _state_roots(state):
-    """Every expression one state evaluates."""
-    for name in sorted(state.updates):
-        yield state.updates[name]
-    for _, addr, data, enable in state.writes:
-        yield addr
-        yield data
-        yield enable
-    transition = state.transition
-    if isinstance(transition, Branch):
-        yield transition.cond
-
-
-def _mems_read(state):
-    names = set()
-    seen = set()
-    stack = list(_state_roots(state))
-    while stack:
-        node = stack.pop()
-        if id(node) in seen:
-            continue
-        seen.add(id(node))
-        if isinstance(node, MemReadRef):
-            names.add(node.mem_name)
-        stack.extend(node.children())
-    return names
 
 
 class PipelineSchedule:
@@ -141,52 +114,6 @@ class PipelineSchedule:
         return "PipelineSchedule(not pipelined: %s)" % (self.reason,)
 
 
-def _stage_intervals(fsm):
-    """(earliest, latest) stage per reachable state, or None on a loop.
-
-    Stages are path lengths from the entry state over the FSM with the
-    return-to-idle edges removed; a cycle among the remaining states is
-    a data-dependent loop and has no static schedule.
-    """
-    entry = fsm.idle.transition.if_true
-    if entry is fsm.idle:
-        return entry, {}
-    succs = {}
-    stack, seen = [entry], {entry}
-    while stack:
-        state = stack.pop()
-        succs[state] = [s for s in fsm.successors(state)
-                        if s is not fsm.idle]
-        for succ in succs[state]:
-            if succ not in seen:
-                seen.add(succ)
-                stack.append(succ)
-    indegree = {state: 0 for state in succs}
-    for state in succs:
-        for succ in succs[state]:
-            indegree[succ] += 1
-    order = [s for s in succs if indegree[s] == 0]
-    for state in order:                       # Kahn: grows while walked
-        for succ in succs[state]:
-            indegree[succ] -= 1
-            if indegree[succ] == 0:
-                order.append(succ)
-    if len(order) != len(succs):
-        return entry, None                    # residual cycle: a loop
-    earliest = {entry: 0}
-    latest = {entry: 0}
-    for state in order:                       # topological: preds first
-        for succ in succs[state]:
-            shortest = earliest[state] + 1
-            longest = latest[state] + 1
-            if shortest < earliest.get(succ, shortest + 1):
-                earliest[succ] = shortest
-            if longest > latest.get(succ, -1):
-                latest[succ] = longest
-    return entry, {state: (earliest[state], latest[state])
-                   for state in order}
-
-
 def _multiple_in_range(lo, hi, ii):
     """Is any positive multiple of *ii* inside [lo, hi]?"""
     if hi < ii:
@@ -213,7 +140,7 @@ def _port_conflict(accessors, ii):
 def analyze_pipeline(fsm, var_widths, spec, level_budget=48,
                      stream_memories=DEFAULT_STREAM_MEMORIES):
     """Compute the pipelining schedule of a sealed, optimized FSM."""
-    entry, stages = _stage_intervals(fsm)
+    entry, stages = stage_intervals(fsm)
     if entry is fsm.idle:
         return PipelineSchedule(False, None, 0,
                                 reason="empty kernel")
@@ -224,19 +151,8 @@ def analyze_pipeline(fsm, var_widths, spec, level_budget=48,
 
     # Gate 1: observables must not depend on registers left over from
     # the previous request — per-request register files would change
-    # behaviour otherwise.  This is exactly the batched engine's
-    # lockstep cleanliness question, so reuse its proven analysis
-    # (imported lazily: the engine package imports kiwi at load time).
-    from repro.engine.batch import _lockstep_safe
-    written = set()
-    for state in fsm.states:
-        if state is not fsm.idle:
-            written |= set(state.updates)
-    latched = frozenset(name for name, _ in spec.scalar_params)
-    never_written = frozenset(var_widths) - written - latched
-    results = ["__result%d" % index
-               for index in range(len(spec.results))]
-    if not _lockstep_safe(fsm, latched, results, never_written):
+    # behaviour otherwise.
+    if not lockstep_safe(fsm, spec, var_widths):
         return PipelineSchedule(
             False, None, latency,
             reason="observables depend on cross-request register state")
@@ -247,7 +163,7 @@ def analyze_pipeline(fsm, var_widths, spec, level_budget=48,
         if state is fsm.idle:
             continue
         memo = {}
-        for root in _state_roots(state):
+        for root in state_roots(state):
             max_levels = max(max_levels, expr_depth(root, memo))
     if max_levels + PIPELINE_CONTROL_LEVELS > level_budget:
         return PipelineSchedule(
@@ -265,9 +181,8 @@ def analyze_pipeline(fsm, var_widths, spec, level_budget=48,
     writes = {name: [] for name in shared}
     accessors = {name: [] for name in shared}
     for state, interval in stages.items():
-        read_here = _mems_read(state) & shared_set
-        written_here = {mem for mem, _, _, _ in state.writes
-                        if mem in shared_set}
+        read_here = mems_read(state) & shared_set
+        written_here = mems_written(state) & shared_set
         for name in read_here:
             reads[name].append(interval)
         for name in written_here:

@@ -18,16 +18,12 @@ what lets folded expressions drop into an existing netlist unchanged.
 
 from repro.errors import CompileError
 from repro.rtl.expr import (
-    BinOp, Concat, Const, Mux, Slice, UnOp, clone_with_children,
+    BinOp, Concat, Const, Mux, Slice, UnOp, _mask, clone_with_children,
     eval_binop, eval_unop,
 )
 
 _FULL_FOLD_OPS = {"+", "-", "*", "&", "|", "^", "<<", ">>", "/", "%",
                   "==", "!=", "<", "<=", ">", ">="}
-
-
-def _mask(width):
-    return (1 << width) - 1
 
 
 def transform(expr, fn, memo=None):

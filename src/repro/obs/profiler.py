@@ -1,18 +1,19 @@
 """Per-FSM-state cycle attribution on the compiled engine.
 
-The engine compiles one step closure per FSM state and dispatches
-through a table, so attribution is a counter bump per dispatch: with
-profiling enabled a :class:`~repro.engine.compiler.CompiledKernel`
-executes its ``_run_profiled`` twin, which increments
-``counts[state]`` once per cycle.  Every state is exactly one clock
-cycle, so the counts *are* cycles — summed over requests they must
+The engine compiles FSM states into blocks and every driver knows
+which states a dispatched block ran for which lanes, so attribution is
+a counter bump per dispatch: with profiling enabled a
+:class:`~repro.engine.compiler.CompiledKernel` runs its untraced
+layout (every lane executes every state of a block) and increments
+``counts[state]`` once per lane per state.  Every state is exactly one
+clock cycle, so the counts *are* cycles — summed over requests they must
 equal the measured per-request latencies minus the one idle (latch)
 cycle each, which is the cross-check that keeps the profile honest
 against the Table 3/4 cycle numbers (and lets the hotspot table show
 precisely which states the ``-O0``→``-O2`` optimizer deleted).
 
 This module only *reads* kernels (counts + FSM labels); enabling the
-profiled runner is the kernel's own
+counters is the kernel's own
 :meth:`~repro.engine.compiler.CompiledKernel.enable_profiling`, and
 deployments thread it via ``deploy(...).with_profile()``.
 """

@@ -14,15 +14,11 @@ internal nets are read with :meth:`Simulator.peek`.
 
 from repro.errors import SimulationError, SimulationTimeout, WidthError
 from repro.rtl.expr import (
-    BinOp, Concat, Const, MemRead, Mux, Slice, UnOp, eval_binop,
+    BinOp, Concat, Const, MemRead, Mux, Slice, UnOp, _mask, eval_binop,
     eval_unop,
 )
 from repro.rtl.module import flatten
 from repro.rtl.signal import Signal
-
-
-def _mask(width):
-    return (1 << width) - 1
 
 
 class Simulator:

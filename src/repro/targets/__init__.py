@@ -12,11 +12,10 @@ The same service object runs on all of them:
 * :mod:`repro.targets.multicore` — N service cores, one per port
   (§5.4's 4-core Memcached experiment).
 
-Direct target construction is deprecated (not removed): new code
-should go through :func:`repro.deploy.deploy`, which builds any of
-these targets behind one fluent API with uniform seeding, optimization
-threading, fault wiring, and metrics.  These classes remain the
-implementation layer the deploy backends delegate to.
+Build them through :func:`repro.deploy.deploy` — one fluent API with
+uniform seeding, optimization threading, fault wiring, and metrics.
+These classes are the implementation layer the deploy backends
+delegate to.
 """
 
 from repro.targets.cpu import CpuTarget
