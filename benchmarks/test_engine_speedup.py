@@ -18,20 +18,30 @@ the mercy of a single scheduler hiccup.  Sizing by time instead of by
 count keeps every side above half a second of samples regardless of
 how fast the machine is.)
 
-Three gates, all written to ``BENCH_engine.json`` at the repo root
+Four wall-clock gates, all written to ``BENCH_engine.json`` at the repo root
 (which the CI perf job uploads):
 
 * ``FLOOR`` (>= 5x): one-lane ``run`` vs interpreter — failing means
   the engine has regressed to interpretation speed.
-* ``BATCH_FLOOR`` (>= 1.3x): one ``run_batch`` of ``BATCH`` jobs vs
+* ``BATCH_FLOOR`` (>= 1.15x): one ``run_batch`` of ``BATCH`` jobs vs
   ``BATCH`` one-lane ``run`` calls on the same generated code (so the
-  ratio is what lockstep dispatch alone buys, ~1.8x here: 110k vs 61k
-  requests/s) — failing means the lockstep path has collapsed back to
-  per-request dispatch, which would read 1.0.
+  ratio is what lockstep dispatch alone buys: the one-lane driver's
+  per-call set-up, ~4 us of a ~10.5 us request since the shared
+  images became bytearrays — 1.36-1.45x here, 120k vs 85k
+  requests/s; it read ~1.8x while a one-lane call still wrote 512
+  boxed ints back) — failing means the lockstep path has collapsed
+  back to per-request dispatch, which would read 1.0.
 * ``BATCH_INTERPRETER_FLOOR`` (>= 25x): lockstep vs interpreter, the
-  absolute floor the two ratios imply together (~230x here).
+  absolute floor the two ratios imply together (~265x here).
 
-A fourth gate, ``PIPELINE_FLOOR`` (>= 1.5x), is *modeled* rather than
+``ONE_LANE_CEILING`` (<= 2.5x) gates the other end of the burst-size
+range, one layer up: a request measured alone through
+``KernelCycleModel.cycles_batch([frame])`` — what open-loop serving at
+shallow queues and every ping-pong client does — may cost at most that
+many times its share of a ``BATCH``-frame call (the
+``one_lane_vs_batched`` record; a call should cost its lanes).
+
+A last gate, ``PIPELINE_FLOOR`` (>= 1.5x), is *modeled* rather than
 wall-clock (so it is deterministic): the FPGA target's sustainable
 ``max_qps`` on the memcached kernel at ``-O3`` (II-pipelined core,
 steady-state completion interval) against ``-O2`` (fused but
@@ -50,9 +60,10 @@ from repro.kiwi.compiler import compile_function
 from repro.services.memcached import memcached_kernel
 
 FLOOR = 5.0
-BATCH_FLOOR = 1.3
+BATCH_FLOOR = 1.15
 BATCH_INTERPRETER_FLOOR = 25.0
 PIPELINE_FLOOR = 1.5
+ONE_LANE_CEILING = 2.5
 BATCH = 64
 ROUNDS = 5
 PASSES = 3
@@ -248,6 +259,52 @@ def test_batched_engine_speedup_on_memcached_kernel():
     assert vs_interpreter >= BATCH_INTERPRETER_FLOOR, (
         "lockstep dispatch only %.1fx the interpreter (< %.0fx floor); "
         "see %s" % (vs_interpreter, BATCH_INTERPRETER_FLOOR, BENCH_PATH))
+
+
+def test_one_frame_costs_its_lane_on_memcached_cycle_model():
+    """``cycles_batch([frame])`` must stay within ``ONE_LANE_CEILING``
+    of the per-frame cost of a ``BATCH``-frame call on the same warm
+    -O3 cycle model (median of rounds, ratio only) — above it, calls
+    carry fixed cost again and every burst of one pays it."""
+    from repro.net.packet import Frame
+    from repro.services.memcached import MemcachedService
+
+    frames = [Frame(bytes(frame)) for frame in _request_stream(BATCH)]
+    model = MemcachedService(MY_IP).kernel_cycle_model(3, batch=BATCH)
+
+    def one_lane_tick():
+        return [model.cycles_batch([frame])[0] for frame in frames]
+
+    # Warm-up doubles as the cross-check: same frames, same cycles.
+    assert model.cycles_batch(frames) == one_lane_tick()
+
+    ratio, one_lane_rps, batched_rps = _measure_ratio_rounds(
+        one_lane_tick, BATCH, lambda: model.cycles_batch(frames), BATCH)
+    _record("one_lane_vs_batched", {
+        "kernel": "memcached",
+        "opt_level": 3,
+        "batch": BATCH,
+        "rounds": ROUNDS,
+        "passes": PASSES,
+        "trial_seconds": TRIAL_SECONDS,
+        "one_lane_us_per_frame": round(1e6 / one_lane_rps, 2),
+        "batched_us_per_frame": round(1e6 / batched_rps, 2),
+        "ratio": round(ratio, 2),
+        "ceiling": ONE_LANE_CEILING,
+    })
+
+    print()
+    print(render_table(
+        ["cycles_batch call", "Best us/frame", "Median ratio"],
+        [["%d frames" % BATCH, "%.2f" % (1e6 / batched_rps), "1.00x"],
+         ["1 frame", "%.2f" % (1e6 / one_lane_rps), "%.2fx" % ratio]],
+        title="One frame vs a full burst: memcached cycle model "
+              "(ceiling <= %.1fx)" % ONE_LANE_CEILING))
+
+    assert ratio <= ONE_LANE_CEILING, (
+        "a one-frame cycles_batch costs %.2fx its share of a %d-frame "
+        "call (> %.1fx ceiling); see %s"
+        % (ratio, BATCH, ONE_LANE_CEILING, BENCH_PATH))
 
 
 def test_pipelined_max_qps_on_memcached_kernel():

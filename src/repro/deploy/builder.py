@@ -302,7 +302,7 @@ class Deployment:
     def send_batch(self, frames):
         """A request list; backends with a native batched path use it."""
         self._require_started()
-        results = self.backend.send_batch(list(frames))
+        results = self.backend.send_batch(frames)
         for cycles in self.backend.pop_cycles():
             self.metrics.core_cycles.append(cycles)
         for emitted, latency_ns in results:

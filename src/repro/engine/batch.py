@@ -31,7 +31,10 @@ when two static analyses prove the reorder unobservable:
 When either fails for a batch (or its lanes load different or partial
 memory images), ``run_batch`` is a loop of one-lane :meth:`run` calls —
 always correct, just not accelerated.  ``fallback_batches``/
-``lockstep_batches`` count which path ran.
+``lockstep_batches`` count which path ran.  A call costs its lanes: a
+qualifying batch of one *is* the one-lane loop, and what a wider one
+needs that depends only on the layout (its lane columns, latched
+columns, result columns) is worked out when the layout is compiled.
 
 Per-request observables are bit-identical to one-lane execution:
 results, per-lane latency cycles, final memory images, and warm state
@@ -76,21 +79,26 @@ class BatchedKernel(CompiledKernel):
             self.fallback_batches += 1
             return [self.run(max_cycles, memories, **scalars)[:2]
                     for scalars, memories in jobs]
+        n = len(jobs)
+        if n == 1:
+            # One lane in lockstep with itself is the one-lane driver:
+            # same layout key, same blocks, nothing to spread or fold.
+            out = [self._run_lane(jobs[0], True, max_cycles)[:2]]
+            self.lockstep_batches += 1
+            return out
         loaded = jobs[0][1].keys()
         lane_latch = self._latch(jobs)
         uniform_set = frozenset(
             name for name in self._latch_only
             if len(set(lane_latch[name])) == 1)
-        checked = self._budget_checked(max_cycles)
-        layout = self._layout(frozenset(loaded), uniform_set,
-                              self._mode(checked))
-        n = len(jobs)
+        checked, mode = self._mode(max_cycles)
+        layout = self._layout(frozenset(loaded), uniform_set, mode)
         # Every lane starts from the warm register file (lane 0) with
         # its own latched parameters on top.
-        cols = self._cols
-        for name in layout.soa_regs:
-            col = cols[name]
-            col[:] = lane_latch.get(name) or [col[0]] * n
+        for col in layout.soa_cols:
+            col[:] = col[:1] * n
+        for name, col in layout.latched_cols:
+            col[:] = lane_latch[name]
         for name in loaded:
             self._rows[name][:] = self._private_rows(
                 name, [memories[name] for _, memories in jobs])
@@ -98,14 +106,12 @@ class BatchedKernel(CompiledKernel):
                          for name in layout.uniform_names])
         latencies = self._drive(layout, n, uniform,
                                 max_cycles if checked else None)
-        # (A result no state assigns is a one-entry constant column.)
-        result_cols = [col if name in layout.soa else col * n
-                       for name, col in self._results]
+        result_cols = [col if soa else col * n
+                       for col, soa in layout.result_cols]
         results = zip(*result_cols) if result_cols else [()] * n
         out = list(zip(results, latencies))
         # The last lane is the warm state, like sequential execution.
-        for name in layout.soa_regs:
-            col = cols[name]
+        for col in layout.soa_cols:
             col[0] = col[-1]
         for name in loaded:
             self._mems[name][:] = self._rows[name][-1]

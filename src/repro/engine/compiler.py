@@ -434,10 +434,20 @@ class _Layout:
         self.uniform_names = sorted(uniform_set)
         self.mem_depths = kernel._mem_depths
         self.const_regs = kernel._const_regs
-        self.soa_regs = [name for name in kernel._reg_names
-                         if name not in self.const_regs
-                         and name not in uniform_set]
-        self.soa = frozenset(self.soa_regs)
+        soa_regs = [name for name in kernel._reg_names
+                    if name not in self.const_regs
+                    and name not in uniform_set]
+        self.soa = frozenset(soa_regs)
+        # What the drivers need per call, worked out once: every lane
+        # column, the ones a lane's own latched parameter lands in, and
+        # the result columns (a result no state assigns is a one-entry
+        # constant column, flagged False).
+        self.soa_cols = [kernel._cols[name] for name in soa_regs]
+        self.latched_cols = [(name, kernel._cols[name])
+                             for name in kernel._latch_names
+                             if name in self.soa]
+        self.result_cols = [(col, name in self.soa)
+                            for name, col in kernel._results]
         self.hazard_mems = kernel._written_mems - perlane
         entry = fsm.idle.transition.if_true
         self.entry = entry.index
@@ -639,7 +649,10 @@ class CompiledKernel:
     touches: one column per register (lane 0 *is* the warm register
     file; the multi-lane drivers in the subclasses spread it over
     their lanes and fold the last lane back), one list of per-lane
-    rows per memory, and the shared memory lists.
+    rows per memory, and the shared memory images.  Images handed in
+    may be ``bytes``, ``bytearray`` or lists of ints (masked to the
+    memory's width); byte-wide memories are kept in ``bytearray``s, so
+    bytes-like images load and commit back as block copies.
     """
 
     def __init__(self, design):
@@ -686,10 +699,11 @@ class CompiledKernel:
         self._touch = [r | w for r, w in zip(self._reads, self._writes)]
         self._touch_reach = reach_union(fsm, self._touch)
         self._written_mems = frozenset().union(*self._writes)
-        # Rows that can live in a ``bytearray``: width-8 memories whose
-        # every write commits a value the codegen already masks to
-        # <= 8 bits (bytearray stores C-validate the 0..255 range,
-        # which is exactly the width-8 mask).
+        # Memories that live in ``bytearray``s, shared image and lane
+        # rows alike (so loads and commits are block copies): width-8
+        # memories whose every write commits a value the codegen
+        # already masks to <= 8 bits (bytearray stores C-validate the
+        # 0..255 range, which is exactly the width-8 mask).
         self._byte_mems = frozenset(
             name for name, width in self._mem_widths.items()
             if width == 8 and data_widths.get(name, 0) <= 8)
@@ -702,7 +716,8 @@ class CompiledKernel:
         self._cols = {name: [init]
                       for name, init in self._reg_inits.items()}
         self._rows = {name: [] for name in module.memories}
-        self._mems = {name: list(mem.init)
+        self._mems = {name: bytearray(mem.init)
+                      if name in self._byte_mems else list(mem.init)
                       for name, mem in module.memories.items()}
         self._inputs = {name: 0 for name, _ in design.spec.scalar_params}
         self._namespace = {"EngineError": EngineError}
@@ -710,9 +725,6 @@ class CompiledKernel:
                               ("m_", self._mems)):
             for name, value in table.items():
                 self._namespace[prefix + name] = value
-        self._latched_cols = [(name, self._cols[name])
-                              for name in self._latch_names
-                              if name not in self._latch_only]
         self._results = [(name, self._cols[name]) for name in (
             "__result%d" % index
             for index in range(len(design.spec.results)))]
@@ -734,7 +746,7 @@ class CompiledKernel:
         would use)."""
         if not self._layouts:
             self._layout(frozenset(), self._latch_only,
-                         self._mode(self.max_path is None))
+                         self._mode(float("inf"))[1])
         return "\n".join("# layout: per-lane %r, uniform %r, %s blocks\n%s"
                          % (sorted(perlane), sorted(uniform), mode,
                             layout.source)
@@ -831,10 +843,13 @@ class CompiledKernel:
     def _latch_lane(self, job, lane, layout):
         """One request's idle cycle: latch its parameters into *lane*'s
         registers; returns the values of *layout*'s uniform scalars."""
-        latched = self._latch((job,))
-        for name, col in self._latched_cols:
-            col[lane] = latched[name][0]
-        return tuple([latched[name][0] for name in layout.uniform_names])
+        inputs = self._inputs
+        masks = self._scalar_masks
+        for name, value in job[0].items():
+            inputs[name] = value & masks[name]
+        for name, col in layout.latched_cols:
+            col[lane] = inputs[name]
+        return tuple([inputs[name] for name in layout.uniform_names])
 
     def _private_rows(self, name, images):
         """Private, width-masked copies of full-depth *images*, one
@@ -854,23 +869,22 @@ class CompiledKernel:
                 rows[lane] = [value & width_mask for value in row]
         return rows
 
-    def _budget_checked(self, max_cycles):
-        """Can a request run out of budget?  An acyclic FSM cannot run
-        longer than its longest path, so above that the per-lane
-        checks are elided entirely."""
-        return self.max_path is None or max_cycles <= self.max_path
-
     def _timeout(self, max_cycles):
         return EngineError("design %r did not finish in %d cycles"
                            % (self.name, max_cycles))
 
-    def _mode(self, checked):
-        """Trace superblocks charge a lane the whole block before a
-        side exit and run states a lane may not reach, so they are
-        used only when neither the cycle budget nor the per-state
-        profile can tell."""
-        return (CHAIN if checked or self.state_counts is not None
-                else TRACE)
+    def _mode(self, max_cycles):
+        """``(checked, mode)`` for a call with this cycle budget.
+        *checked*: can a request run out of budget?  An acyclic FSM
+        cannot run longer than its longest path, so above that the
+        per-lane checks are elided entirely.  *mode*: trace
+        superblocks charge a lane the whole block before a side exit
+        and run states a lane may not reach, so they are used only
+        when neither the cycle budget nor the per-state profile can
+        tell."""
+        checked = self.max_path is None or max_cycles <= self.max_path
+        return checked, (CHAIN if checked or self.state_counts is not None
+                         else TRACE)
 
     def _layout(self, perlane, uniform_set, mode):
         key = (perlane, uniform_set, mode)
@@ -890,19 +904,23 @@ class CompiledKernel:
         lane 0's private rows (committed back afterwards); if any image
         is shorter, all of them prefix-load the shared memories.
         """
-        memories = memories or {}
-        job = (scalars, memories)
-        perlane = frozenset(memories)
-        if self._validate((job,)):
+        job = (scalars, memories or {})
+        return self._run_lane(job, self._validate((job,)), max_cycles)
+
+    def _run_lane(self, job, rows, max_cycles):
+        """:meth:`run` on an already validated *job* (*rows*: what
+        :meth:`_validate` returned for it)."""
+        memories = job[1]
+        if rows:
+            perlane = frozenset(memories)
             for name, image in memories.items():
                 self._rows[name][:] = self._private_rows(name, (image,))
         else:
             perlane = frozenset()
             for name, image in memories.items():
                 self.load_memory(name, image)
-        checked = self._budget_checked(max_cycles)
-        layout = self._layout(perlane, self._latch_only,
-                              self._mode(checked))
+        checked, mode = self._mode(max_cycles)
+        layout = self._layout(perlane, self._latch_only, mode)
         uniform = self._latch_lane(job, 0, layout)
         counts = self.state_counts
         blocks = layout.blocks

@@ -141,7 +141,7 @@ class PipelinedKernel(CompiledKernel):
         # Lane 0 is the warm register file; in-flight requests take
         # lanes 1..depth.
         lanes = self.depth + 1
-        cols = [self._cols[name] for name in layout.soa_regs]
+        cols = layout.soa_cols
         for col in cols:
             col[1:] = [0] * self.depth
         rows = {name: self._rows[name] for name in self.stream_memories}

@@ -77,7 +77,7 @@ class Frame:
         self.timestamp_ns = timestamp_ns
 
     def copy(self):
-        return Frame(bytes(self.data), self.src_port, self.dst_ports,
+        return Frame(self.data, self.src_port, self.dst_ports,
                      self.timestamp_ns)
 
     def pad(self, minimum=MIN_FRAME_BYTES):

@@ -21,7 +21,12 @@ malformed, oversized, or unparseable payload is counted — as
 :class:`~repro.engine.openloop.OpenLoopReport`-shaped serve report —
 and dropped.  It never raises out of the event loop and never wedges
 the server; a stream peer that overflows its reassembly buffer loses
-its connection, nothing more.
+its connection, nothing more.  Hostile input and the server's own bugs
+are told apart: a payload the codecs reject (a
+:class:`~repro.errors.ReproError`) counts under ``malformed``, any
+other exception out of the bridge under ``internal_error`` — still a
+counted drop, never a crash — and the first such traceback is kept on
+:attr:`SocketServer.first_internal_error`.
 
 Observability mirrors the in-process open-loop path: with
 ``.with_trace()`` every served request emits the same
@@ -36,6 +41,7 @@ import asyncio
 import socket
 import threading
 import time
+import traceback
 
 from repro.engine.openloop import OpenLoopReport
 from repro.errors import ReproError, ServeError
@@ -85,6 +91,11 @@ class SocketServer:
         registry = deployment.metrics.registry
         self._service_drops = registry.counter("service_drops")
         self._queue_drops = registry.counter("queue_drops")
+        self._malformed = registry.counter("malformed")
+        self._internal_errors = registry.counter("internal_error")
+        #: Traceback text of the first exception out of the bridge that
+        #: was not a ``ReproError`` (``None``: there was none).
+        self.first_internal_error = None
         num_servers, self._route = \
             deployment.backend.open_loop_servers()
         self._report = OpenLoopReport(_SocketArrivals(self.capacity),
@@ -267,8 +278,13 @@ class SocketServer:
                 frame = self.binding.encap(payload, seq)
                 self._seq += 1
                 index = self._route(frame)
-            except Exception:
+            except ReproError:
+                self._malformed.inc()
                 self._drop(t_arr, detail="malformed")
+                continue
+            except Exception:
+                self._internal_error()
+                self._drop(t_arr, detail="internal_error")
                 continue
             report.servers[index].sample(depth)
             jobs.append((frame, reply, index, t_arr, seq))
@@ -297,8 +313,10 @@ class SocketServer:
                 try:
                     wire = self.binding.wrap_reply(
                         self.binding.decap(emitted[0][1]))
+                except ReproError:
+                    self._malformed.inc()
                 except Exception:
-                    wire = None
+                    self._internal_error()
             if wire is not None:
                 report.replies += 1
                 latency_ns = t_done - t_arr
@@ -331,6 +349,12 @@ class SocketServer:
                 except ReproError:
                     results.append(None)
             return results
+
+    def _internal_error(self):
+        """The bridge itself raised (call from the ``except``)."""
+        self._internal_errors.inc()
+        if self.first_internal_error is None:
+            self.first_internal_error = traceback.format_exc()
 
     def _drop(self, t_arr, detail):
         report = self._report

@@ -100,9 +100,7 @@ class KernelCycleModel:
         return latency
 
     def _frame_image(self, frame):
-        image = list(frame.data)[:self.depth]
-        image += [0] * (self.depth - len(image))
-        return image
+        return frame.data[:self.depth].ljust(self.depth, b"\0")
 
     def cycles_batch(self, frames):
         """Measured latencies (cycles) of *frames*, in order.
@@ -116,16 +114,13 @@ class KernelCycleModel:
         """
         if self.batch is None:
             return [self.cycles(frame) for frame in frames]
+        jobs = [(self.scalars,
+                 {self.frame_param: self._frame_image(frame)})
+                for frame in frames]
         latencies = []
-        frames = list(frames)
-        for start in range(0, len(frames), self.batch):
-            chunk = frames[start:start + self.batch]
-            jobs = [(self.scalars,
-                     {self.frame_param: self._frame_image(frame)})
-                    for frame in chunk]
-            for _, latency in self._runner.run_batch(
-                    jobs, max_cycles=self.max_cycles):
-                latencies.append(latency)
+        for start in range(0, len(jobs), self.batch):
+            latencies += [latency for _, latency in self._runner.run_batch(
+                jobs[start:start + self.batch], self.max_cycles)]
         self.requests += len(latencies)
         self.total_cycles += sum(latencies)
         return latencies

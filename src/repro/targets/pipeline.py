@@ -57,11 +57,12 @@ class NetfpgaPipeline:
 
     def arbitrate(self):
         """Round-robin pick of the next queued frame (or ``None``)."""
-        for offset in range(self.num_ports):
-            port = (self._arbiter_next + offset) % self.num_ports
-            queue = self.input_queues[port]
+        ports = self.num_ports
+        start = self._arbiter_next
+        for port in range(start, start + ports):
+            queue = self.input_queues[port % ports]
             if not queue.empty:
-                self._arbiter_next = (port + 1) % self.num_ports
+                self._arbiter_next = (port + 1) % ports
                 return queue.pop()
         return None
 
@@ -85,8 +86,9 @@ class NetfpgaPipeline:
     def dispatch(self, dataplane):
         """Fan the core's decision out into the output queues."""
         emitted = []
+        dst_ports = dataplane.dst_ports
         for port in range(self.num_ports):
-            if dataplane.dst_ports & (1 << port):
+            if dst_ports >> port & 1:
                 out_frame = dataplane.to_frame()
                 out_frame.src_port = dataplane.src_port
                 if self.output_queues[port].try_push((port, out_frame)):

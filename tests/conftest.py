@@ -26,6 +26,21 @@ def ips():
 
 
 @pytest.fixture
+def bursts():
+    """``bursts(items, sizes)``: *items* cut into consecutive bursts,
+    sizes cycling — for burst-partition invariance tests."""
+    def cut(items, sizes):
+        out, start, turn = [], 0, 0
+        while start < len(items):
+            size = sizes[turn % len(sizes)]
+            out.append(items[start:start + size])
+            start += size
+            turn += 1
+        return out
+    return cut
+
+
+@pytest.fixture
 def echo_request(macs, ips):
     from repro.core.protocols.icmp import build_icmp_echo_request
     return Frame(build_icmp_echo_request(

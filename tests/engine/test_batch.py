@@ -15,6 +15,8 @@ interpreted netlist, on warm streams.
   tables), at -O0 and -O2;
 * the batched FPGA target and cycle model reproduce the scalar
   target's emissions, latencies, and statistics exactly;
+* burst-partition invariance: however a stream is cut into
+  ``cycles_batch`` calls, cycles, totals and final memories agree;
 * open-loop conformance: batched and scalar deployments under the same
   seed produce identical reply bytes and ``queue_drops`` (including
   under overload).
@@ -181,6 +183,43 @@ def test_fpga_target_send_batch_equals_scalar_sends():
     assert batched_target.service_times_ns == \
         scalar_target.service_times_ns
     assert batched_target.latencies_ns == scalar_target.latencies_ns
+
+
+@pytest.mark.parametrize("service,opt_level,options", [
+    ("memcached", 3, {"protocol": "binary"}),
+    ("memcached", 0, {"protocol": "binary"}),
+    ("nat", 2, {}),
+], ids=["memcached-O3", "memcached-O0", "nat-O2"])
+def test_cycle_model_is_burst_partition_invariant(service, opt_level,
+                                                  options, bursts):
+    """How a stream is cut into ``cycles_batch`` calls is invisible:
+    bursts of 1 (the one-lane loop), 2, 3 (lockstep), 64 and a seeded
+    ragged mix give the same per-frame cycles, the same totals and the
+    same final image of every kernel memory."""
+    from repro.services.catalog import registry
+
+    spec = registry()[service]
+    ragged = random.Random("%s/partition/%s" % (SEED, service))
+    partitions = [[1], [2], [3], [64],
+                  [ragged.choice((1, 1, 2, 3, 5, 17, 64))
+                   for _ in range(40)]]
+    observed = []
+    for sizes in partitions:
+        model = spec.build().kernel_cycle_model(opt_level, batch=64)
+        frames = list(spec.workload(256, seed=5, **options))
+        cycles = [latency for burst in bursts(frames, sizes)
+                  for latency in model.cycles_batch(burst)]
+        kernel = model._runner
+        observed.append((
+            cycles, model.requests, model.total_cycles,
+            {name: kernel.memory_image(name)
+             for name, _ in kernel.spec.memory_params}))
+        assert kernel.lockstep_batches > 0 and kernel.fallback_batches == 0
+    assert len(observed[0][0]) == 256 and observed[0][1] == 256
+    # The streams write the warm tables (the hazard-gated states ran).
+    assert all(any(image) for image in observed[0][3].values())
+    for sizes, other in zip(partitions[1:], observed[1:]):
+        assert other == observed[0], sizes
 
 
 def _run_open_loop(batch, qps, capacity):

@@ -8,6 +8,9 @@ same generated code.
 * **Rejected calls are atomic** — a call that raises for an unknown
   scalar, an unknown memory or a bad image has changed nothing, on all
   three entry points.
+* **Image contract** — memory images may be ``bytes``, ``bytearray``
+  or lists of ints, with identical observables; out-of-range list
+  values are masked; reads back are ints.
 * ``kernel.source`` is the code that runs.
 
 Seeded per tests/README: one module SEED, one stream per property.
@@ -21,8 +24,11 @@ from repro.engine import (
     PipelinedKernel, compile_design, compile_kernel, compile_pipelined,
 )
 from repro.errors import CompileError, EngineError
-from repro.harness.optimization import SERVICE_KERNELS
+from repro.harness.optimization import (
+    SERVICE_KERNELS, memcached_binary_frame,
+)
 from repro.kiwi.compiler import compile_function
+from repro.services.memcached import memcached_kernel
 
 SEED = "engine-drivers"
 
@@ -148,6 +154,143 @@ def test_rejected_calls_change_nothing(entry, bad_jobs):
                 # good one may have been applied either.
                 getattr(kernel, entry)([_GOOD_JOB, (scalars, memories)])
         assert _observable(kernel) == expected, (scalars, memories)
+
+
+_MY_IP = {"my_ip": 0x0A000001}
+
+
+def _memcached_frames(stream, count):
+    """Binary SETs and GETs over three keys (unpadded), plus one frame
+    of noise."""
+    rng = random.Random("%s/%s" % (SEED, stream))
+    frames = [bytes(rng.getrandbits(8) for _ in range(90))]
+    for _ in range(count - 1):
+        key = rng.choice([b"abc123", b"zzz999", b"qq1122"])
+        value = bytes(rng.getrandbits(8) for _ in range(8))
+        frame = (memcached_binary_frame(1, key, value)
+                 if rng.random() < 0.5 else memcached_binary_frame(0, key))
+        frames.append(bytes(frame).rstrip(b"\0"))
+    return frames
+
+
+@pytest.mark.parametrize("level", [0, 3])
+def test_images_may_be_bytes_bytearray_or_list(level):
+    """The same requests as ``bytes``, ``bytearray`` and ``list``
+    images — full depth (private lane rows) and short (prefix-loaded
+    shared memory) — through ``run``, one-lane and four-lane
+    ``run_batch``: results, cycles and every memory image agree."""
+    design = compile_function(memcached_kernel, opt_level=level)
+    depth = dict(design.spec.memory_params)["frame"].depth
+    frames = _memcached_frames("images/%d" % level, 8)
+    observed = []
+    for pad in (True, False):
+        for convert in (bytes, bytearray, list):
+            for width in (0, 1, 4):             # 0: run(), else run_batch
+                kernel = compile_design(design, batch=4)
+                jobs = [(_MY_IP, {"frame": convert(
+                    frame.ljust(depth, b"\0") if pad else frame)})
+                    for frame in frames]
+                if width == 0:
+                    out = [kernel.run(memories=memories, **scalars)[:2]
+                           for scalars, memories in jobs]
+                else:
+                    out = [pair for start in range(0, len(jobs), width)
+                           for pair in kernel.run_batch(
+                               jobs[start:start + width])]
+                images = {name: kernel.memory_image(name)
+                          for name, _ in design.spec.memory_params}
+                assert all(type(word) is int for image in images.values()
+                           for word in image)
+                assert type(kernel.peek_memory("frame", 3)) is int
+                observed.append((pad, out, images))
+    for pad in (True, False):
+        group = [entry for entry in observed if entry[0] == pad]
+        assert len(group) == 9
+        assert all(entry == group[0] for entry in group), pad
+
+
+def test_out_of_range_list_images_are_masked():
+    """A list image may hold any ints; every driver sees them modulo
+    the memory's width, on byte-wide (bytearray-backed) and wider
+    memories alike, full-depth or short."""
+    for full in (True, False):
+        length = 8 if full else 5
+        wild = [300, -1, 255, 256, 7, -256, 1 << 40, 0][:length]
+        masked = [value & 0xFF for value in wild]
+        results = []
+        for image in (wild, masked, bytes(masked)):
+            kernel = compile_kernel(sticky, batch=4)
+            out = [kernel.run(memories={"frame": image}, key=3)[:2]]
+            out += kernel.run_batch([({"key": 4}, {"frame": image}),
+                                     ({"key": 5}, {"frame": image})])
+            results.append((out, kernel.memory_image("frame"),
+                            kernel.memory_image("acc")))
+        assert results[0] == results[1] == results[2], full
+        assert results[0][1][:length] == masked
+    kernel = compile_kernel(sticky)
+    kernel.load_memory("frame", [511, -2])
+    kernel.poke_memory("frame", 2, 0x1FF)
+    assert kernel.memory_image("frame")[:3] == [255, 254, 255]
+
+
+def test_bytes_images_are_validated_before_anything_mutates():
+    """Too long an image or an unknown memory raises with nothing
+    applied — for bytes-like images too, on run and run_batch."""
+    def fresh():
+        kernel = compile_kernel(sticky, batch=4)
+        kernel.run(memories={"frame": bytes([1] * 8)}, key=3)
+        return kernel
+
+    expected = _observable(fresh())
+    for memories in ({"frame": bytes(9)},
+                     {"frame": bytearray(8), "nope": b"\0"}):
+        kernel = fresh()
+        with pytest.raises(EngineError):
+            kernel.run(memories=memories, key=7)
+        assert _observable(kernel) == expected
+        kernel = fresh()
+        with pytest.raises(EngineError):
+            kernel.run_batch([_GOOD_JOB, ({"key": 7}, memories)])
+        assert _observable(kernel) == expected
+
+
+def test_memory_reads_follow_the_last_lane_and_reset_restores_init():
+    kernel = compile_kernel(sticky, batch=4)
+    init = {name: kernel.memory_image(name) for name in ("frame", "acc")}
+    rows = [bytes([lane + 1] * 8) for lane in range(3)]
+    kernel.run_batch([({"key": lane}, {"frame": row})
+                      for lane, row in enumerate(rows)])
+    assert kernel.lockstep_batches == 1
+    assert kernel.memory_image("frame") == list(rows[-1])
+    assert [kernel.peek_memory("frame", addr) for addr in range(8)] \
+        == list(rows[-1])
+    assert kernel.memory_image("acc") != init["acc"]
+    kernel.reset()
+    assert {name: kernel.memory_image(name)
+            for name in ("frame", "acc")} == init
+    # ...and the reset kernel replays the batch from power-on.
+    again = compile_kernel(sticky, batch=4)
+    jobs = [({"key": 9}, {"frame": rows[0]})]
+    assert kernel.run_batch(jobs) == again.run_batch(jobs)
+
+
+def test_run_stream_takes_bytes_images():
+    """The pipelined driver on the bytearray-backed stream memory:
+    bytes and list images retire the same results, cycles and reply
+    images (ints), and leave the same shared state."""
+    observed = []
+    for convert in (bytes, list):
+        kernel = compile_pipelined(memcached_kernel, depth=4)
+        depth = kernel._mem_depths["frame"]
+        out = kernel.run_stream([
+            (_MY_IP, {"frame": convert(frame.ljust(depth, b"\0"))})
+            for frame in _memcached_frames("stream-images", 12)])
+        assert kernel.peak_in_flight > 1
+        assert all(type(word) is int for _, _, streams in out
+                   for word in streams["frame"])
+        observed.append((out, {name: kernel.memory_image(name)
+                               for name, _ in kernel.spec.memory_params}))
+    assert observed[0] == observed[1]
 
 
 def test_source_is_the_code_that_runs():

@@ -12,6 +12,7 @@ unhandled exception or a wedged server.
 import json
 import random
 import socket
+import time
 
 import pytest
 
@@ -160,6 +161,40 @@ def test_oversized_datagram_is_a_counted_drop(served_memcached):
         sock.send(b"A" * (binding.max_payload + 1))
         roundtrip(sock, binding, SEED, 7)
     assert server.report.snapshot()["service_drops"] == 1
+
+
+def test_bridge_fault_is_an_internal_error_not_a_malformed_drop(
+        served_memcached):
+    """An exception that is not a ReproError is the server's own bug:
+    counted apart from hostile input, traceback kept, request still
+    accounted as a drop, and the next request is served."""
+    dep, server = served_memcached
+    binding = resolve_binding(dep.spec, "udp")
+    counter = dep.metrics.registry.counter
+    encap = server.binding.encap
+
+    def faulty_encap(payload, seq):
+        raise RuntimeError("injected codec fault")
+
+    server.binding.encap = faulty_encap
+    payload, _ = binding.probe(SEED, 0)
+    with udp_client(server) as sock:
+        sock.send(binding.wrap(payload))
+        deadline = time.monotonic() + 5.0
+        while server.report.completed < 1:
+            assert time.monotonic() < deadline
+            time.sleep(0.005)
+        assert counter("internal_error").value == 1
+        assert counter("malformed").value == 0
+        assert "injected codec fault" in server.first_internal_error
+        server.binding.encap = encap
+        roundtrip(sock, binding, SEED, 1)
+    snapshot = server.report.snapshot()
+    assert snapshot["offered"] == snapshot["completed"] == 2
+    assert snapshot["replies"] == 1
+    assert snapshot["service_drops"] == 1
+    assert counter("service_drops").value == 1
+    assert counter("internal_error").value == 1
 
 
 def test_tcp_garbage_stream_drops_peer_but_serves_next_connection():

@@ -115,6 +115,93 @@ class TestFpgaTarget:
         assert capture.tail_to_average() < 1.05
 
 
+def _memcached_dram():
+    from repro.services.catalog import SERVICE_IP
+    from repro.services.memcached import MemcachedService
+    return MemcachedService(my_ip=SERVICE_IP, storage="dram")
+
+
+class TestBurstPartitionInvariance:
+    """``send_batch`` is ``send`` frame by frame, however the stream is
+    cut: bursts of 1 (the scalar path), 2, 3, 64 and a seeded ragged
+    mix leave identical replies, latencies and statistics."""
+
+    CASES = [
+        ("memcached", None, 3, {"protocol": "binary"}),
+        ("nat", None, 2, {}),
+        # DRAM waits accrue per request on the service object: read
+        # them where send() does, or they land on the wrong frame.
+        ("memcached", _memcached_dram, 3, {"protocol": "binary"}),
+    ]
+
+    @staticmethod
+    def _observe(target, results):
+        model = target.cycle_model
+        pipeline = target.pipeline
+        return (
+            [([(port, bytes(reply.data), reply.src_port)
+               for port, reply in emitted], latency)
+             for emitted, latency in results],
+            target.latencies_ns, target.service_times_ns,
+            target.core_cycle_counts,
+            (model.requests, model.total_cycles),
+            {name: model._runner.memory_image(name)
+             for name, _ in model._runner.spec.memory_params},
+            (pipeline.frames_in, pipeline.frames_out,
+             pipeline.frames_dropped_ingress, pipeline.core_busy_cycles,
+             pipeline.occupancy()))
+
+    def _run(self, bursts, case, sizes, prepare=None, ports=(0,)):
+        from repro.services.catalog import registry
+        service, build, opt_level, options = case
+        spec = registry()[service]
+        target = FpgaTarget((build or spec.build)(), seed=11,
+                            opt_level=opt_level, batch=64)
+        frames = list(spec.workload(256, seed=5, **options))
+        for index, frame in enumerate(frames):
+            frame.src_port = ports[index % len(ports)]
+        if prepare is not None:
+            prepare(target, frames)
+        results = [outcome for burst in bursts(frames, sizes)
+                   for outcome in target.send_batch(burst)]
+        assert len(results) == len(frames)
+        return self._observe(target, results)
+
+    @pytest.mark.parametrize("case", CASES,
+                             ids=["memcached", "nat", "memcached-dram"])
+    def test_replies_latencies_and_statistics(self, case, bursts):
+        import random
+        ragged = random.Random("targets/partition/%s" % case[0])
+        reference = self._run(bursts, case, [1])
+        assert any(latency is not None for _, latency in reference[0])
+        for sizes in ([2], [3], [64],
+                      [ragged.choice((1, 1, 2, 3, 5, 17, 64))
+                       for _ in range(40)]):
+            assert self._run(bursts, case, sizes) == reference, sizes
+
+    def test_burst_overflowing_one_ingress_fifo(self, bursts):
+        """Port 0's 64-deep ingress FIFO is full when the stream
+        starts, so its frames are refused until the arbiter — which
+        every admitted port-1 frame turns once — has drained it; the
+        core then sees queued frames, not the ones just sent."""
+        from repro.targets.pipeline import INPUT_QUEUE_DEPTH
+
+        def prefill(target, frames):
+            for frame in frames[:INPUT_QUEUE_DEPTH]:
+                assert target.pipeline.receive(frame.copy())
+
+        case = self.CASES[0]
+        reference = self._run(bursts, case, [1], prefill,
+                              ports=(0, 0, 1))
+        pipeline_counts = reference[-1]
+        assert pipeline_counts[2] > 0            # some refused at ingress
+        assert any(pipeline_counts[4]["input"])  # some still queued
+        assert any(emitted for emitted, _ in reference[0])
+        for sizes in ([2], [3], [64], [5, 1, 17, 2, 64, 1, 1, 9]):
+            assert self._run(bursts, case, sizes, prefill,
+                             ports=(0, 0, 1)) == reference, sizes
+
+
 class TestCpuTarget:
     def test_send_through_interfaces(self):
         target = CpuTarget(IcmpEchoService(my_ip=IP_SVC))
