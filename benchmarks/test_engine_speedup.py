@@ -23,7 +23,7 @@ Four wall-clock gates, all written to ``BENCH_engine.json`` at the repo root
 
 * ``FLOOR`` (>= 5x): one-lane ``run`` vs interpreter — failing means
   the engine has regressed to interpretation speed.
-* ``BATCH_FLOOR`` (>= 1.15x): one ``run_batch`` of ``BATCH`` jobs vs
+* ``BATCH_FLOOR`` (>= 1.3x): one ``run_batch`` of ``BATCH`` jobs vs
   ``BATCH`` one-lane ``run`` calls on the same generated code (so the
   ratio is what lockstep dispatch alone buys: the one-lane driver's
   per-call set-up, ~4 us of a ~10.5 us request since the shared
@@ -60,7 +60,7 @@ from repro.kiwi.compiler import compile_function
 from repro.services.memcached import memcached_kernel
 
 FLOOR = 5.0
-BATCH_FLOOR = 1.15
+BATCH_FLOOR = 1.3
 BATCH_INTERPRETER_FLOOR = 25.0
 PIPELINE_FLOOR = 1.5
 ONE_LANE_CEILING = 2.5

@@ -23,9 +23,10 @@ and dropped.  It never raises out of the event loop and never wedges
 the server; a stream peer that overflows its reassembly buffer loses
 its connection, nothing more.  Hostile input and the server's own bugs
 are told apart: a payload the codecs reject (a
-:class:`~repro.errors.ReproError`) counts under ``malformed``, any
-other exception out of the bridge under ``internal_error`` — still a
-counted drop, never a crash — and the first such traceback is kept on
+:class:`~repro.errors.ReproError`) is a ``malformed`` drop (the
+reason on its trace span), any other exception out of the bridge also
+counts under the registry's ``internal_error`` — still a counted drop,
+never a crash — and the first such traceback is kept on
 :attr:`SocketServer.first_internal_error`.
 
 Observability mirrors the in-process open-loop path: with
@@ -91,7 +92,6 @@ class SocketServer:
         registry = deployment.metrics.registry
         self._service_drops = registry.counter("service_drops")
         self._queue_drops = registry.counter("queue_drops")
-        self._malformed = registry.counter("malformed")
         self._internal_errors = registry.counter("internal_error")
         #: Traceback text of the first exception out of the bridge that
         #: was not a ``ReproError`` (``None``: there was none).
@@ -279,7 +279,6 @@ class SocketServer:
                 self._seq += 1
                 index = self._route(frame)
             except ReproError:
-                self._malformed.inc()
                 self._drop(t_arr, detail="malformed")
                 continue
             except Exception:
@@ -314,7 +313,7 @@ class SocketServer:
                     wire = self.binding.wrap_reply(
                         self.binding.decap(emitted[0][1]))
                 except ReproError:
-                    self._malformed.inc()
+                    pass             # undecodable reply: a plain drop
                 except Exception:
                     self._internal_error()
             if wire is not None:

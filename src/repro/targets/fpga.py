@@ -192,13 +192,11 @@ class FpgaTarget:
 
     def send(self, frame):
         """One request through the DUT; returns (emitted, latency_ns)."""
-        pipeline = self.pipeline
-        if not pipeline.receive(frame):
-            return self._finish(frame, [], 0, self._extra_cycles(frame))
-        frame = pipeline.arbitrate()
-        dataplane, core_cycles = pipeline.run_core(frame)
-        return self._finish(frame, pipeline.dispatch(dataplane),
-                            core_cycles, self._extra_cycles(frame))
+        emitted, core_cycles, queued = self.pipeline.process_frame(frame)
+        if queued is not None:
+            frame = queued
+        return self._finish(frame, emitted, core_cycles,
+                            self._extra_cycles(frame))
 
     def send_batch(self, frames):
         """A burst of requests through the DUT.
@@ -208,16 +206,15 @@ class FpgaTarget:
         behavioural fate, statistics, and the arbiter-jitter RNG all
         advance in frame order.  The only difference is *how* the core
         cycles are obtained — with a batched cycle model
-        (``batch=N``) the admitted frames of a burst of two or more
-        run through the lockstep SoA engine in one ``cycles_batch``
-        call.
+        (``batch=N``) the burst's admitted frames run through the
+        lockstep SoA engine in one ``cycles_batch`` call.
         """
         model = self.pipeline.cycle_model
         frames = list(frames)
-        if (len(frames) == 1 or model is None
-                or getattr(model, "batch", None) is None):
+        if model is None or getattr(model, "batch", None) is None:
             return [self.send(frame) for frame in frames]
         pipeline = self.pipeline
+        extra = self._extra_cycles
         # Per frame, what the arbiter handed the core on its arrival
         # (``None``: the ingress FIFO refused the frame).
         queued = [pipeline.arbitrate() if pipeline.receive(frame) else None
@@ -225,20 +222,17 @@ class FpgaTarget:
         admitted = [frame for frame in queued if frame is not None]
         # One pass per stage, not per frame: a long burst keeps each
         # stage's code and data hot (measured: ~5 us/request at 64).
-        # The extra cycles are read right behind each frame's core run,
-        # where send() reads them (services may accrue them per
-        # request, e.g. DRAM waits).
-        cores = []
-        for frame, measured in zip(admitted,
-                                   model.cycles_batch(admitted)):
-            dataplane, cycles = pipeline.run_core(frame, cycles=measured)
-            cores.append((dataplane, cycles, self._extra_cycles(frame)))
-        cores = iter(cores)
+        # The extra cycles are read behind each frame's own core run,
+        # before the next frame's, as send() reads them (services may
+        # accrue them per request, e.g. DRAM waits).
+        cores = iter([
+            pipeline.run_core(frame, measured) + (extra(frame),)
+            for frame, measured in zip(admitted,
+                                       model.cycles_batch(admitted))])
         results = []
         for frame, core_frame in zip(frames, queued):
             if core_frame is None:
-                results.append(self._finish(
-                    frame, [], 0, self._extra_cycles(frame)))
+                results.append(self._finish(frame, [], 0, extra(frame)))
                 continue
             dataplane, cycles, extra_cycles = next(cores)
             results.append(self._finish(
@@ -266,10 +260,12 @@ class FpgaTarget:
 
     def max_qps(self, frame):
         """Sustainable queries/s for requests shaped like *frame*."""
-        probe = frame.copy()
-        emitted, core_cycles = self.pipeline.process_frame(probe)
+        emitted, core_cycles, queued = self.pipeline.process_frame(
+            frame.copy())
         for port, _ in emitted:
             self.pipeline.drain_port(port)
+        if queued is not None:
+            frame = queued
         reply_bytes = len(emitted[0][1].data) if emitted else None
         service_ns = self._service_ns(
             len(frame.data), core_cycles, self._extra_cycles(frame),

@@ -99,15 +99,16 @@ class NetfpgaPipeline:
     def process_frame(self, frame):
         """Full path: receive → arbitrate → core → output queues.
 
-        Returns ``(emitted, core_cycles)`` where *emitted* is a list of
-        ``(port, frame)``.
+        Returns ``(emitted, core_cycles, queued)`` where *emitted* is a
+        list of ``(port, frame)`` and *queued* the frame the arbiter
+        handed the core on this arrival (``None``: the ingress FIFO
+        refused *frame*).
         """
         if not self.receive(frame):
-            return [], 0
+            return [], 0, None
         queued = self.arbitrate()
         dataplane, cycles = self.run_core(queued)
-        emitted = self.dispatch(dataplane)
-        return emitted, cycles
+        return self.dispatch(dataplane), cycles, queued
 
     def drain_port(self, port):
         """Pop everything sitting in one output queue."""

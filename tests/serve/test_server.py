@@ -163,12 +163,13 @@ def test_oversized_datagram_is_a_counted_drop(served_memcached):
     assert server.report.snapshot()["service_drops"] == 1
 
 
-def test_bridge_fault_is_an_internal_error_not_a_malformed_drop(
-        served_memcached):
+def test_bridge_fault_is_an_internal_error_not_a_malformed_drop():
     """An exception that is not a ReproError is the server's own bug:
-    counted apart from hostile input, traceback kept, request still
-    accounted as a drop, and the next request is served."""
-    dep, server = served_memcached
+    told apart from hostile input (the drop's reason, the registry's
+    ``internal_error``), traceback kept, request still accounted as a
+    drop, and the next request is served."""
+    dep = deploy("memcached").on("cpu").with_trace().start()
+    server = dep.serve()
     binding = resolve_binding(dep.spec, "udp")
     counter = dep.metrics.registry.counter
     encap = server.binding.encap
@@ -178,17 +179,23 @@ def test_bridge_fault_is_an_internal_error_not_a_malformed_drop(
 
     server.binding.encap = faulty_encap
     payload, _ = binding.probe(SEED, 0)
-    with udp_client(server) as sock:
-        sock.send(binding.wrap(payload))
-        deadline = time.monotonic() + 5.0
-        while server.report.completed < 1:
-            assert time.monotonic() < deadline
-            time.sleep(0.005)
-        assert counter("internal_error").value == 1
-        assert counter("malformed").value == 0
-        assert "injected codec fault" in server.first_internal_error
-        server.binding.encap = encap
-        roundtrip(sock, binding, SEED, 1)
+    try:
+        with udp_client(server) as sock:
+            sock.send(binding.wrap(payload))
+            deadline = time.monotonic() + 5.0
+            while server.report.completed < 1:
+                assert time.monotonic() < deadline
+                time.sleep(0.005)
+            assert counter("internal_error").value == 1
+            assert "injected codec fault" in server.first_internal_error
+            server.binding.encap = encap
+            roundtrip(sock, binding, SEED, 1)
+    finally:
+        server.stop()
+        dep.stop()
+    reasons = [event["args"]["reason"] for event in dep.tracer.events
+               if "reason" in event.get("args", ())]
+    assert reasons == ["internal_error"]         # malformed == 0
     snapshot = server.report.snapshot()
     assert snapshot["offered"] == snapshot["completed"] == 2
     assert snapshot["replies"] == 1

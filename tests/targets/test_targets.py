@@ -22,7 +22,9 @@ def echo_frame(src_port=1):
 class TestPipeline:
     def test_frame_flows_through(self):
         pipeline = NetfpgaPipeline(IcmpEchoService(my_ip=IP_SVC))
-        emitted, cycles = pipeline.process_frame(echo_frame(src_port=2))
+        request = echo_frame(src_port=2)
+        emitted, cycles, queued = pipeline.process_frame(request)
+        assert queued is request
         assert len(emitted) == 1
         port, frame = emitted[0]
         assert port == 2
@@ -31,7 +33,7 @@ class TestPipeline:
 
     def test_broadcast_fans_out(self):
         pipeline = NetfpgaPipeline(LearningSwitch())
-        emitted, _ = pipeline.process_frame(echo_frame(src_port=0))
+        emitted, _, _ = pipeline.process_frame(echo_frame(src_port=0))
         assert sorted(port for port, _ in emitted) == [1, 2, 3]
 
     def test_arbiter_round_robin(self):
