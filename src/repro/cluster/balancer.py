@@ -19,6 +19,8 @@ ids and per-leaf balancers hashing over local shard ids give the
 leaf-spine dataplane of :mod:`repro.cluster.topology`.
 """
 
+import struct
+
 from repro.core import netfpga as NetFPGA
 from repro.core.protocols.ethernet import EtherTypes
 from repro.core.protocols.ipv4 import IPProtocols, IPv4Wrapper
@@ -26,7 +28,7 @@ from repro.core.protocols.memcached import (
     BinaryMagic, MemcachedBinaryWrapper, parse_ascii_command,
     split_udp_frame,
 )
-from repro.core.protocols.udp import UDPWrapper
+from repro.core.protocols.udp import UDPRequest
 from repro.cluster.health import DEFAULT_PHI_THRESHOLD, PhiAccrualDetector
 from repro.cluster.ring import DEFAULT_VNODES, HashRing, max_over_mean
 from repro.errors import ClusterError, ParseError
@@ -43,23 +45,34 @@ PARSE_CYCLES = 12
 LOOKUP_CYCLES = 4
 
 
-def memcached_key(buf):
-    """The memcached key carried by *buf*, or ``None`` if not memcached."""
+_FIVE_TUPLE = struct.Struct("!IIBHH")
+
+
+def _udp_request(buf):
+    """*buf* decoded once as a UDP request; ``None`` for anything else,
+    a truncated one included."""
     try:
-        if len(buf) < 14 or BitUtil.get16(buf, 12) != EtherTypes.IPV4:
-            return None
-        ip = IPv4Wrapper(buf)
-        if ip.protocol != IPProtocols.UDP:
-            return None
-        udp = UDPWrapper(buf)
-        if udp.destination_port != MEMCACHED_PORT:
-            return None
-        _, body = split_udp_frame(udp.payload())
+        return UDPRequest.parse(buf)
+    except ParseError:
+        return None
+
+
+def _memcached_key(request):
+    if request.destination_port != MEMCACHED_PORT:
+        return None
+    try:
+        _, body = split_udp_frame(request.payload())
         if body[:1] and body[0] == BinaryMagic.REQUEST:
             return MemcachedBinaryWrapper(body).key()
         return parse_ascii_command(body).key
     except ParseError:
         return None
+
+
+def memcached_key(buf):
+    """The memcached key carried by *buf*, or ``None`` if not memcached."""
+    request = _udp_request(buf)
+    return None if request is None else _memcached_key(request)
 
 
 def five_tuple_key(buf):
@@ -82,11 +95,17 @@ def five_tuple_key(buf):
 
 
 def flow_key(buf):
-    """Default key extractor: memcached key, else the 5-tuple."""
-    key = memcached_key(buf)
-    if key is not None:
-        return key
-    return five_tuple_key(buf)
+    """Default key extractor: memcached key, else the 5-tuple — for a
+    UDP request both from one parse."""
+    request = _udp_request(buf)
+    if request is None:
+        return five_tuple_key(buf)
+    key = _memcached_key(request)
+    if key is None:
+        key = _FIVE_TUPLE.pack(
+            request.source_ip_address, request.destination_ip_address,
+            IPProtocols.UDP, request.source_port, request.destination_port)
+    return key
 
 
 class ShardBalancerService(EmuService):

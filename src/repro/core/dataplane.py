@@ -58,7 +58,7 @@ class NetFPGAData:
 
     def to_frame(self):
         """Convert back to a :class:`~repro.net.packet.Frame`."""
-        return Frame(bytes(self.tdata), self.src_port, self.dst_ports)
+        return Frame(self.tdata, self.src_port, self.dst_ports)
 
     def __repr__(self):
         return "NetFPGAData(%d bytes, src=%d, dst=0x%x)" % (

@@ -20,7 +20,7 @@ from repro.core.protocols.arp import ARPWrapper, build_arp_request, \
 from repro.core.protocols.ipv4 import IPv4Wrapper, IPProtocols, build_ipv4
 from repro.core.protocols.icmp import ICMPWrapper, ICMPTypes, \
     build_icmp_echo_request
-from repro.core.protocols.udp import UDPWrapper, build_udp
+from repro.core.protocols.udp import UDPRequest, UDPWrapper, build_udp
 from repro.core.protocols.tcp import TCPWrapper, TCPFlags, build_tcp
 from repro.core.protocols.dns import (
     DNSWrapper, DNSHeader, DNSQuestion, encode_name, decode_name,
@@ -38,7 +38,7 @@ __all__ = [
     "ARPWrapper", "build_arp_request", "build_arp_reply",
     "IPv4Wrapper", "IPProtocols", "build_ipv4",
     "ICMPWrapper", "ICMPTypes", "build_icmp_echo_request",
-    "UDPWrapper", "build_udp",
+    "UDPRequest", "UDPWrapper", "build_udp",
     "TCPWrapper", "TCPFlags", "build_tcp",
     "DNSWrapper", "DNSHeader", "DNSQuestion", "encode_name", "decode_name",
     "build_dns_query", "build_dns_response", "RCode", "QType", "QClass",

@@ -33,7 +33,7 @@ class SyncFIFO:
         return self._items.pop(0)
 
     def try_push(self, value):
-        if self.full:
+        if len(self._items) >= self.depth:
             return False
         self._items.append(value)
         return True

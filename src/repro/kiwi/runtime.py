@@ -19,20 +19,16 @@ from repro.errors import TargetError
 class Pause:
     """The scheduling barrier (``Kiwi.Pause()``): ends the clock cycle."""
 
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
     def __repr__(self):
         return "Pause()"
 
 
+_PAUSE = Pause()
+
+
 def pause():
-    """Return the pause marker; services ``yield pause()``."""
-    return Pause()
+    """Return the (one) pause marker; services ``yield pause()``."""
+    return _PAUSE
 
 
 def run_software(gen):

@@ -24,6 +24,7 @@ distinct label set is its own instrument, and snapshots render them
 """
 
 import re
+from bisect import bisect_left
 
 from repro.errors import ObsError
 
@@ -86,8 +87,8 @@ class Histogram:
     """Fixed-bound bucketed distribution with interpolated percentiles.
 
     *bounds* are ascending bucket upper bounds; one overflow bucket
-    catches everything beyond the last bound.  ``observe`` is O(log
-    buckets); the raw samples are not kept (that is what makes the
+    catches everything beyond the last bound.  ``observe`` is one
+    ``bisect``; the raw samples are not kept (that is what makes the
     instrument safe at qps) — exact-sample percentiles live where the
     samples do (:class:`~repro.net.dag.LatencyCapture`).
     """
@@ -108,20 +109,16 @@ class Histogram:
         self.max = None
 
     def observe(self, value):
-        low, high = 0, len(self.bounds)
-        while low < high:
-            mid = (low + high) // 2
-            if value <= self.bounds[mid]:
-                high = mid
-            else:
-                low = mid + 1
-        self.counts[low] += 1
+        self.counts[bisect_left(self.bounds, value)] += 1
         self.count += 1
         self.total += value
-        if self.min is None or value < self.min:
-            self.min = value
-        if self.max is None or value > self.max:
-            self.max = value
+        try:
+            if value < self.min:
+                self.min = value
+            elif value > self.max:
+                self.max = value
+        except TypeError:           # the first sample: both still None
+            self.min = self.max = value
 
     def mean(self):
         return self.total / self.count if self.count else None

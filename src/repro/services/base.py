@@ -8,9 +8,14 @@ targets drive it differently:
   (software semantics);
 * FPGA target — the pipeline steps the generator one segment per clock
   (hardware semantics), which *measures* the service's cycle count.
+
+Either way a :class:`~repro.errors.ParseError` out of ``on_frame`` is a
+drop, decided here once and counted on ``service.malformed``: the
+wrappers keep raising and no handler guards its own header reads.
 """
 
 from repro.core.dataplane import NetFPGAData
+from repro.errors import ParseError
 from repro.kiwi.runtime import run_software
 
 
@@ -19,6 +24,8 @@ class EmuService:
 
     #: Human-readable service name (used in reports).
     name = "service"
+    #: Frames whose handler raised :class:`ParseError` (dropped).
+    malformed = 0
 
     def on_frame(self, dataplane):
         """Per-frame handler; generator yielding ``pause()`` markers.
@@ -46,7 +53,11 @@ class EmuService:
             dataplane = frame_or_dataplane
         else:
             dataplane = NetFPGAData(frame_or_dataplane)
-        run_software(self.on_frame(dataplane))
+        try:
+            run_software(self.on_frame(dataplane))
+        except ParseError:
+            dataplane.dst_ports = 0
+            self.malformed += 1
         return dataplane
 
     def process_counting(self, frame_or_dataplane):
@@ -69,6 +80,9 @@ class EmuService:
                 self.tick()
         except StopIteration:
             pass
+        except ParseError:              # cycles: up to the raising segment
+            dataplane.dst_ports = 0
+            self.malformed += 1
         return dataplane, cycles
 
     def reset(self):

@@ -11,9 +11,7 @@ from repro.core.protocols.dns import (
     DNSHeader, DNSQuestion, MAX_PAPER_NAME_BYTES, QClass, QType, RCode,
     build_dns_response, decode_name, encode_name,
 )
-from repro.core.protocols.ethernet import EthernetWrapper
-from repro.core.protocols.ipv4 import IPProtocols, IPv4Wrapper
-from repro.core.protocols.udp import UDPWrapper
+from repro.core.protocols.udp import UDPRequest
 from repro.errors import ParseError
 from repro.kiwi.runtime import pause
 from repro.services.base import EmuService
@@ -51,18 +49,14 @@ class DnsServerService(EmuService):
         self.table.pop(name.lower().rstrip("."), None)
 
     def on_frame(self, dataplane):
-        if not dataplane.tdata.is_ipv4():
-            return
-        ip = IPv4Wrapper(dataplane.tdata)
-        if ip.protocol != IPProtocols.UDP or \
-                ip.destination_ip_address != self.my_ip:
-            return
-        udp = UDPWrapper(dataplane.tdata)
-        if udp.destination_port != DNS_PORT:
+        request = UDPRequest.parse(dataplane.tdata)
+        if request is None or \
+                request.destination_ip_address != self.my_ip or \
+                request.destination_port != DNS_PORT:
             return
         yield pause()
 
-        payload = udp.payload()
+        payload = request.payload()
         try:
             header = DNSHeader.decode(payload)
             if not header.is_query or header.qdcount < 1:
@@ -85,15 +79,7 @@ class DnsServerService(EmuService):
             self.nxdomain_sent += 1
         yield pause()
 
-        eth = EthernetWrapper(dataplane.tdata)
-        eth.swap_macs()
-        ip.swap_ips()
-        ip.ttl = 64
-        udp.swap_ports()
-        udp.set_payload(response)
-        ip.total_length = ip.header_bytes + udp.length
-        ip.update_checksum()
-        udp.update_checksum(ip)
+        request.reply(response)
         NetFPGA.send_back(dataplane)
 
     def _resolve(self, question):

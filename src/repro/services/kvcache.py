@@ -10,13 +10,11 @@ control plane".
 
 from repro.core import netfpga as NetFPGA
 from repro.core.lru import LRU
-from repro.core.protocols.ethernet import EthernetWrapper
-from repro.core.protocols.ipv4 import IPProtocols, IPv4Wrapper
 from repro.core.protocols.memcached import (
     BinaryMagic, BinaryOpcodes, BinaryStatus, MemcachedBinaryWrapper,
     build_binary_response, build_udp_frame_header, split_udp_frame,
 )
-from repro.core.protocols.udp import UDPWrapper
+from repro.core.protocols.udp import UDPRequest
 from repro.errors import ParseError
 from repro.kiwi.runtime import pause
 from repro.services.base import EmuService
@@ -45,23 +43,18 @@ class KVCacheService(EmuService):
         return int.from_bytes(bytes(key[:8]).ljust(8, b"\x00"), "big")
 
     def on_frame(self, dataplane):
-        if not dataplane.tdata.is_ipv4():
-            return
-        ip = IPv4Wrapper(dataplane.tdata)
-        if ip.protocol != IPProtocols.UDP:
-            self._forward(dataplane)
-            return
-        udp = UDPWrapper(dataplane.tdata)
+        request = UDPRequest.parse(dataplane.tdata)
         from_client = dataplane.src_port == self.client_port
-        port_field = udp.destination_port if from_client \
-            else udp.source_port
-        if port_field != self.listen_port:
-            self._forward(dataplane)
+        if request is None or self.listen_port != (
+                request.destination_port if from_client
+                else request.source_port):
+            if dataplane.tdata.is_ipv4():
+                self._forward(dataplane)
             return
         yield pause()
 
         try:
-            request_id, body = split_udp_frame(udp.payload())
+            request_id, body = split_udp_frame(request.payload())
             message = MemcachedBinaryWrapper(body)
         except ParseError:
             self._forward(dataplane)
@@ -74,8 +67,14 @@ class KVCacheService(EmuService):
             yield pause()
             if result.matched:
                 self.cache_hits += 1
-                self._answer(dataplane, ip, udp, request_id, message,
-                             result.result)
+                response = build_binary_response(
+                    BinaryOpcodes.GET, opaque=message.opaque,
+                    value=int(result.result).to_bytes(8, "big"),
+                    extras=b"\x00" * 4)
+                # A cache in the path keeps the TTL the client sent.
+                request.reply(build_udp_frame_header(request_id) + response,
+                              ttl=request.ttl)
+                NetFPGA.send_back(dataplane)
                 return
             self.cache_misses += 1
             self._forward(dataplane)
@@ -95,20 +94,6 @@ class KVCacheService(EmuService):
         out = self.server_port if dataplane.src_port == self.client_port \
             else self.client_port
         NetFPGA.set_output_port(dataplane, out)
-
-    def _answer(self, dataplane, ip, udp, request_id, message, value):
-        response = build_binary_response(
-            BinaryOpcodes.GET, value=int(value).to_bytes(8, "big"),
-            opaque=message.opaque, extras=b"\x00" * 4)
-        eth = EthernetWrapper(dataplane.tdata)
-        eth.swap_macs()
-        ip.swap_ips()
-        udp.swap_ports()
-        udp.set_payload(build_udp_frame_header(request_id) + response)
-        ip.total_length = ip.header_bytes + udp.length
-        ip.update_checksum()
-        udp.update_checksum(ip)
-        NetFPGA.send_back(dataplane)
 
     def reset(self):
         self.lru = LRU(key_width=64, value_width=64, depth=self.lru.depth)

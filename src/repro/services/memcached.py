@@ -16,14 +16,12 @@ the store fills.
 from collections import OrderedDict
 
 from repro.core import netfpga as NetFPGA
-from repro.core.protocols.ethernet import EthernetWrapper
-from repro.core.protocols.ipv4 import IPProtocols, IPv4Wrapper
 from repro.core.protocols.memcached import (
     BinaryMagic, BinaryOpcodes, BinaryStatus, MemcachedBinaryWrapper,
     build_binary_response, build_udp_frame_header, parse_ascii_command,
     split_udp_frame,
 )
-from repro.core.protocols.udp import UDPWrapper
+from repro.core.protocols.udp import UDPRequest
 from repro.errors import HostModelError, ParseError
 from repro.ip.bram import DramModel
 from repro.kiwi.runtime import pause
@@ -115,19 +113,15 @@ class MemcachedService(EmuService):
     # -- dataplane -----------------------------------------------------------
 
     def on_frame(self, dataplane):
-        if not dataplane.tdata.is_ipv4():
-            return
-        ip = IPv4Wrapper(dataplane.tdata)
-        if ip.protocol != IPProtocols.UDP or \
-                ip.destination_ip_address != self.my_ip:
-            return
-        udp = UDPWrapper(dataplane.tdata)
-        if udp.destination_port != MEMCACHED_PORT:
+        request = UDPRequest.parse(dataplane.tdata)
+        if request is None or \
+                request.destination_ip_address != self.my_ip or \
+                request.destination_port != MEMCACHED_PORT:
             return
         yield pause()
 
         try:
-            request_id, body = split_udp_frame(udp.payload())
+            request_id, body = split_udp_frame(request.payload())
         except ParseError:
             return
         yield pause()
@@ -143,15 +137,7 @@ class MemcachedService(EmuService):
             return
         yield pause()
 
-        eth = EthernetWrapper(dataplane.tdata)
-        eth.swap_macs()
-        ip.swap_ips()
-        ip.ttl = 64
-        udp.swap_ports()
-        udp.set_payload(build_udp_frame_header(request_id) + response)
-        ip.total_length = ip.header_bytes + udp.length
-        ip.update_checksum()
-        udp.update_checksum(ip)
+        request.reply(build_udp_frame_header(request_id) + response)
         NetFPGA.send_back(dataplane)
 
     def _handle_binary(self, body):

@@ -22,7 +22,7 @@ pipelining schedule's initiation interval): each request's *latency*
 is unchanged, but the steady-state interval between completions drops
 to the widest stage — the core's II, either ingest walk, or the
 byte-serial extra work — so the sustainable rate rises accordingly
-(:meth:`FpgaTimingModel.service_interval_ns`).
+(:meth:`FpgaTimingModel.cycles`).
 """
 
 import random
@@ -57,56 +57,59 @@ class FpgaTimingModel:
     def __init__(self, seed=1):
         self._rng = random.Random(seed)
 
-    def ingest_cycles(self, frame_bytes):
-        """Store-and-forward of the frame over the 256-bit bus."""
-        return -(-frame_bytes // BUS_BYTES)        # ceil
+    def cycles(self, frame_bytes, core_cycles, extra_cycles=0,
+               reply_bytes=None, core_interval_cycles=None):
+        """``(latency, occupancy)`` of one request in datapath cycles,
+        the two bus walks computed once for both.
+
+        *latency* is the jitter-free trip through the DUT.  *occupancy*
+        is how long the request holds the datapath, which sets the max
+        query rate: the same sum while the core runs one request at a
+        time, the steady-state interval between completions when it
+        overlaps them every ``core_interval_cycles`` (the -O3 initiation
+        interval).  Then the arbiter/output-queue constants amortize
+        across in-flight requests and only the *widest* stage bounds
+        throughput.  The stages of the pipelined datapath are the
+        ingress walk, the core, and the egress walk; the byte-serial
+        extra work (request parse and checksum-in on the way in,
+        response construction and checksum-out on the way out) rides
+        the two walks, half each, so it lengthens those stages rather
+        than forming a fourth serial unit.  Each stage still holds one
+        request at a time — total work per request is conserved, only
+        the overlap across requests changes."""
+        # Store-and-forward over the 256-bit bus, each way (ceil).
+        ingress = -(-frame_bytes // BUS_BYTES)
+        egress = ingress if reply_bytes is None \
+            else -(-reply_bytes // BUS_BYTES)
+        latency = (ARBITER_BASE_CYCLES + ingress + core_cycles +
+                   extra_cycles + egress + OUTPUT_QUEUE_CYCLES)
+        if core_interval_cycles is None:
+            return latency, latency
+        extra_in = extra_cycles // 2
+        return latency, max(1, core_interval_cycles, ingress + extra_in,
+                            egress + extra_cycles - extra_in)
+
+    def wire_ns(self, latency_cycles, reply_bytes):
+        """What the DAG card sees for a reply that took *latency_cycles*
+        through the datapath: PHY/MAC, this request's arbiter phase (the
+        one random draw) and serialization added."""
+        cycles = latency_cycles + \
+            self._rng.randrange(ARBITER_JITTER_CYCLES + 1)
+        serialization_ns = 8e9 * reply_bytes / LINE_RATE_BPS
+        return PHY_MAC_NS + cycles * NS_PER_CYCLE + serialization_ns
 
     def latency_ns(self, frame_bytes, core_cycles, extra_cycles=0,
                    reply_bytes=None):
         reply_bytes = frame_bytes if reply_bytes is None else reply_bytes
-        cycles = (ARBITER_BASE_CYCLES +
-                  self.ingest_cycles(frame_bytes) +
-                  core_cycles + extra_cycles +
-                  self.ingest_cycles(reply_bytes) +
-                  OUTPUT_QUEUE_CYCLES +
-                  self._rng.randrange(ARBITER_JITTER_CYCLES + 1))
-        serialization_ns = 8e9 * reply_bytes / LINE_RATE_BPS
-        return PHY_MAC_NS + cycles * NS_PER_CYCLE + serialization_ns
+        return self.wire_ns(self.cycles(
+            frame_bytes, core_cycles, extra_cycles, reply_bytes)[0],
+            reply_bytes)
 
     def service_time_ns(self, frame_bytes, core_cycles, extra_cycles=0,
                         reply_bytes=None):
-        """Per-request datapath occupancy (sets the max query rate)."""
-        reply_bytes = frame_bytes if reply_bytes is None else reply_bytes
-        cycles = (ARBITER_BASE_CYCLES +
-                  self.ingest_cycles(frame_bytes) +
-                  core_cycles + extra_cycles +
-                  self.ingest_cycles(reply_bytes) +
-                  OUTPUT_QUEUE_CYCLES)
-        return cycles * NS_PER_CYCLE
-
-    def service_interval_ns(self, frame_bytes, core_interval_cycles,
-                            extra_cycles=0, reply_bytes=None):
-        """Steady-state interval between completions when the core
-        pipelines requests.
-
-        With requests overlapped every ``core_interval_cycles`` (the
-        -O3 initiation interval), the arbiter/output-queue constants
-        amortize across in-flight requests and only the *widest* stage
-        bounds throughput.  The stages of the pipelined datapath are
-        the ingress walk, the core, and the egress walk; the
-        byte-serial extra work (request parse and checksum-in on the
-        way in, response construction and checksum-out on the way out)
-        rides the two walks, half each, so it lengthens those stages
-        rather than forming a fourth serial unit.  Each stage still
-        holds one request at a time — total work per request is
-        conserved, only the overlap across requests changes."""
-        reply_bytes = frame_bytes if reply_bytes is None else reply_bytes
-        extra_in = extra_cycles // 2
-        extra_out = extra_cycles - extra_in
-        cycles = max(1, core_interval_cycles,
-                     self.ingest_cycles(frame_bytes) + extra_in,
-                     self.ingest_cycles(reply_bytes) + extra_out)
-        return cycles * NS_PER_CYCLE
+        """Per-request datapath occupancy of a one-at-a-time core."""
+        return self.cycles(frame_bytes, core_cycles, extra_cycles,
+                           reply_bytes)[1] * NS_PER_CYCLE
 
 
 class FpgaTarget:
@@ -176,20 +179,6 @@ class FpgaTarget:
         profiling."""
         return self.pipeline.cycle_model
 
-    def _service_ns(self, frame_bytes, core_cycles, extra_cycles,
-                    reply_bytes=None):
-        """Datapath occupancy of one request: the steady-state
-        completion interval when the core pipelines, the full
-        per-request service time when it does not."""
-        interval = self.core_interval_cycles
-        if interval is not None:
-            return self.timing.service_interval_ns(
-                frame_bytes, interval, extra_cycles=extra_cycles,
-                reply_bytes=reply_bytes)
-        return self.timing.service_time_ns(
-            frame_bytes, core_cycles, extra_cycles=extra_cycles,
-            reply_bytes=reply_bytes)
-
     def send(self, frame):
         """One request through the DUT; returns (emitted, latency_ns)."""
         emitted, core_cycles, queued = self.pipeline.process_frame(frame)
@@ -217,8 +206,7 @@ class FpgaTarget:
         extra = self._extra_cycles
         # Per frame, what the arbiter handed the core on its arrival
         # (``None``: the ingress FIFO refused the frame).
-        queued = [pipeline.arbitrate() if pipeline.receive(frame) else None
-                  for frame in frames]
+        queued = [pipeline.admit(frame) for frame in frames]
         admitted = [frame for frame in queued if frame is not None]
         # One pass per stage, not per frame: a long burst keeps each
         # stage's code and data hot (measured: ~5 us/request at 64).
@@ -243,18 +231,15 @@ class FpgaTarget:
     def _finish(self, frame, emitted, core_cycles, extra_cycles):
         """Statistics + timing tail shared by send() and send_batch()."""
         self.core_cycle_counts.append(core_cycles)
-        frame_bytes = len(frame.data)
+        reply_bytes = len(emitted[0][1].data) if emitted else None
+        latency_cycles, occupancy = self.timing.cycles(
+            len(frame.data), core_cycles, extra_cycles, reply_bytes,
+            self.core_interval_cycles)
+        self.service_times_ns.append(occupancy * NS_PER_CYCLE)
         if not emitted:
-            self.service_times_ns.append(self._service_ns(
-                frame_bytes, core_cycles, extra_cycles))
             return emitted, None      # dropped: nothing on the wire
-        for port, _ in emitted:
-            self.pipeline.drain_port(port)   # the wire pulls frames off
-        reply_bytes = len(emitted[0][1].data)
-        self.service_times_ns.append(self._service_ns(
-            frame_bytes, core_cycles, extra_cycles, reply_bytes))
-        latency = self.timing.latency_ns(
-            frame_bytes, core_cycles, extra_cycles, reply_bytes)
+        self.pipeline.drain(emitted)
+        latency = self.timing.wire_ns(latency_cycles, reply_bytes)
         self.latencies_ns.append(latency)
         return emitted, latency
 
@@ -262,14 +247,12 @@ class FpgaTarget:
         """Sustainable queries/s for requests shaped like *frame*."""
         emitted, core_cycles, queued = self.pipeline.process_frame(
             frame.copy())
-        for port, _ in emitted:
-            self.pipeline.drain_port(port)
+        self.pipeline.drain(emitted)
         if queued is not None:
             frame = queued
-        reply_bytes = len(emitted[0][1].data) if emitted else None
-        service_ns = self._service_ns(
+        occupancy = self.timing.cycles(
             len(frame.data), core_cycles, self._extra_cycles(frame),
-            reply_bytes=reply_bytes)
-        if service_ns <= 0:
-            raise TargetError("service time must be positive")
-        return min(1e9 / service_ns, line_rate_pps(len(frame.data)))
+            len(emitted[0][1].data) if emitted else None,
+            self.core_interval_cycles)[1]
+        return min(1e9 / (occupancy * NS_PER_CYCLE),
+                   line_rate_pps(len(frame.data)))

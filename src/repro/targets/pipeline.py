@@ -38,6 +38,7 @@ class NetfpgaPipeline:
         self.output_queues = [SyncFIFO(width=8, depth=OUTPUT_QUEUE_DEPTH)
                               for _ in range(num_ports)]
         self._arbiter_next = 0
+        self._waiting = 0           # frames sitting in the input FIFOs
         self.frames_in = 0
         self.frames_out = 0
         self.frames_dropped_ingress = 0
@@ -48,11 +49,11 @@ class NetfpgaPipeline:
         if not 0 <= frame.src_port < self.num_ports:
             raise TargetError("no port %d on this pipeline"
                               % frame.src_port)
-        queue = self.input_queues[frame.src_port]
-        if not queue.try_push(frame):
+        if not self.input_queues[frame.src_port].try_push(frame):
             self.frames_dropped_ingress += 1
             return False
         self.frames_in += 1
+        self._waiting += 1
         return True
 
     def arbitrate(self):
@@ -63,8 +64,19 @@ class NetfpgaPipeline:
             queue = self.input_queues[port % ports]
             if not queue.empty:
                 self._arbiter_next = (port + 1) % ports
+                self._waiting -= 1
                 return queue.pop()
         return None
+
+    def admit(self, frame):
+        """``receive`` then ``arbitrate``: the frame the core gets on
+        this arrival (``None``: the ingress FIFO refused *frame*).  With
+        nothing waiting, that is the frame itself and it skips the FIFO."""
+        if self._waiting or not 0 <= frame.src_port < self.num_ports:
+            return self.arbitrate() if self.receive(frame) else None
+        self.frames_in += 1
+        self._arbiter_next = (frame.src_port + 1) % self.num_ports
+        return frame
 
     def run_core(self, frame, cycles=None):
         """Push one frame through the main logical core.
@@ -86,14 +98,16 @@ class NetfpgaPipeline:
     def dispatch(self, dataplane):
         """Fan the core's decision out into the output queues."""
         emitted = []
-        dst_ports = dataplane.dst_ports
-        for port in range(self.num_ports):
-            if dst_ports >> port & 1:
-                out_frame = dataplane.to_frame()
-                out_frame.src_port = dataplane.src_port
-                if self.output_queues[port].try_push((port, out_frame)):
-                    emitted.append((port, out_frame))
-                    self.frames_out += 1
+        # One turn per set bit: every reply service's bitmap is one-hot.
+        pending = dataplane.dst_ports & ((1 << self.num_ports) - 1)
+        while pending:
+            lowest = pending & -pending
+            pending ^= lowest
+            port = lowest.bit_length() - 1
+            out_frame = dataplane.to_frame()
+            if self.output_queues[port].try_push((port, out_frame)):
+                emitted.append((port, out_frame))
+                self.frames_out += 1
         return emitted
 
     def process_frame(self, frame):
@@ -104,19 +118,16 @@ class NetfpgaPipeline:
         handed the core on this arrival (``None``: the ingress FIFO
         refused *frame*).
         """
-        if not self.receive(frame):
+        queued = self.admit(frame)
+        if queued is None:
             return [], 0, None
-        queued = self.arbitrate()
         dataplane, cycles = self.run_core(queued)
         return self.dispatch(dataplane), cycles, queued
 
-    def drain_port(self, port):
-        """Pop everything sitting in one output queue."""
-        frames = []
-        queue = self.output_queues[port]
-        while not queue.empty:
-            frames.append(queue.pop()[1])
-        return frames
+    def drain(self, emitted):
+        """The wire pulls the output queues *emitted* went to dry."""
+        for port, _ in emitted:
+            self.output_queues[port].clear()
 
     def occupancy(self):
         """Queue occupancies, for monitoring/debug."""

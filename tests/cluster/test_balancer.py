@@ -7,14 +7,18 @@ from repro.cluster.balancer import (
     flow_key, memcached_key,
 )
 from repro.cluster.ring import HashRing
-from repro.core.dataplane import NetFPGAData
+from repro.core.dataplane import NetFPGAData, TData
+from repro.core.protocols.ipv4 import IPProtocols, IPv4Wrapper
 from repro.core.protocols.memcached import (
-    build_ascii_get, build_udp_frame_header,
+    BinaryMagic, MemcachedBinaryWrapper, build_ascii_get,
+    build_udp_frame_header, parse_ascii_command, split_udp_frame,
 )
-from repro.core.protocols.udp import build_udp
-from repro.errors import ClusterError
+from repro.core.protocols.udp import UDPWrapper, build_udp
+from repro.errors import ClusterError, ParseError
 from repro.net.packet import Frame, ip_to_int
-from repro.net.workloads import memaslap_mix, ping_flood, tcp_syn_stream
+from repro.net.workloads import (
+    dns_query_stream, memaslap_mix, ping_flood, tcp_syn_stream,
+)
 from repro.targets.fpga import FpgaTarget
 
 SERVICE_IP = ip_to_int("10.0.0.1")
@@ -58,6 +62,84 @@ class TestKeyExtraction:
 
     def test_runt_frame_yields_none(self):
         assert flow_key(bytearray()) is None
+
+
+def wrapper_memcached_key(buf):
+    """``memcached_key`` as it read the frame before the one parse."""
+    try:
+        if not TData(buf).is_ipv4():
+            return None
+        if IPv4Wrapper(buf).protocol != IPProtocols.UDP:
+            return None
+        udp = UDPWrapper(buf)
+        if udp.destination_port != 11211:
+            return None
+        _, body = split_udp_frame(udp.payload())
+        if body[:1] and body[0] == BinaryMagic.REQUEST:
+            return MemcachedBinaryWrapper(body).key()
+        return parse_ascii_command(body).key
+    except ParseError:
+        return None
+
+
+def wrapper_five_tuple_key(buf):
+    try:
+        if not TData(buf).is_ipv4():
+            return bytes(buf[:14]) or None
+        ip = IPv4Wrapper(buf)
+        ports = bytes(4)
+        if ip.protocol in (IPProtocols.TCP, IPProtocols.UDP):
+            offset = ip.payload_offset()
+            if len(buf) >= offset + 4:
+                ports = bytes(buf[offset:offset + 4])
+        return (ip.source_ip_address.to_bytes(4, "big") +
+                ip.destination_ip_address.to_bytes(4, "big") +
+                bytes([ip.protocol]) + ports)
+    except ParseError:
+        return bytes(buf[:14]) or None
+
+
+class TestKeysUnchangedByTheOneParse:
+    """Ring placement must not move: every extractor returns what the
+    two wrapper chains returned, on whole and truncated frames."""
+
+    @staticmethod
+    def frames():
+        out = mix(12, protocol="binary") + mix(12) + \
+            mix(6, get_ratio=0.0)
+        out += list(dns_query_stream(SERVICE_IP, CLIENT_IP,
+                                    ["a.example", "b.example"], count=6))
+        out += list(tcp_syn_stream(SERVICE_IP, CLIENT_IP, count=3))
+        out += list(ping_flood(SERVICE_IP, CLIENT_IP, count=2))
+        out.append(Frame(bytes(12) + b"\x08\x06" + bytes(28)))     # ARP
+        out.append(Frame(build_udp(1, 2, CLIENT_IP, SERVICE_IP, 40000,
+                                   11211, b"short")))    # no frame header
+        out.append(Frame(build_udp(
+            1, 2, CLIENT_IP, SERVICE_IP, 40000, 11211,
+            build_udp_frame_header(1) + b"bogus\r\n")))
+        return out
+
+    def test_whole_and_truncated_frames(self):
+        checked = 0
+        for frame in self.frames():
+            data = bytes(frame.data)
+            for cut in list(range(0, 60)) + [len(data)]:
+                buf = bytearray(data[:cut])
+                expected = wrapper_memcached_key(buf)
+                assert memcached_key(buf) == expected, (data.hex(), cut)
+                assert five_tuple_key(buf) == \
+                    wrapper_five_tuple_key(buf), (data.hex(), cut)
+                assert flow_key(buf) == (
+                    expected if expected is not None
+                    else wrapper_five_tuple_key(buf)), (data.hex(), cut)
+                checked += 1
+        assert checked > 2000
+
+    def test_kinds_of_buffer(self):
+        for frame in self.frames():
+            data = bytes(frame.data)
+            assert flow_key(data) == flow_key(bytearray(data)) == \
+                flow_key(TData(data))
 
 
 class TestBalancerService:

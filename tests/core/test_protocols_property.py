@@ -25,7 +25,7 @@ from repro.core.protocols.memcached import (
     build_binary_set, parse_ascii_command, split_udp_frame,
 )
 from repro.core.protocols.tcp import TCPWrapper, build_tcp
-from repro.core.protocols.udp import UDPWrapper, build_udp
+from repro.core.protocols.udp import UDPRequest, UDPWrapper, build_udp
 from repro.errors import ParseError
 
 SEED = 0xE1111            # change deliberately, never casually
@@ -252,6 +252,8 @@ PARSERS = [
     ("ethernet", lambda data: EthernetWrapper(bytearray(data))),
     ("ipv4", lambda data: IPv4Wrapper(bytearray(data))),
     ("udp", lambda data: UDPWrapper(bytearray(data))),
+    ("udp-request", lambda data: getattr(
+        UDPRequest.parse(bytearray(data)), "payload", bytes)()),
     ("tcp", lambda data: TCPWrapper(bytearray(data))),
     ("dns", DNSWrapper),
     ("mc-binary", MemcachedBinaryWrapper),

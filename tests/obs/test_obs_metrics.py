@@ -63,6 +63,60 @@ class TestHistogram:
         assert histogram.max == 99
         assert histogram.mean() == pytest.approx(31.8)
 
+    @staticmethod
+    def _loop_observe(histogram, value):
+        """``observe`` as it was: a hand-rolled binary search, min and
+        max each tested against ``None``."""
+        low, high = 0, len(histogram.bounds)
+        while low < high:
+            mid = (low + high) // 2
+            if value <= histogram.bounds[mid]:
+                high = mid
+            else:
+                low = mid + 1
+        histogram.counts[low] += 1
+        histogram.count += 1
+        histogram.total += value
+        if histogram.min is None or value < histogram.min:
+            histogram.min = value
+        if histogram.max is None or value > histogram.max:
+            histogram.max = value
+
+    def test_bisect_picks_the_loops_bucket(self):
+        from repro.obs.metrics import DEFAULT_LATENCY_BOUNDS_US
+        rng = random.Random("%s/%s" % (SEED, "observe-differential"))
+        for bounds in (DEFAULT_LATENCY_BOUNDS_US, (7,), (0.5, 1.5),
+                       tuple(range(0, 1001, 50))):
+            values = [0.0, -3.0, bounds[0] - 1e-9, bounds[-1] + 1e-9,
+                      bounds[-1] * 10 + 1]
+            for bound in bounds:
+                values += [bound, bound - 1e-9, bound + 1e-9,
+                           float(bound), int(bound)]
+            values += [rng.uniform(-1, bounds[-1] * 1.2)
+                       for _ in range(400)]
+            rng.shuffle(values)
+            fast, slow = Histogram(bounds), Histogram(bounds)
+            for value in values:
+                fast.observe(value)
+                self._loop_observe(slow, value)
+                assert fast.counts == slow.counts, value
+                assert (fast.count, fast.total, fast.min, fast.max) == \
+                    (slow.count, slow.total, slow.min, slow.max)
+            assert fast.to_dict() == slow.to_dict()
+            assert sum(fast.counts) == len(values)
+
+    def test_first_sample_sets_both_ends(self):
+        histogram = Histogram()
+        assert (histogram.min, histogram.max) == (None, None)
+        histogram.observe(4.0)
+        assert (histogram.min, histogram.max, histogram.count) == \
+            (4.0, 4.0, 1)
+        histogram.observe(2)
+        histogram.observe(9)
+        assert (histogram.min, histogram.max) == (2, 9)
+        with pytest.raises(TypeError):
+            histogram.observe("fast")
+
     def test_bounds_must_ascend(self):
         with pytest.raises(ObsError):
             Histogram(bounds=(10, 10))

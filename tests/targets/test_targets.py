@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.protocols.icmp import ICMPWrapper, build_icmp_echo_request
+from repro.errors import TargetError
 from repro.net.packet import Frame, ip_to_int, mac_to_int
 from repro.services import IcmpEchoService, LearningSwitch
 from repro.targets import CpuTarget, FpgaTarget, NetfpgaPipeline
@@ -49,6 +50,55 @@ class TestPipeline:
             pipeline.receive(echo_frame(src_port=0))
         assert pipeline.frames_dropped_ingress > 0
 
+    def test_admit_is_receive_then_arbitrate(self):
+        """Cut through or queued, the core is handed the same frames
+        and the arbiter, counters and FIFOs end in the same state."""
+        import random
+        rng = random.Random("targets/admit")
+        folded = NetfpgaPipeline(LearningSwitch())
+        stepwise = NetfpgaPipeline(LearningSwitch())
+        for step in range(400):
+            frame = echo_frame(src_port=rng.randrange(4))
+            if rng.random() < 0.3:       # a backlog builds, then drains
+                assert folded.receive(frame) == stepwise.receive(frame)
+            elif rng.random() < 0.3:
+                assert folded.arbitrate() is stepwise.arbitrate()
+            else:
+                assert folded.admit(frame) is (
+                    stepwise.arbitrate() if stepwise.receive(frame)
+                    else None)
+            assert folded._arbiter_next == stepwise._arbiter_next, step
+            assert folded.occupancy() == stepwise.occupancy()
+            assert (folded.frames_in, folded.frames_dropped_ingress) == \
+                (stepwise.frames_in, stepwise.frames_dropped_ingress)
+        assert stepwise.frames_dropped_ingress == 0
+        with pytest.raises(TargetError):
+            folded.admit(echo_frame(src_port=4))
+
+    def test_admit_tail_drops_at_depth(self):
+        pipeline = NetfpgaPipeline(LearningSwitch())
+        for _ in range(64):
+            assert pipeline.receive(echo_frame(src_port=0))
+        assert pipeline.admit(echo_frame(src_port=0)) is None
+        assert pipeline.frames_dropped_ingress == 1
+        other = echo_frame(src_port=2)
+        assert pipeline.admit(other) is not other    # port 0's turn first
+        assert pipeline.occupancy()["input"] == [63, 0, 1, 0]
+
+    def test_multi_port_bitmap_and_bits_beyond_the_ports(self):
+        from repro.core.dataplane import NetFPGAData
+        pipeline = NetfpgaPipeline(LearningSwitch())
+        dataplane = NetFPGAData(echo_frame(src_port=1))
+        dataplane.dst_ports = 0b110101           # ports 0, 2 (+ 4, 5: none)
+        emitted = pipeline.dispatch(dataplane)
+        assert [port for port, _ in emitted] == [0, 2]
+        assert emitted[0][1] is not emitted[1][1]
+        assert all(frame.src_port == 1 and frame.dst_ports == 0b110101
+                   for _, frame in emitted)
+        assert pipeline.occupancy()["output"] == [1, 0, 1, 0]
+        pipeline.drain(emitted)
+        assert pipeline.occupancy()["output"] == [0, 0, 0, 0]
+
     def test_stats(self):
         pipeline = NetfpgaPipeline(IcmpEchoService(my_ip=IP_SVC))
         pipeline.process_frame(echo_frame())
@@ -73,6 +123,29 @@ class TestTimingModel:
         small = model.service_time_ns(60, 8)
         large = model.service_time_ns(1500, 8)
         assert large > small
+
+    def test_cycles_walk_the_bus_once_each_way(self):
+        model = FpgaTimingModel()
+        # 8 + ceil(60/32) + 7 + 30 + ceil(72/32) + 8
+        assert model.cycles(60, 7, 30, 72) == (58, 58)
+        assert model.cycles(60, 7, 30) == (57, 57)       # reply as sent
+        # Pipelined at II=1: the widest of core, 2+15 in, 3+15 out.
+        assert model.cycles(60, 7, 30, 72, 1) == (58, 18)
+        assert model.cycles(60, 7, 31, 72, 40) == (59, 40)
+        assert model.cycles(64, 7, 0, 33, 1) == (27, 2)
+        assert model.service_time_ns(60, 7, 30, 72) == 58 * 5.0
+
+    def test_latency_is_the_cycles_on_the_wire(self):
+        import random
+        rng = random.Random(9)
+        jitter = [rng.randrange(4) for _ in range(3)]
+        model = FpgaTimingModel(seed=9)
+        assert [model.latency_ns(60, 7, 30, 72),
+                model.wire_ns(58, 72),
+                model.latency_ns(60, 7, 30)] == [
+            640 + (58 + jitter[0]) * 5.0 + 57.6,
+            640 + (58 + jitter[1]) * 5.0 + 57.6,
+            640 + (57 + jitter[2]) * 5.0 + 48.0]
 
     def test_line_rate_64b(self):
         assert line_rate_pps(60) == pytest.approx(14_880_952, rel=1e-3)
@@ -180,6 +253,21 @@ class TestBurstPartitionInvariance:
                       [ragged.choice((1, 1, 2, 3, 5, 17, 64))
                        for _ in range(40)]):
             assert self._run(bursts, case, sizes) == reference, sizes
+
+    def test_a_runt_in_the_stream(self, bursts):
+        """A frame the handler cannot parse is one dropped request
+        wherever the cut falls, never the end of its burst."""
+        def runts(target, frames):
+            for index in (3, 64, 65, 200):
+                frames[index] = Frame(
+                    bytes(12) + b"\x08\x00" + bytes(6), src_port=0)
+
+        case = self.CASES[0]
+        reference = self._run(bursts, case, [1], runts)
+        assert sum(1 for emitted, _ in reference[0] if not emitted) >= 4
+        assert reference[-1][0] == 256           # every frame admitted
+        for sizes in ([2], [9], [64], [5, 1, 17, 2, 64, 1, 1, 9]):
+            assert self._run(bursts, case, sizes, runts) == reference, sizes
 
     def test_burst_overflowing_one_ingress_fifo(self, bursts):
         """Port 0's 64-deep ingress FIFO is full when the stream
