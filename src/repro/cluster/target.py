@@ -31,14 +31,13 @@ class ClusterTarget:
 
     def __init__(self, service_factory, num_shards=8, policy=None,
                  is_write=None, key_fn=flow_key, vnodes=DEFAULT_VNODES,
-                 seed=1, suspect_after=3, opt_level=None, batch=None,
+                 seed=1, suspect_after=3, opt_level=None,
                  level_budget=None):
         if num_shards < 1:
             raise ClusterError("need at least one shard")
         self._factory = service_factory
         self._seed = seed
         self.opt_level = opt_level
-        self.batch = batch
         self.level_budget = level_budget
         self.policy = policy if policy is not None else NoReplication()
         self.key_fn = key_fn
@@ -97,7 +96,7 @@ class ClusterTarget:
         self.shards[shard_id] = FpgaTarget(
             self._factory(), num_ports=1,
             seed=self._seed + shard_number, opt_level=self.opt_level,
-            batch=self.batch, level_budget=self.level_budget)
+            level_budget=self.level_budget)
         self.ring.add_shard(shard_id)
         self.shard_loads[shard_id] = 0
         self.detectors[shard_id] = MissCountDetector(self.suspect_after)

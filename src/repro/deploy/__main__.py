@@ -47,11 +47,6 @@ def _parser():
                              "(default 48; tighter budgets block "
                              "fusion/pipelining rather than "
                              "mis-reporting timing)")
-    parser.add_argument("--batch", type=int, default=None,
-                        help="lockstep batch width for the compiled "
-                             "engine (cycle models run N requests per "
-                             "dispatch; open-loop servers drain their "
-                             "queue in batches)")
     parser.add_argument("--seed", type=int, default=7)
     parser.add_argument("--requests", type=int, default=256)
     parser.add_argument("--arrivals", default=None,
@@ -217,8 +212,6 @@ def main(argv=None):
         return 2
     if args.opt is not None:
         dep.with_opt(args.opt, level_budget=args.level_budget)
-    if args.batch is not None:
-        dep.with_batch(args.batch)
     if args.arrivals is not None:
         dep.with_arrivals(args.arrivals, qps=args.qps,
                           capacity=args.capacity)

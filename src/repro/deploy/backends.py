@@ -9,8 +9,8 @@ reimplement them.  The uniform surface is:
   ``(emitted, latency_ns)`` where *emitted* is a ``(port, frame)``
   list and *latency_ns* is ``None`` on backends without a timing
   model (CPU) or for dropped frames;
-* ``send_batch(frames)``       — a request list (backends with a
-  native batched path use it; others loop);
+* ``send_batch(frames)``       — a request list (backends whose
+  target takes a burst hand it over whole; others loop);
 * ``stop()``                   — release the target;
 * ``stats()``                  — backend-specific counters, merged
   into the deployment's metrics snapshot;
@@ -69,6 +69,10 @@ class Backend:
     """Adapter base: common config handling + default loops."""
 
     name = "?"
+    #: The open loop executes a server's waiting requests ahead of their
+    #: dequeue only where that is one target call *and* invisible: one
+    #: server, per-server FIFO order, no fault surface.
+    burst_native = False
 
     def __init__(self, spec, config):
         self.spec = spec
@@ -102,8 +106,8 @@ class Backend:
         raise NotImplementedError
 
     def send_batch(self, frames):
-        """Default: sequential sends (overridden where the target has
-        a native batched path)."""
+        """Default: sequential sends (overridden where the target
+        takes a burst)."""
         return [self.send(frame) for frame in frames]
 
     # -- observability ------------------------------------------------------
@@ -207,26 +211,21 @@ class Backend:
         return emitted, 0.0, float(latency_ns or 0.0)
 
     def open_loop_profile_batch(self, frames):
-        """Batched :meth:`open_loop_profile` — one ``(emitted,
-        service_ns, overhead_ns)`` per frame, in order.  Default: the
-        per-frame loop; backends whose target has a native lockstep
-        burst path (fpga) override it.
-        """
+        """:meth:`open_loop_profile` over a burst, in order.  Default:
+        the per-frame loop; a :attr:`burst_native` backend (fpga) hands
+        the target the whole burst."""
         return [self.open_loop_profile(frame) for frame in frames]
 
     def _profile_via(self, fpga_target, send):
-        """Shared fpga-shaped profile: *send* runs the request, the
-        occupancy comes from the target's recorded service time."""
+        """Shared fpga-shaped profile: *send* runs a burst and returns
+        its ``(emitted, latency_ns)`` list; each occupancy is the
+        service time *fpga_target* recorded for it."""
         before = len(fpga_target.service_times_ns)
-        emitted, latency_ns = send()
-        if len(fpga_target.service_times_ns) > before:
-            service_ns = fpga_target.service_times_ns[-1]
-        else:
-            service_ns = 0.0
-        overhead_ns = 0.0
-        if latency_ns is not None:
-            overhead_ns = max(0.0, latency_ns - service_ns)
-        return emitted, service_ns, overhead_ns
+        outcomes = send()
+        return [(emitted, service_ns, 0.0 if latency_ns is None
+                 else max(0.0, latency_ns - service_ns))
+                for (emitted, latency_ns), service_ns
+                in zip(outcomes, fpga_target.service_times_ns[before:])]
 
     # -- models / faults ----------------------------------------------------
 
@@ -257,14 +256,6 @@ class Backend:
         if self.config.opt_level is None:
             return None
         return self._effective_opt(self.spec.build())
-
-    def _effective_batch(self):
-        """The lockstep batch width compiled cycle models are built
-        with — only meaningful when an opt level is honoured (without
-        one there is no compiled kernel to batch)."""
-        if self.effective_opt is None:
-            return None
-        return self.config.batch
 
     def _effective_level_budget(self):
         """The timing budget (logic levels per cycle) compiled cycle
@@ -301,6 +292,8 @@ class CpuBackend(Backend):
 class FpgaBackend(Backend):
     """One NetFPGA SUME device (cycle/latency/throughput model)."""
 
+    burst_native = True
+
     def start(self):
         service = self.spec.build()
         self.effective_opt = self._effective_opt(service)
@@ -308,7 +301,6 @@ class FpgaBackend(Backend):
                                  num_ports=self.config.get("ports", 4),
                                  seed=self.config.seed,
                                  opt_level=self.effective_opt,
-                                 batch=self._effective_batch(),
                                  level_budget=self._effective_level_budget())
         return self
 
@@ -321,26 +313,15 @@ class FpgaBackend(Backend):
         return self.target.send_batch(frames)
 
     def open_loop_profile(self, frame):
-        self._require_started()
-        return self._profile_via(self.target,
-                                 lambda: self.target.send(frame))
+        return self.open_loop_profile_batch([frame])[0]
 
     def open_loop_profile_batch(self, frames):
-        """Native burst profile: the target measures the whole batch's
-        core cycles in one lockstep run; the per-frame statistics are
-        identical to the scalar path (see FpgaTarget.send_batch)."""
+        """The target measures the whole burst's core cycles in one
+        lockstep run; per-frame statistics do not depend on how the
+        stream is cut (see FpgaTarget.send_batch)."""
         self._require_started()
-        target = self.target
-        before = len(target.service_times_ns)
-        outcomes = target.send_batch(frames)
-        service_times = target.service_times_ns[before:]
-        results = []
-        for (emitted, latency_ns), service_ns in zip(outcomes,
-                                                     service_times):
-            overhead_ns = 0.0 if latency_ns is None \
-                else max(0.0, latency_ns - service_ns)
-            results.append((emitted, service_ns, overhead_ns))
-        return results
+        return self._profile_via(
+            self.target, lambda: self.target.send_batch(frames))
 
     def _fpga_targets(self):
         return [self.target] if self.target else []
@@ -378,7 +359,6 @@ class MultiCoreBackend(Backend):
             seed=self.config.seed,
             is_write=self.config.get("is_write", self.spec.is_write),
             opt_level=self.effective_opt,
-            batch=self._effective_batch(),
             level_budget=self._effective_level_budget())
         self._pending_cycles = []
         return self
@@ -421,7 +401,7 @@ class MultiCoreBackend(Backend):
         # Route through self.send so the per-send cycle harvest keeps
         # its one-sample-per-request invariant; occupancy is the
         # serving core's (replica applies are background work).
-        return self._profile_via(serving, lambda: self.send(frame))
+        return self._profile_via(serving, lambda: [self.send(frame)])[0]
 
     def _fpga_targets(self):
         return self.target.cores if self.target else []
@@ -462,7 +442,6 @@ class ClusterBackend(Backend):
             seed=config.seed,
             suspect_after=config.get("suspect_after", 3),
             opt_level=self.effective_opt,
-            batch=self._effective_batch(),
             level_budget=self._effective_level_budget())
         return self
 
@@ -526,8 +505,8 @@ class ClusterBackend(Backend):
             # they are instead of instant failures.
             emitted, _ = self.target.send(frame)
             return emitted, float(REQUEST_TIMEOUT_NS), 0.0
-        return self._profile_via(shard,
-                                 lambda: self.target.send(frame))
+        return self._profile_via(
+            shard, lambda: [self.target.send(frame)])[0]
 
     def _fpga_targets(self):
         if not self.target:

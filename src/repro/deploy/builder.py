@@ -22,6 +22,7 @@ deployment is live and ``send``/``send_batch``/``run`` feed a uniform
 from repro.deploy.backends import resolve_backend
 from repro.deploy.metrics import Metrics
 from repro.deploy.spec import ServiceSpec
+from repro.engine.batch import LANES
 from repro.engine.openloop import ArrivalSpec, run_open_loop
 from repro.errors import TargetError
 from repro.harness.report import render_table
@@ -37,12 +38,11 @@ class DeploymentConfig:
     """Resolved configuration handed to the backend adapter."""
 
     def __init__(self, seed=1, opt_level=None, fault_plan=None,
-                 backend_kwargs=None, batch=None, level_budget=None):
+                 backend_kwargs=None, level_budget=None):
         self.seed = seed
         self.opt_level = opt_level
         self.fault_plan = fault_plan
         self.backend_kwargs = dict(backend_kwargs or {})
-        self.batch = batch
         self.level_budget = level_budget
 
     def get(self, key, default=None):
@@ -58,7 +58,7 @@ class Deployment:
         self._backend_kwargs = {}
         self._opt_level = None
         self._level_budget = None
-        self._batch = None
+        self._batch = LANES
         self._seed = 1
         self._fault_plan = None
         self._arrivals = None
@@ -130,20 +130,15 @@ class Deployment:
         return self
 
     def with_batch(self, batch):
-        """Lockstep batch width N for the compiled engine: the
-        backend's cycle models run up to N requests per dispatch
-        through the SoA engine (:mod:`repro.engine.batch`), and
-        :meth:`run_open_loop` servers drain their ingest queue up to N
-        requests at a time.  Per-request cycle counts, replies, and
-        queue/drop behaviour are identical to scalar execution — only
-        the wall clock changes.  Needs :meth:`with_opt` to affect
-        cycle measurement (without a compiled kernel only the
-        open-loop drain is batched)."""
+        """Upper bound on how many waiting requests one dispatch hands
+        the backend: :meth:`run_open_loop`'s look-ahead (burst-native
+        backends only) and :meth:`serve`'s drain group.  Default: the
+        engine's lane count.  It selects no code path and changes no
+        observable — replies, cycle counts, admission, drops and every
+        latency are the same at any width."""
         self._require_not_started()
-        if batch is not None:
-            batch = int(batch)
-            if batch < 1:
-                raise TargetError("batch must be >= 1 (or None)")
+        if not isinstance(batch, int) or batch < 1:
+            raise TargetError("batch must be an integer >= 1")
         self._batch = batch
         return self
 
@@ -238,7 +233,6 @@ class Deployment:
                                   opt_level=self._opt_level,
                                   fault_plan=self._fault_plan,
                                   backend_kwargs=self._backend_kwargs,
-                                  batch=self._batch,
                                   level_budget=self._level_budget)
         backend_cls = resolve_backend(self._backend_name)
         self.backend = backend_cls(self.spec, config)
@@ -300,7 +294,7 @@ class Deployment:
         return emitted, latency_ns
 
     def send_batch(self, frames):
-        """A request list; backends with a native batched path use it."""
+        """A request list, handed over whole where the target takes one."""
         self._require_started()
         results = self.backend.send_batch(frames)
         for cycles in self.backend.pop_cycles():
@@ -349,25 +343,30 @@ class Deployment:
             frames = (lambda count:
                       self.spec.workload(count, seed, **options)
                       if count else [])
-        series = None
+        self.open_loop = run_open_loop(
+            self.backend, self._arrivals, frames, duration_ns,
+            seed=seed, tracer=self.tracer, series=self._new_series(),
+            injector=self.injector, batch=self._batch)
+        return self.open_loop
+
+    def _new_series(self):
+        """The run's :class:`~repro.obs.series.TimeSeries` (``None``
+        when neither :meth:`with_timeseries` nor :meth:`with_slo` is
+        on), with a fresh SLO monitor observing its windows."""
         window_ns = self._series_window_ns
         if window_ns is None and self._slo_spec is not None:
             window_ns = int(self._slo_spec.window_us * 1000)
-        if window_ns is not None:
-            series = TimeSeries(window_ns=window_ns)
-            self.timeseries = series
+        if window_ns is None:
+            return None
+        self.timeseries = series = TimeSeries(window_ns=window_ns)
         if self._slo_spec is not None:
             self.slo = SloMonitor(self._slo_spec, tracer=self.tracer)
             self.alert_log = self.slo.alert_log
             series.observers.append(self.slo.on_window)
-        self.open_loop = run_open_loop(
-            self.backend, self._arrivals, frames, duration_ns,
-            seed=seed, tracer=self.tracer, series=series,
-            injector=self.injector, batch=self._batch)
-        return self.open_loop
+        return series
 
     def serve(self, host="127.0.0.1", port=0, transport=None,
-              capacity=None, batch=None):
+              capacity=None):
         """Put the started deployment behind a real loopback socket.
 
         Binds the service's declared transport (see the registry
@@ -383,27 +382,13 @@ class Deployment:
         """
         self._require_started()
         from repro.serve.server import SocketServer
-        series = None
-        window_ns = self._series_window_ns
-        if window_ns is None and self._slo_spec is not None:
-            window_ns = int(self._slo_spec.window_us * 1000)
-        if window_ns is not None:
-            series = TimeSeries(window_ns=window_ns)
-            self.timeseries = series
-        if self._slo_spec is not None:
-            self.slo = SloMonitor(self._slo_spec, tracer=self.tracer)
-            self.alert_log = self.slo.alert_log
-            series.observers.append(self.slo.on_window)
         kwargs = {}
         if capacity is not None:
             kwargs["capacity"] = capacity
-        if batch is not None:
-            kwargs["batch"] = batch
-        elif self._batch is not None:
-            kwargs["batch"] = self._batch
         server = SocketServer(self, host=host, port=port,
-                              transport=transport, series=series,
-                              **kwargs)
+                              transport=transport,
+                              series=self._new_series(),
+                              batch=self._batch, **kwargs)
         server.start()
         self.server = server
         return server
@@ -462,8 +447,6 @@ class Deployment:
              if fault_plan is not None else "none"],
             ["state", "started" if self.started else "configured"],
         ]
-        if self._batch is not None:
-            rows.insert(4, ["batch", "%d-wide lockstep" % self._batch])
         policy = self._backend_kwargs.get("policy")
         if policy is not None:
             rows.insert(3, ["policy", type(policy).__name__])

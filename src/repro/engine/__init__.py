@@ -13,7 +13,7 @@ allows):
   three drivers execute its blocks on one warm kernel:
   ``CompiledKernel.run`` (one lane),
   :mod:`repro.engine.batch`'s ``run_batch`` (N lanes in lockstep per
-  dispatch, ``compile_kernel(fn, batch=N)``, hazard-gated) and
+  dispatch, hazard-gated — what every deployed cycle model runs) and
   :mod:`repro.engine.pipelined`'s ``run_stream`` (requests overlap
   *within* one kernel the way the -O3 hardware schedule does — a new
   request issues every II cycles, hazard stalls only on real memory

@@ -48,16 +48,17 @@ from repro.errors import EngineError
 from repro.engine.compiler import CompiledKernel
 from repro.kiwi.analysis import lockstep_safe
 
+#: Width the layers above chunk, look ahead and drain by (``run_batch``
+#: itself takes any number of jobs).
+LANES = 64
+
 
 class BatchedKernel(CompiledKernel):
     """A :class:`CompiledKernel` that additionally offers
     :meth:`run_batch` — same blocks, same warm state, N lanes."""
 
-    def __init__(self, design, batch=8):
-        if batch is None or int(batch) < 1:
-            raise EngineError("batch size must be a positive integer")
+    def __init__(self, design):
         super().__init__(design)
-        self.batch = int(batch)
         self.lockstep_capable = lockstep_safe(design.fsm, design.spec,
                                               self._reg_names)
         self.lockstep_batches = 0

@@ -949,15 +949,15 @@ class CompiledKernel:
 def compile_design(design, batch=None):
     """Compile a :class:`CompiledDesign` into a :class:`CompiledKernel`.
 
-    With *batch* set to an int N, returns a
+    With *batch* set, returns a
     :class:`~repro.engine.batch.BatchedKernel` instead — the same
-    kernel plus ``run_batch``, which executes up to N requests per
-    dispatch in lockstep.
+    kernel plus ``run_batch``, which executes a job list in lockstep
+    (any number of jobs per call; the value is not a width).
     """
     if batch is None:
         return CompiledKernel(design)
     from repro.engine.batch import BatchedKernel
-    return BatchedKernel(design, batch=batch)
+    return BatchedKernel(design)
 
 
 def compile_kernel(fn, opt_level=0, name=None, level_budget=None,

@@ -14,10 +14,14 @@ The backend contract (see :class:`repro.deploy.backends.Backend`):
 * ``open_loop_servers()`` → ``(count, route)`` — how many parallel
   service engines the backend has (cores, shards) and which one a
   frame occupies;
-* ``open_loop_profile(frame)`` → ``(emitted, service_ns,
-  overhead_ns)`` — the functional outcome plus the split of the
-  closed-form latency into *occupancy* (serialises on the server) and
-  *constant overhead* (wire/PHY time that pipelines perfectly).
+* ``open_loop_profile_batch(frames)`` → one ``(emitted, service_ns,
+  overhead_ns)`` per frame — the functional outcome plus the split of
+  the closed-form latency into *occupancy* (serialises on the server)
+  and *constant overhead* (wire/PHY time that pipelines perfectly);
+* ``burst_native`` (optional) — whether a server may execute its
+  waiting requests ahead of their dequeue;
+* with a tracer, ``open_loop_server_names()`` (a track name each) and
+  ``open_loop_trace_detail(frame)`` (a request's routing detail).
 
 Determinism: one seeded ``random.Random`` drives the arrival process,
 and the scheduler breaks timestamp ties by insertion order, so a run
@@ -25,8 +29,10 @@ is a pure function of (deployment seed, arrival spec, workload).
 """
 
 import random
+from collections import deque
 
 from repro.errors import EngineError
+from repro.engine.batch import LANES
 from repro.engine.sched import Delay, Queue, Scheduler
 from repro.obs.metrics import interpolate_percentile
 
@@ -233,8 +239,17 @@ class OpenLoopReport:
                                 if self.latencies_ns else "n/a"))
 
 
+def bind_tracer(tracer, clock, backend):
+    """Stamp *tracer* from *clock* and name one track per server;
+    returns the backend's per-request trace-detail hook."""
+    tracer.bind_clock(clock)
+    for index, name in enumerate(backend.open_loop_server_names()):
+        tracer.name_track(index, name)
+    return backend.open_loop_trace_detail
+
+
 def run_open_loop(backend, spec, frames, duration_ns, seed=1,
-                  tracer=None, series=None, injector=None, batch=None):
+                  tracer=None, series=None, injector=None, batch=LANES):
     """Drive *frames* at *spec*'s arrival process through *backend*.
 
     *frames* is a frame list or a factory ``count -> frames`` (the
@@ -242,20 +257,20 @@ def run_open_loop(backend, spec, frames, duration_ns, seed=1,
     exists per drawn arrival).  Each arrival routes to its server's
     bounded ingest queue (tail-drop when full — a dropped request is
     never processed, like a frame the ingress FIFO rejected); each
-    server drains its queue one request at a time, occupying itself
-    for the request's ``service_ns``; the recorded latency is waiting
-    time + service time + the backend's constant overhead.  Returns an
+    server drains its queue one request at a time, executing a request
+    when it dequeues it and occupying itself for the request's
+    ``service_ns``; the recorded latency is waiting time + service
+    time + the backend's constant overhead.  Returns an
     :class:`OpenLoopReport`.
 
-    *batch* (an int N) switches the servers to batched draining: a
-    server about to service an unprofiled request peeks at up to N-1
-    requests waiting behind it and profiles the whole group through
-    ``backend.open_loop_profile_batch`` in one call (the fpga backend
-    runs the group through the lockstep SoA engine).  Requests still
-    leave the queue one at a time and are serviced in order, so
-    admission, tail-drops, queue depths, and every latency are
-    identical to the scalar run — per-server request order is
-    preserved, only the profiling wall clock changes.
+    On a backend that declares ``burst_native`` a server about to
+    execute a request also executes up to *batch* - 1 requests waiting
+    behind it, in the same ``open_loop_profile_batch`` call, and keeps
+    their outcomes for their own dequeues — invisible by per-server
+    FIFO order: requests still leave the queue one at a time, so
+    admission, tail-drops, queue depths and every latency are those of
+    executing each at its dequeue, which is what every other backend
+    does whatever *batch* says.
 
     Observability (all optional, zero-cost when ``None``):
 
@@ -270,57 +285,34 @@ def run_open_loop(backend, spec, frames, duration_ns, seed=1,
       pending events; they are armed on this scheduler, so plan times
       are virtual nanoseconds on the same axis as the spans.
     """
-    if batch is not None:
-        batch = int(batch)
-        if batch < 1:
-            raise EngineError("batch must be >= 1 (or None)")
+    if batch < 1:
+        raise EngineError("batch must be >= 1")
+    lookahead = batch - 1 if getattr(backend, "burst_native", False) else 0
     scheduler = Scheduler()
     num_servers, route = backend.open_loop_servers()
     report = OpenLoopReport(spec, duration_ns, num_servers)
     queues = [Queue(capacity=spec.capacity, scheduler=scheduler)
               for _ in range(num_servers)]
-    profiled = [{} for _ in range(num_servers)] if batch else None
-
-    def batched_profile(index, queue, seq, frame):
-        """Profile *frame* together with up to batch-1 requests waiting
-        behind it, caching the group's outcomes for their later pops
-        (per-server FIFO order, so the engine sees the same request
-        sequence the scalar path would)."""
-        cache = profiled[index]
-        if seq not in cache:
-            group = [(seq, frame)]
-            for _, member_seq, member_frame, _ in queue.peek(batch - 1):
-                group.append((member_seq, member_frame))
-            outcomes = backend.open_loop_profile_batch(
-                [member for _, member in group])
-            for (member_seq, _), outcome in zip(group, outcomes):
-                cache[member_seq] = outcome
-        return cache.pop(seq)
 
     detail_of = None
     if tracer is not None:
-        tracer.bind_clock(lambda: scheduler.now_ns)
-        detail_of = getattr(backend, "open_loop_trace_detail", None)
-        names = getattr(backend, "open_loop_server_names", None)
-        names = names() if names is not None \
-            else ["server%d" % index for index in range(num_servers)]
-        for index, name in enumerate(names):
-            tracer.name_track(index, name)
+        detail_of = bind_tracer(tracer, lambda: scheduler.now_ns, backend)
     if injector is not None and injector.pending:
         if tracer is not None:
             injector.tracer = tracer
         injector.arm(scheduler)
 
     def server(index, queue, stats):
+        # Outcomes of queue-mates executed ahead of their dequeue, in
+        # the queue's own (FIFO) order.
+        ahead = deque()
         while True:
-            item = yield queue.get()
-            if batch:
-                arrival_ns, seq, frame, detail = item
-                emitted, service_ns, overhead_ns = \
-                    batched_profile(index, queue, seq, frame)
-            else:
-                arrival_ns, service_ns, overhead_ns, emitted, detail = \
-                    item
+            arrival_ns, frame, detail = yield queue.get()
+            if not ahead:
+                ahead.extend(backend.open_loop_profile_batch(
+                    [frame] + [waiting for _, waiting, _
+                               in queue.peek(lookahead)]))
+            emitted, service_ns, overhead_ns = ahead.popleft()
             dispatch_ns = scheduler.now_ns
             if service_ns > 0:
                 yield Delay(service_ns)
@@ -338,26 +330,9 @@ def run_open_loop(backend, spec, frames, duration_ns, seed=1,
             else:
                 report.service_drops += 1
             if tracer is not None:
-                args = detail if detail else {}
-                if not emitted:
-                    args = dict(args, dropped=True)
-                tracer.span("request", arrival_ns,
-                            now - arrival_ns + overhead_ns,
-                            track=index, cat="request", args=args)
-                tracer.span("queue", arrival_ns,
-                            dispatch_ns - arrival_ns, track=index,
-                            cat="queue")
-                kernel_name = "kernel"
-                if detail and "shard" in detail:
-                    kernel_name = "hop:%s" % detail["shard"]
-                elif detail and "core" in detail:
-                    kernel_name = "kernel@core%s" % detail["core"]
-                tracer.span(kernel_name, dispatch_ns,
-                            now - dispatch_ns, track=index,
-                            cat="request")
-                if emitted and overhead_ns > 0:
-                    tracer.span("reply", now, int(overhead_ns),
-                                track=index, cat="request")
+                tracer.request(index, arrival_ns, dispatch_ns, now,
+                               overhead_ns, detail,
+                               dropped=not emitted)
 
     for index, (queue, stats) in enumerate(zip(queues,
                                                report.servers)):
@@ -388,19 +363,9 @@ def run_open_loop(backend, spec, frames, duration_ns, seed=1,
             return
         detail = None
         if tracer is not None:
-            detail = {"seq": report.offered - 1}
-            if detail_of is not None:
-                detail.update(detail_of(frame))
-        if batch:
-            report.admitted += 1
-            queue.try_put((scheduler.now_ns, report.admitted - 1,
-                           frame, detail))
-            return
-        emitted, service_ns, overhead_ns = \
-            backend.open_loop_profile(frame)
+            detail = dict(detail_of(frame), seq=report.offered - 1)
         report.admitted += 1
-        queue.try_put((scheduler.now_ns, service_ns, overhead_ns,
-                       emitted, detail))
+        queue.try_put((scheduler.now_ns, frame, detail))
 
     rng = random.Random("%s/openloop/%s/%s" % (seed, spec.process,
                                                spec.qps))

@@ -73,6 +73,30 @@ class TraceRecorder:
             "args": dict(args) if args else {},
         })
 
+    def request(self, track, arrival_ns, dispatch_ns, done_ns,
+                overhead_ns=0, detail=None, dropped=False):
+        """One served request's span family on its server's *track*:
+        ``request`` (arrival → done + the constant wire *overhead_ns*),
+        ``queue`` (waiting), the kernel span (``hop:<shard>`` /
+        ``kernel@core<n>`` when *detail* names one) and, for a reply
+        with wire overhead, ``reply``."""
+        args = detail or {}
+        kernel = "kernel"
+        if "shard" in args:
+            kernel = "hop:%s" % args["shard"]
+        elif "core" in args:
+            kernel = "kernel@core%s" % args["core"]
+        if dropped:
+            args = dict(args, dropped=True)
+        self.span("request", arrival_ns,
+                  done_ns - arrival_ns + overhead_ns, track=track,
+                  args=args)
+        self.span("queue", arrival_ns, dispatch_ns - arrival_ns,
+                  track=track, cat="queue")
+        self.span(kernel, dispatch_ns, done_ns - dispatch_ns, track=track)
+        if not dropped and overhead_ns > 0:
+            self.span("reply", done_ns, int(overhead_ns), track=track)
+
     def instant(self, name, ts_ns=None, track=0, cat="fault",
                 args=None):
         """An instant event (Chrome ``i``, global scope) — fault

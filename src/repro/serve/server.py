@@ -11,9 +11,9 @@ real loopback socket.
 One asyncio event loop runs in a background thread.  Received payloads
 are *not* dispatched one at a time: each loop tick drains everything
 that arrived since the last tick and pushes the whole group through
-``deployment.send_batch`` — the same entry point the -O3 lockstep SoA
-engine rides — so socket serving batches exactly like the simulated
-open-loop path does.
+``deployment.send_batch`` — the entry point whose bursts the lockstep
+engine measures in one dispatch — at most ``batch`` payloads per group
+(default: the engine's lane count).
 
 Robustness contract (regression-tested by the garbage-flood suite): a
 malformed, oversized, or unparseable payload is counted — as
@@ -27,7 +27,8 @@ are told apart: a payload the codecs reject (a
 reason on its trace span), any other exception out of the bridge also
 counts under the registry's ``internal_error`` — still a counted drop,
 never a crash — and the first such traceback is kept on
-:attr:`SocketServer.first_internal_error`.
+:attr:`SocketServer.first_internal_error`.  A reply or a stream close
+that fails because the peer went away is counted under ``peer_gone``.
 
 Observability mirrors the in-process open-loop path: with
 ``.with_trace()`` every served request emits the same
@@ -44,15 +45,14 @@ import threading
 import time
 import traceback
 
-from repro.engine.openloop import OpenLoopReport
+from repro.engine.batch import LANES
+from repro.engine.openloop import OpenLoopReport, bind_tracer
 from repro.errors import ReproError, ServeError
 from repro.serve.spec import resolve_binding
 
 #: Ingest bound on payloads waiting for a drain tick (tail-drop above
 #: it, like the model's bounded ingest queues).
 DEFAULT_CAPACITY = 4096
-#: Most payloads one drain tick pushes through ``send_batch``.
-DEFAULT_BATCH = 64
 
 
 class _SocketArrivals:
@@ -78,7 +78,7 @@ class SocketServer:
 
     def __init__(self, deployment, host="127.0.0.1", port=0,
                  transport=None, series=None, capacity=DEFAULT_CAPACITY,
-                 batch=DEFAULT_BATCH):
+                 batch=LANES):
         if deployment.backend is None:
             raise ServeError("deployment is not started "
                              "(call .start() before serving)")
@@ -93,6 +93,7 @@ class SocketServer:
         self._service_drops = registry.counter("service_drops")
         self._queue_drops = registry.counter("queue_drops")
         self._internal_errors = registry.counter("internal_error")
+        self._peer_gone = registry.counter("peer_gone")
         #: Traceback text of the first exception out of the bridge that
         #: was not a ``ReproError`` (``None``: there was none).
         self.first_internal_error = None
@@ -100,8 +101,7 @@ class SocketServer:
             deployment.backend.open_loop_servers()
         self._report = OpenLoopReport(_SocketArrivals(self.capacity),
                                       0, num_servers)
-        self._detail_of = getattr(deployment.backend,
-                                  "open_loop_trace_detail", None)
+        self._detail_of = None
         self._gauge = _IngestGauge()
         self._pending = []           # (payload, reply, depth, t_arr_ns)
         self._drain_scheduled = False
@@ -125,13 +125,8 @@ class SocketServer:
         self._t0_ns = time.monotonic_ns()
         tracer = self.deployment.tracer
         if tracer is not None:
-            tracer.bind_clock(self._now_ns)
-            names = getattr(self.deployment.backend,
-                            "open_loop_server_names", None)
-            names = names() if names is not None else \
-                ["server%d" % i for i in range(len(self._report.servers))]
-            for index, name in enumerate(names):
-                tracer.name_track(index, name)
+            self._detail_of = bind_tracer(tracer, self._now_ns,
+                                          self.deployment.backend)
         self._loop = asyncio.new_event_loop()
         self._thread = threading.Thread(
             target=self._loop.run_forever,
@@ -292,12 +287,8 @@ class SocketServer:
         t_disp = self._now_ns()
         details = None
         if tracer is not None:
-            details = []
-            for frame, _, _, _, seq in jobs:
-                detail = {"seq": seq}
-                if self._detail_of is not None:
-                    detail.update(self._detail_of(frame))
-                details.append(detail)
+            details = [dict(self._detail_of(frame), seq=seq)
+                       for frame, _, _, _, seq in jobs]
         results = self._send_group([frame for frame, _, _, _, _ in jobs])
         t_done = self._now_ns()
         busy_share = (t_done - t_disp) / len(jobs)
@@ -325,14 +316,14 @@ class SocketServer:
                 try:
                     reply(wire)
                 except Exception:
-                    pass             # peer went away; reply is lost
+                    self._peer_gone.inc()        # the reply is lost
             else:
                 report.service_drops += 1
                 self._service_drops.inc()
             if tracer is not None:
-                self._trace_request(tracer, details[number], index,
-                                    t_arr, t_disp, t_done,
-                                    dropped=wire is None)
+                tracer.request(index, t_arr, t_disp, t_done,
+                               detail=details[number],
+                               dropped=wire is None)
 
     def _send_group(self, frames):
         """The batched fast path, with a per-frame fallback so one
@@ -366,21 +357,6 @@ class SocketServer:
             tracer.span("request", t_arr, now - t_arr, track=0,
                         cat="request",
                         args={"dropped": True, "reason": detail})
-
-    def _trace_request(self, tracer, detail, index, t_arr, t_disp,
-                       t_done, dropped):
-        args = dict(detail, dropped=True) if dropped else detail
-        tracer.span("request", t_arr, t_done - t_arr, track=index,
-                    cat="request", args=args)
-        tracer.span("queue", t_arr, t_disp - t_arr, track=index,
-                    cat="queue")
-        kernel_name = "kernel"
-        if "shard" in detail:
-            kernel_name = "hop:%s" % detail["shard"]
-        elif "core" in detail:
-            kernel_name = "kernel@core%s" % detail["core"]
-        tracer.span(kernel_name, t_disp, t_done - t_disp, track=index,
-                    cat="request")
 
     # -- transports ----------------------------------------------------------
 
@@ -431,7 +407,7 @@ class SocketServer:
                 await writer.drain()
                 writer.close()
             except Exception:
-                pass
+                self._peer_gone.inc()
 
     async def _sampler(self):
         series = self.series

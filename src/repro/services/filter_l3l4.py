@@ -161,12 +161,11 @@ class FilteringSwitch(EmuService):
         self.accepted = 0
         self.filtered = 0
 
-    def kernel_cycle_model(self, opt_level, batch=None,
-                           level_budget=None):
+    def kernel_cycle_model(self, opt_level, level_budget=None):
         """Core-cycle model from the compiled filter-stage kernel,
         programmed with this switch's rule chain (first 8 rules)."""
         from repro.targets.kernel_model import KernelCycleModel
-        model = KernelCycleModel(filter_kernel, opt_level, batch=batch,
+        model = KernelCycleModel(filter_kernel, opt_level,
                                  level_budget=level_budget)
         for slot, rule in enumerate(self.filter.rules[:8]):
             model.poke_memory("rule_valid", slot, 1)

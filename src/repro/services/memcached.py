@@ -217,21 +217,19 @@ class MemcachedService(EmuService):
             return b"DELETED\r\n" if found else b"NOT_FOUND\r\n"
         return b"ERROR\r\n"
 
-    def kernel_cycle_model(self, opt_level, batch=None,
-                           level_budget=None):
+    def kernel_cycle_model(self, opt_level, level_budget=None):
         """Core-cycle model from the compiled paper-initial kernel.
 
         Used by :class:`~repro.targets.fpga.FpgaTarget` when an
         explicit ``opt_level`` is requested: per-request cycles are then
         measured on the Kiwi-compiled binary-protocol datapath (the
         paper's first prototype) instead of counted from the
-        behavioural handler's pauses.  *batch* selects the lockstep SoA
-        engine for the measurement (same cycles, less wall clock).
+        behavioural handler's pauses.
         """
         from repro.targets.kernel_model import KernelCycleModel
         return KernelCycleModel(memcached_kernel, opt_level,
                                 scalars={"my_ip": self.my_ip},
-                                batch=batch, level_budget=level_budget)
+                                level_budget=level_budget)
 
     def datapath_extra_cycles(self, frame):
         """Byte-serial request parse and response construction, UDP/IP

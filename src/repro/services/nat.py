@@ -183,15 +183,14 @@ class NatService(EmuService):
         self._next_port = FIRST_PUBLIC_PORT
         self.translated_out = self.translated_in = self.dropped = 0
 
-    def kernel_cycle_model(self, opt_level, batch=None,
-                           level_budget=None):
+    def kernel_cycle_model(self, opt_level, level_budget=None):
         """Core-cycle model from the compiled outbound-path kernel
         (used by the FPGA target when an ``opt_level`` is requested)."""
         from repro.targets.kernel_model import KernelCycleModel
         return KernelCycleModel(
             nat_kernel, opt_level,
             scalars={"public_ip": self.public_ip, "src_port": 0},
-            batch=batch, level_budget=level_budget)
+            level_budget=level_budget)
 
 
 def nat_kernel(frame: "mem[64]x8", public_ip: "u32", src_port: "u8",

@@ -25,6 +25,7 @@ byte-serial extra work — so the sustainable rate rises accordingly
 (:meth:`FpgaTimingModel.cycles`).
 """
 
+import itertools
 import random
 
 from repro.errors import TargetError
@@ -45,6 +46,10 @@ def line_rate_pps(frame_bytes):
     """Max packets/s of one 10G port at a given frame size."""
     wire_bytes = max(frame_bytes, 60) + ETHERNET_OVERHEAD_BYTES
     return LINE_RATE_BPS / (8.0 * wire_bytes)
+
+
+#: Nothing measured ahead: a core run counts (or measures) its own cycles.
+_UNMEASURED = itertools.repeat(None)
 
 
 def _checksum_walk_cycles(frame):
@@ -127,10 +132,9 @@ class FpgaTarget:
     """
 
     def __init__(self, service, num_ports=4, seed=1, opt_level=None,
-                 batch=None, level_budget=None):
+                 level_budget=None):
         self.service = service
         self.opt_level = opt_level
-        self.batch = batch
         self.level_budget = level_budget
         cycle_model = None
         if opt_level is not None:
@@ -140,12 +144,7 @@ class FpgaTarget:
                     "service %r has no compiled-kernel cycle model; "
                     "cannot honour opt_level=%r"
                     % (getattr(service, "name", service), opt_level))
-            kwargs = {}
-            if batch is not None:
-                kwargs["batch"] = batch
-            if level_budget is not None:
-                kwargs["level_budget"] = level_budget
-            cycle_model = factory(opt_level, **kwargs)
+            cycle_model = factory(opt_level, level_budget=level_budget)
         self.pipeline = NetfpgaPipeline(service, num_ports,
                                         cycle_model=cycle_model)
         #: The core's -O3 initiation interval (cycles), or None when
@@ -181,55 +180,53 @@ class FpgaTarget:
 
     def send(self, frame):
         """One request through the DUT; returns (emitted, latency_ns)."""
-        emitted, core_cycles, queued = self.pipeline.process_frame(frame)
-        if queued is not None:
-            frame = queued
-        return self._finish(frame, emitted, core_cycles,
-                            self._extra_cycles(frame))
+        return self._emit(frame, self._core(self.pipeline.admit(frame),
+                                            _UNMEASURED))
 
     def send_batch(self, frames):
         """A burst of requests through the DUT.
 
-        Returns one ``(emitted, latency_ns)`` per frame, identical to
-        calling :meth:`send` frame by frame: admission, arbitration,
-        behavioural fate, statistics, and the arbiter-jitter RNG all
-        advance in frame order.  The only difference is *how* the core
-        cycles are obtained — with a batched cycle model
-        (``batch=N``) the burst's admitted frames run through the
-        lockstep SoA engine in one ``cycles_batch`` call.
+        Returns one ``(emitted, latency_ns)`` per frame.  How a stream
+        is cut into bursts (or ``send`` calls) is unobservable:
+        admission, arbitration, behavioural fate, statistics, and the
+        arbiter-jitter RNG all advance in frame order.  With a compiled
+        cycle model the burst's admitted frames are measured in one
+        ``cycles_batch`` call.
         """
-        model = self.pipeline.cycle_model
         frames = list(frames)
-        if model is None or getattr(model, "batch", None) is None:
-            return [self.send(frame) for frame in frames]
         pipeline = self.pipeline
-        extra = self._extra_cycles
+        model = pipeline.cycle_model
         # Per frame, what the arbiter handed the core on its arrival
         # (``None``: the ingress FIFO refused the frame).
         queued = [pipeline.admit(frame) for frame in frames]
-        admitted = [frame for frame in queued if frame is not None]
+        measured = _UNMEASURED if model is None else iter(
+            model.cycles_batch([frame for frame in queued
+                                if frame is not None]))
         # One pass per stage, not per frame: a long burst keeps each
-        # stage's code and data hot (measured: ~5 us/request at 64).
-        # The extra cycles are read behind each frame's own core run,
-        # before the next frame's, as send() reads them (services may
-        # accrue them per request, e.g. DRAM waits).
-        cores = iter([
-            pipeline.run_core(frame, measured) + (extra(frame),)
-            for frame, measured in zip(admitted,
-                                       model.cycles_batch(admitted))])
-        results = []
-        for frame, core_frame in zip(frames, queued):
-            if core_frame is None:
-                results.append(self._finish(frame, [], 0, extra(frame)))
-                continue
-            dataplane, cycles, extra_cycles = next(cores)
-            results.append(self._finish(
-                core_frame, pipeline.dispatch(dataplane), cycles,
-                extra_cycles))
-        return results
+        # stage's code and data hot (measured: ~2 us/request at 64).
+        cores = [self._core(frame, measured) for frame in queued]
+        return [self._emit(frame, core)
+                for frame, core in zip(frames, cores)]
 
-    def _finish(self, frame, emitted, core_cycles, extra_cycles):
-        """Statistics + timing tail shared by send() and send_batch()."""
+    def _core(self, frame, measured):
+        """The core run of a frame the arbiter handed over (``None``
+        passes through): its dataplane, its cycles — the next of
+        *measured* — and its extra cycles, read behind its own run and
+        before the next (services may accrue them per request: DRAM)."""
+        if frame is None:
+            return None
+        dataplane, cycles = self.pipeline.run_core(frame, next(measured))
+        return frame, dataplane, cycles, self._extra_cycles(frame)
+
+    def _emit(self, frame, core):
+        """A frame's dispatch, statistics and timing; *core* is its
+        :meth:`_core` (``None``: refused at ingress)."""
+        if core is None:
+            emitted, core_cycles = [], 0
+            extra_cycles = self._extra_cycles(frame)
+        else:
+            frame, dataplane, core_cycles, extra_cycles = core
+            emitted = self.pipeline.dispatch(dataplane)
         self.core_cycle_counts.append(core_cycles)
         reply_bytes = len(emitted[0][1].data) if emitted else None
         latency_cycles, occupancy = self.timing.cycles(

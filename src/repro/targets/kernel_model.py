@@ -15,7 +15,7 @@ interpreted netlist's by the engine's differential proof
 (:mod:`repro.engine.verify`), the wall clock is not.
 """
 
-from repro.engine.compiler import compile_design
+from repro.engine.batch import LANES, BatchedKernel
 from repro.errors import TargetError
 from repro.kiwi.compiler import DEFAULT_LEVEL_BUDGET, compile_function
 
@@ -30,7 +30,7 @@ class KernelCycleModel:
     """
 
     def __init__(self, kernel, opt_level, scalars=None,
-                 frame_param="frame", max_cycles=100000, batch=None,
+                 frame_param="frame", max_cycles=100000,
                  level_budget=None):
         self.level_budget = (DEFAULT_LEVEL_BUDGET if level_budget is None
                              else int(level_budget))
@@ -45,8 +45,7 @@ class KernelCycleModel:
         self.depth = memories[frame_param].depth
         self.scalars = dict(scalars or {})
         self.max_cycles = max_cycles
-        self.batch = None if batch is None else int(batch)
-        self._runner = compile_design(self.design, batch=batch)
+        self._runner = BatchedKernel(self.design)
         self.requests = 0
         self.total_cycles = 0
 
@@ -91,36 +90,24 @@ class KernelCycleModel:
 
     def cycles(self, frame):
         """Measured latency (cycles) of one frame through the kernel."""
-        _, latency, _ = self._runner.run(
-            max_cycles=self.max_cycles,
-            memories={self.frame_param: self._frame_image(frame)},
-            **self.scalars)
-        self.requests += 1
-        self.total_cycles += latency
-        return latency
-
-    def _frame_image(self, frame):
-        return frame.data[:self.depth].ljust(self.depth, b"\0")
+        return self.cycles_batch([frame])[0]
 
     def cycles_batch(self, frames):
         """Measured latencies (cycles) of *frames*, in order.
 
-        On a batched runner (``batch=N``) the frames go through the
-        lockstep driver ``batch`` at a time — the per-frame cycle
-        counts and the warm-memory end state are identical to calling
-        :meth:`cycles` frame by frame (the batch differential harness
-        in :mod:`repro.engine.verify` proves it); only the wall clock
-        differs.  Without a batched runner this *is* that loop.
+        They go through the lockstep driver ``LANES`` at a time; how a
+        stream is cut into calls is unobservable — cycle counts and the
+        warm-memory end state are those of one frame per call (the batch
+        differential harness in :mod:`repro.engine.verify` proves it).
         """
-        if self.batch is None:
-            return [self.cycles(frame) for frame in frames]
+        depth, param = self.depth, self.frame_param
         jobs = [(self.scalars,
-                 {self.frame_param: self._frame_image(frame)})
+                 {param: frame.data[:depth].ljust(depth, b"\0")})
                 for frame in frames]
         latencies = []
-        for start in range(0, len(jobs), self.batch):
+        for start in range(0, len(jobs), LANES):
             latencies += [latency for _, latency in self._runner.run_batch(
-                jobs[start:start + self.batch], self.max_cycles)]
+                jobs[start:start + LANES], self.max_cycles)]
         self.requests += len(latencies)
         self.total_cycles += sum(latencies)
         return latencies

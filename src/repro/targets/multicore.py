@@ -23,13 +23,12 @@ class MultiCoreTarget:
     REPLICA_APPLY_FRACTION = 0.25
 
     def __init__(self, service_factory, num_cores=4, seed=1,
-                 is_write=None, opt_level=None, batch=None,
-                 level_budget=None):
+                 is_write=None, opt_level=None, level_budget=None):
         if num_cores < 1:
             raise TargetError("need at least one core")
         self.cores = [FpgaTarget(service_factory(), num_ports=1,
                                  seed=seed + index, opt_level=opt_level,
-                                 batch=batch, level_budget=level_budget)
+                                 level_budget=level_budget)
                       for index in range(num_cores)]
         self.num_cores = num_cores
         self._is_write = is_write or (lambda frame: False)

@@ -83,9 +83,9 @@ class NetfpgaPipeline:
 
         Returns ``(dataplane, core_cycles)`` — hardware semantics, so
         the cycle count is measured, not assumed.  *cycles* supplies a
-        pre-measured count (the batched FPGA target measures a whole
-        burst in one lockstep run, then replays each frame's
-        behavioural fate here with its already-known cost).
+        pre-measured count (the FPGA target measures a whole burst in
+        one lockstep run, then replays each frame's behavioural fate
+        here with its already-known cost).
         """
         dataplane = NetFPGAData(frame)
         dataplane, counted = self.service.process_counting(dataplane)

@@ -21,13 +21,12 @@ def factory():
     return MemcachedService(my_ip=SERVICE_IP)
 
 
-def build_pair(policy_factory=NoReplication, num_shards=8):
-    """Two identically-seeded clusters: one per dispatch style."""
-    make = lambda: ClusterTarget(factory, num_shards=num_shards,   # noqa: E731
-                                 policy=policy_factory(),
-                                 is_write=memcached_is_write,
-                                 seed=SEED)
-    return make(), make()
+def build_pair(policy_factory=NoReplication, num_shards=8, count=2):
+    """Identically-seeded clusters: one per dispatch style."""
+    return [ClusterTarget(factory, num_shards=num_shards,
+                          policy=policy_factory(),
+                          is_write=memcached_is_write, seed=SEED)
+            for _ in range(count)]
 
 
 def results_fingerprint(results):
@@ -72,29 +71,46 @@ def run_both(sequential, batched, frames):
     return seq_results, batch_results
 
 
+def run_ragged(cluster, frames, bursts):
+    """A third cut of the same stream: ragged ``send_batch`` bursts."""
+    return [outcome
+            for burst in bursts(frames, [5, 1, 17, 2, 64, 1, 1, 9])
+            for outcome in cluster.send_batch(
+                [frame.copy() for frame in burst])]
+
+
 class TestEquivalence:
-    def test_fault_free(self):
-        sequential, batched = build_pair()
+    def test_fault_free(self, bursts):
+        sequential, batched, ragged = build_pair(count=3)
         frames = memaslap_frames(0.9, count=400, seed=SEED + 1)
         seq, batch = run_both(sequential, batched, frames)
-        assert results_fingerprint(seq) == results_fingerprint(batch)
-        assert state_fingerprint(sequential) == state_fingerprint(batched)
+        assert results_fingerprint(seq) == results_fingerprint(batch) \
+            == results_fingerprint(run_ragged(ragged, frames, bursts))
+        assert state_fingerprint(sequential) == \
+            state_fingerprint(batched) == state_fingerprint(ragged)
 
-    def test_with_synchronous_replication(self):
-        sequential, batched = build_pair(ReadOneWriteAll)
+    def test_with_synchronous_replication(self, bursts):
+        sequential, batched, ragged = build_pair(ReadOneWriteAll, count=3)
         frames = memaslap_frames(0.7, count=300, seed=SEED + 2)
         seq, batch = run_both(sequential, batched, frames)
-        assert results_fingerprint(seq) == results_fingerprint(batch)
-        assert state_fingerprint(sequential) == state_fingerprint(batched)
+        assert results_fingerprint(seq) == results_fingerprint(batch) \
+            == results_fingerprint(run_ragged(ragged, frames, bursts))
+        assert state_fingerprint(sequential) == \
+            state_fingerprint(batched) == state_fingerprint(ragged)
 
-    def test_with_async_replication(self):
-        sequential, batched = build_pair(lambda: PrimaryReplica(2))
+    def test_with_async_replication(self, bursts):
+        sequential, batched, ragged = build_pair(
+            lambda: PrimaryReplica(2), count=3)
         frames = memaslap_frames(0.7, count=300, seed=SEED + 3)
         seq, batch = run_both(sequential, batched, frames)
-        assert results_fingerprint(seq) == results_fingerprint(batch)
-        assert state_fingerprint(sequential) == state_fingerprint(batched)
-        assert sequential.flush_replication() == batched.flush_replication()
-        assert state_fingerprint(sequential) == state_fingerprint(batched)
+        assert results_fingerprint(seq) == results_fingerprint(batch) \
+            == results_fingerprint(run_ragged(ragged, frames, bursts))
+        assert state_fingerprint(sequential) == \
+            state_fingerprint(batched) == state_fingerprint(ragged)
+        assert sequential.flush_replication() == \
+            batched.flush_replication() == ragged.flush_replication()
+        assert state_fingerprint(sequential) == \
+            state_fingerprint(batched) == state_fingerprint(ragged)
 
     def test_mid_batch_shard_death(self):
         """A shard crashed before dispatch dies *mid-batch* from the

@@ -49,10 +49,17 @@ class TestFluentConfig:
         with pytest.raises(TargetError, match="opt_level"):
             deploy("memcached").with_opt(4)
 
+    @pytest.mark.parametrize("width", [None, 0, -3])
+    def test_bad_batch_rejected(self, width):
+        """The drain bound is a positive integer; ``None`` is not a
+        value (there is no unbatched deployment to ask for)."""
+        with pytest.raises(TargetError, match="batch"):
+            deploy("memcached").with_batch(width)
+
     def test_config_frozen_after_start(self):
         dep = deploy("memcached").on("cpu").start()
         for call in (lambda: dep.on("fpga"), lambda: dep.with_opt(1),
-                     lambda: dep.with_seed(2),
+                     lambda: dep.with_seed(2), lambda: dep.with_batch(8),
                      lambda: dep.with_faults(FaultPlan())):
             with pytest.raises(TargetError, match="already started"):
                 call()
@@ -130,6 +137,27 @@ class TestOptThreading:
             .with_opt(0).start()
         for shard in dep.target.shards.values():
             assert shard.pipeline.cycle_model is not None
+
+    @pytest.mark.parametrize("backend,kwargs", [
+        ("fpga", {}), ("multicore", {"cores": 2}),
+        ("cluster", {"shards": 2})])
+    def test_every_compiled_model_runs_the_lockstep_engine(self, backend,
+                                                           kwargs):
+        """No verb asks for it: ``send``, ``send_batch`` and the open
+        loop all measure on the lockstep driver, on every device."""
+        dep = (deploy("memcached").on(backend, **kwargs).with_opt(2)
+               .with_arrivals("poisson", qps=1_000_000.0).start())
+        frames = list(dep.spec.workload(32, SEED))
+        for port, frame in enumerate(frames):
+            frame.src_port = port % 2
+        dep.send(frames[0])
+        dep.send_batch(frames[1:])
+        dep.run_open_loop(duration_ms=0.05)
+        kernels = [model._runner for model in dep.backend.cycle_models()]
+        assert len(kernels) == max(kwargs.values(), default=1)
+        for kernel in kernels:
+            assert kernel.lockstep_batches > 0
+            assert kernel.fallback_batches == 0
 
 
 class TestUniformCycleAccounting:

@@ -34,6 +34,15 @@ def test_default_invocation_is_cheap(capsys):
     assert "memcached on cpu" in out
 
 
+def test_batch_is_not_a_flag(capsys):
+    """The drain width is not a user-facing choice: a default ``--opt``
+    run gets the lockstep engine, and ``--batch`` is refused."""
+    with pytest.raises(SystemExit) as refused:
+        main(["--opt", "2", "--batch", "8"])
+    assert refused.value.code == 2
+    assert "--batch" in capsys.readouterr().err
+
+
 def test_unknown_service_errors():
     from repro.errors import TargetError
     with pytest.raises(TargetError):

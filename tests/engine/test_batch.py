@@ -13,13 +13,13 @@ interpreted netlist, on warm streams.
   ragged final batch, all equal to the scalar sequence;
 * crafted deep-path memcached requests (GET/SET/DELETE on warm
   tables), at -O0 and -O2;
-* the batched FPGA target and cycle model reproduce the scalar
-  target's emissions, latencies, and statistics exactly;
+* the FPGA target's emissions, latencies, and statistics do not depend
+  on how a stream is cut into ``send_batch`` calls;
 * burst-partition invariance: however a stream is cut into
   ``cycles_batch`` calls, cycles, totals and final memories agree;
-* open-loop conformance: batched and scalar deployments under the same
-  seed produce identical reply bytes and ``queue_drops`` (including
-  under overload).
+* open-loop conformance: the drain width (``with_batch``) is
+  unobservable — identical reply bytes, snapshot, trace JSON and series
+  TSV at every width, on every backend, under- and overloaded.
 
 Seeded per tests/README: one module SEED, one stream per property.
 """
@@ -91,7 +91,7 @@ def test_batch_sizes_equal_scalar(batch):
     stream length (100) also leaves every width a ragged final batch."""
     design = compile_function(memcached_kernel, opt_level=0)
     scalar = compile_design(design)
-    batched = BatchedKernel(design, batch=batch)
+    batched = BatchedKernel(design)
     rng = random.Random("%s/sizes/%d" % (SEED, batch))
     jobs = _memcached_jobs(100, rng, scalar._mem_depths["frame"])
     reference = []
@@ -115,7 +115,7 @@ def test_random_inputs_ragged_final_batch():
     for case in SERVICE_KERNELS:
         design = compile_function(case.kernel, opt_level=0)
         scalar = compile_design(design)
-        batched = BatchedKernel(design, batch=8)
+        batched = BatchedKernel(design)
         rng = random.Random("%s/ragged/%s" % (SEED, case.name))
         jobs = [random_inputs(design.spec, rng) for _ in range(19)]
         reference = []
@@ -135,54 +135,49 @@ def test_random_inputs_ragged_final_batch():
 def test_compile_kernel_batch_returns_batched():
     kernel = compile_kernel(memcached_kernel, opt_level=0, batch=4)
     assert isinstance(kernel, BatchedKernel)
-    assert kernel.batch == 4
-    # The full scalar surface still works on the batched kernel.
+    # The full one-lane surface still works on the batched kernel.
     frame = memcached_binary_frame(0, b"abc123")
     results, latency, _ = kernel.run(
         memories={"frame": list(frame)}, my_ip=1)
     assert latency > 0
 
 
-def test_fpga_target_send_batch_equals_scalar_sends():
-    """Same service, same seed: the batched target's emissions,
-    latencies, and per-request statistics are byte-identical to the
-    scalar target's."""
-    from repro.net.packet import Frame
-    from repro.services.memcached import MemcachedService
+def test_fpga_target_send_batch_equals_scalar_sends(bursts):
+    """Same service, same seed: emissions, latencies, and per-request
+    statistics are byte-identical whether the stream goes through
+    ``send`` one frame at a time, as one ``send_batch`` burst, or as a
+    ragged cut — compiled cycle model and behavioural pause-count."""
+    from repro.services.catalog import registry
     from repro.targets.fpga import FpgaTarget
 
-    def frames(seed):
-        rng = random.Random("%s/fpga/%s" % (SEED, seed))
-        out = []
-        for index in range(48):
-            key = rng.choice([b"abc123", b"zzz999"])
-            if rng.random() < 0.5:
-                frame = memcached_binary_frame(
-                    1, key, bytes(rng.getrandbits(8) for _ in range(8)))
-            else:
-                frame = memcached_binary_frame(0, key)
-            out.append(Frame(bytes(frame), src_port=index % 4))
+    spec = registry()["memcached"]
+
+    def frames():
+        out = list(spec.workload(48, seed=5, protocol="binary"))
+        for index, frame in enumerate(out):
+            frame.src_port = index % 4
         return out
 
-    my_ip = 0x0A000001
-    scalar_target = FpgaTarget(MemcachedService(my_ip), seed=11,
-                               opt_level=2)
-    batched_target = FpgaTarget(MemcachedService(my_ip), seed=11,
-                                opt_level=2, batch=8)
-    scalar_out = [scalar_target.send(frame) for frame in frames("a")]
-    batched_out = batched_target.send_batch(frames("a"))
+    def observe(opt_level, drive):
+        target = FpgaTarget(spec.build(), seed=11, opt_level=opt_level)
+        results = drive(target, frames())
+        return ([(tuple((port, bytes(reply.data)) for port, reply
+                        in emitted), latency)
+                 for emitted, latency in results],
+                target.core_cycle_counts, target.service_times_ns,
+                target.latencies_ns)
 
-    def observable(results):
-        return [(tuple((port, bytes(reply.data)) for port, reply
-                       in emitted), latency)
-                for emitted, latency in results]
-
-    assert observable(batched_out) == observable(scalar_out)
-    assert batched_target.core_cycle_counts == \
-        scalar_target.core_cycle_counts
-    assert batched_target.service_times_ns == \
-        scalar_target.service_times_ns
-    assert batched_target.latencies_ns == scalar_target.latencies_ns
+    for opt_level in (2, None):
+        one_by_one = observe(opt_level, lambda target, stream: [
+            target.send(frame) for frame in stream])
+        assert len(one_by_one[0]) == len(one_by_one[1]) == 48
+        assert any(latency is not None for _, latency in one_by_one[0])
+        assert one_by_one == observe(
+            opt_level, lambda target, stream: target.send_batch(stream))
+        assert one_by_one == observe(
+            opt_level, lambda target, stream: [
+                outcome for burst in bursts(stream, [5, 1, 17, 2])
+                for outcome in target.send_batch(burst)])
 
 
 @pytest.mark.parametrize("service,opt_level,options", [
@@ -193,22 +188,26 @@ def test_fpga_target_send_batch_equals_scalar_sends():
 def test_cycle_model_is_burst_partition_invariant(service, opt_level,
                                                   options, bursts):
     """How a stream is cut into ``cycles_batch`` calls is invisible:
-    bursts of 1 (the one-lane loop), 2, 3 (lockstep), 64 and a seeded
-    ragged mix give the same per-frame cycles, the same totals and the
-    same final image of every kernel memory."""
+    ``cycles`` frame by frame, bursts of 1 (the one-lane loop), 2, 3
+    (lockstep), 64, the whole stream in one call (chunked inside) and a
+    seeded ragged mix give the same per-frame cycles, the same totals
+    and the same final image of every kernel memory."""
     from repro.services.catalog import registry
 
     spec = registry()[service]
     ragged = random.Random("%s/partition/%s" % (SEED, service))
-    partitions = [[1], [2], [3], [64],
+    partitions = [None, [1], [2], [3], [64], [256],
                   [ragged.choice((1, 1, 2, 3, 5, 17, 64))
                    for _ in range(40)]]
     observed = []
     for sizes in partitions:
-        model = spec.build().kernel_cycle_model(opt_level, batch=64)
+        model = spec.build().kernel_cycle_model(opt_level)
         frames = list(spec.workload(256, seed=5, **options))
-        cycles = [latency for burst in bursts(frames, sizes)
-                  for latency in model.cycles_batch(burst)]
+        if sizes is None:
+            cycles = [model.cycles(frame) for frame in frames]
+        else:
+            cycles = [latency for burst in bursts(frames, sizes)
+                      for latency in model.cycles_batch(burst)]
         kernel = model._runner
         observed.append((
             cycles, model.requests, model.total_cycles,
@@ -222,30 +221,36 @@ def test_cycle_model_is_burst_partition_invariant(service, opt_level,
         assert other == observed[0], sizes
 
 
-def _run_open_loop(batch, qps, capacity):
-    dep = deploy("memcached").on("fpga").with_seed(7).with_opt(2)
-    if batch is not None:
-        dep.with_batch(batch)
-    dep.with_arrivals("poisson", qps=qps, capacity=capacity).start()
-    replies = []
-    backend = dep.backend
+WIDTHS = (None, 1, 8, INPUT_QUEUE_DEPTH + 16)      # None: the default
 
-    def capture(outcomes):
+
+def _run_open_loop(width, qps, capacity, service="memcached",
+                   backend="fpga", opt_level=2, duration_ms=0.5,
+                   **scale):
+    """One traced open-loop run at drain width *width*; returns every
+    artefact a width could leak into."""
+    dep = deploy(service).on(backend, **scale).with_seed(7)
+    if opt_level is not None:
+        dep.with_opt(opt_level)
+    if width is not None:
+        dep.with_batch(width)
+    dep.with_arrivals("poisson", qps=qps, capacity=capacity)
+    dep.with_trace().with_timeseries(window_us=20.0).start()
+    replies = []
+    profile = dep.backend.open_loop_profile_batch
+
+    def capture(frames):
+        outcomes = profile(frames)
         for emitted, _, _ in outcomes:
-            for _, reply in emitted:
-                replies.append(bytes(reply.data))
+            replies.extend(bytes(reply.data) for _, reply in emitted)
         return outcomes
 
-    scalar_profile = backend.open_loop_profile
-    batch_profile = backend.open_loop_profile_batch
-    backend.open_loop_profile = \
-        lambda frame: capture([scalar_profile(frame)])[0]
-    backend.open_loop_profile_batch = \
-        lambda frames: capture(batch_profile(frames))
-    report = dep.run_open_loop(duration_ms=0.5)
-    snapshot = report.snapshot()
+    dep.backend.open_loop_profile_batch = capture
+    report = dep.run_open_loop(duration_ms=duration_ms)
+    observed = (report.snapshot(), replies, dep.tracer.to_json(),
+                dep.timeseries.to_tsv())
     dep.stop()
-    return snapshot, replies
+    return observed
 
 
 @pytest.mark.parametrize("qps,capacity", [
@@ -253,13 +258,47 @@ def _run_open_loop(batch, qps, capacity):
     (8_000_000, 8),                   # overload: queues fill, tail-drops
 ], ids=["underload", "overload"])
 def test_open_loop_conformance(qps, capacity):
-    """Batched and scalar deployments under the same seed produce
-    identical reply bytes and queue_drops (and, in fact, an identical
-    report snapshot): batching changes only the profiling wall clock,
-    never the queueing model."""
-    scalar_snapshot, scalar_replies = _run_open_loop(None, qps, capacity)
-    for batch in (1, 8, INPUT_QUEUE_DEPTH + 16):
-        snapshot, replies = _run_open_loop(batch, qps, capacity)
-        assert replies == scalar_replies, batch
-        assert snapshot["queue_drops"] == scalar_snapshot["queue_drops"]
-        assert snapshot == scalar_snapshot, batch
+    """The drain width changes only the profiling wall clock, never
+    the queueing model: reply bytes, ``queue_drops`` (in fact the whole
+    report snapshot), trace and series are identical at every width."""
+    reference = _run_open_loop(None, qps, capacity)
+    assert reference[1] and \
+        bool(reference[0]["queue_drops"]) == (capacity == 8)
+    for width in WIDTHS[1:]:
+        assert _run_open_loop(width, qps, capacity) == reference, width
+
+
+#: (service, backend, opt_level, qps, capacity, duration_ms, scale)
+SWEEP = {
+    "memcached-cpu": ("memcached", "cpu", None, 2e6, 64, 0.3, {}),
+    "memcached-netsim": ("memcached", "netsim", None, 2e6, 64, 0.2, {}),
+    "memcached-fpga": ("memcached", "fpga", None, 8e6, 8, 0.5, {}),
+    "memcached-fpga-O2": ("memcached", "fpga", 2, 8e6, 8, 0.5, {}),
+    "memcached-fpga-O3": ("memcached", "fpga", 3, 12e6, 8, 0.5, {}),
+    "memcached-multicore-O2": ("memcached", "multicore", 2, 16e6, 8, 0.3,
+                               {"cores": 4}),
+    "memcached-cluster-O2": ("memcached", "cluster", 2, 16e6, 8, 0.3,
+                             {"shards": 4}),
+    "dns-cluster": ("dns", "cluster", None, 12e6, 8, 0.3, {"shards": 4}),
+    "nat-fpga-O2": ("nat", "fpga", 2, 12e6, 8, 0.3, {}),
+    "icmp-multicore": ("icmp", "multicore", None, 20e6, 8, 0.3,
+                       {"cores": 4}),
+    "filter-fpga-O3": ("filter", "fpga", 3, 1e6, 64, 0.3, {}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SWEEP))
+def test_drain_width_is_unobservable_on_every_backend(case):
+    """The fault-free sweep: eleven service x backend cases (eight
+    overloaded into tail-drops), each byte-identical at every width —
+    on the burst-native backend through look-ahead, everywhere else
+    because a request is executed at its own dequeue."""
+    service, backend, opt_level, qps, capacity, duration_ms, scale = \
+        SWEEP[case]
+    runs = [_run_open_loop(width, qps, capacity, service, backend,
+                           opt_level, duration_ms, **scale)
+            for width in WIDTHS]
+    assert runs[0][0]["completed"] > 0
+    assert bool(runs[0][0]["queue_drops"]) == (capacity == 8)
+    for width, run in zip(WIDTHS[1:], runs[1:]):
+        assert run == runs[0], width

@@ -204,6 +204,41 @@ def test_bridge_fault_is_an_internal_error_not_a_malformed_drop():
     assert counter("internal_error").value == 1
 
 
+def test_a_vanished_peer_is_counted_not_swallowed():
+    """A reply callable that raises (the peer went away between
+    request and answer) loses that reply only: the request is
+    completed and replied, ``peer_gone`` counts it, and the payload
+    queued behind it is answered."""
+    dep = deploy("memcached").on("cpu").start()
+    server = dep.serve()
+    binding = resolve_binding(dep.spec, "udp")
+    counter = dep.metrics.registry.counter
+    answered = []
+
+    def gone(wire):
+        raise ConnectionResetError("peer went away")
+
+    try:
+        for seq, reply in enumerate((gone, answered.append)):
+            payload, _ = binding.probe(SEED, seq)
+            server._loop.call_soon_threadsafe(
+                server._enqueue, binding.wrap(payload), reply)
+        deadline = time.monotonic() + 5.0
+        while server.report.completed < 2:
+            assert time.monotonic() < deadline
+            time.sleep(0.005)
+    finally:
+        server.stop()
+        dep.stop()
+    _, expected = binding.probe(SEED, 1)
+    assert answered == [bytes(binding.wrap_reply(expected))]
+    snapshot = server.report.snapshot()
+    assert snapshot["completed"] == snapshot["replies"] == 2
+    assert snapshot["service_drops"] == 0
+    assert counter("peer_gone").value == 1
+    assert counter("internal_error").value == 0
+
+
 def test_tcp_garbage_stream_drops_peer_but_serves_next_connection():
     dep = deploy("memcached").on("cpu").start()
     server = dep.serve(transport="tcp")

@@ -106,18 +106,34 @@ def _memcached_burst():
     return sets + [Frame(RUNT, src_port=0)] + gets
 
 
-def test_a_runt_mid_burst_costs_only_itself():
-    dep = deploy("memcached").on("fpga").with_opt(3).with_batch(64).start()
-    try:
-        results = dep.target.send_batch(_memcached_burst())
-        assert [bool(emitted) for emitted, _ in results] == \
-            [True] * 3 + [False] + [True] * 5
-        service = dep.target.service
-        assert (service.sets, service.gets, service.hits) == (3, 5, 5)
-        assert service.malformed == 1
-        pipeline = dep.target.pipeline
-        assert (pipeline.frames_in, pipeline.frames_out) == (9, 8)
-        assert len(dep.target.service_times_ns) == 9
-        assert len(dep.target.latencies_ns) == 8
-    finally:
-        dep.stop()
+def test_a_runt_mid_burst_costs_only_itself(bursts):
+    """Wherever the cut falls — one whole burst, ``send`` frame by
+    frame, a ragged cut with the runt first, last or alone — the runt
+    is one counted drop and every neighbour is served."""
+    observed = []
+    for sizes in ([9], None, [4, 5], [3, 1, 5], [2]):
+        dep = deploy("memcached").on("fpga").with_opt(3).start()
+        try:
+            target = dep.target
+            frames = _memcached_burst()
+            if sizes is None:
+                results = [target.send(frame) for frame in frames]
+            else:
+                results = [outcome for burst in bursts(frames, sizes)
+                           for outcome in target.send_batch(burst)]
+            assert [bool(emitted) for emitted, _ in results] == \
+                [True] * 3 + [False] + [True] * 5
+            service = target.service
+            assert (service.sets, service.gets, service.hits) == (3, 5, 5)
+            assert service.malformed == 1
+            pipeline = target.pipeline
+            assert (pipeline.frames_in, pipeline.frames_out) == (9, 8)
+            assert len(target.service_times_ns) == 9
+            assert len(target.latencies_ns) == 8
+            observed.append((
+                [([bytes(reply.data) for _, reply in emitted], latency)
+                 for emitted, latency in results],
+                target.service_times_ns, target.core_cycle_counts))
+        finally:
+            dep.stop()
+    assert all(other == observed[0] for other in observed[1:])

@@ -197,16 +197,20 @@ def _memcached_dram():
 
 
 class TestBurstPartitionInvariance:
-    """``send_batch`` is ``send`` frame by frame, however the stream is
-    cut: bursts of 1 (the scalar path), 2, 3, 64 and a seeded ragged
-    mix leave identical replies, latencies and statistics."""
+    """How a stream is cut into ``send``/``send_batch`` calls is
+    invisible: ``send`` frame by frame, bursts of 1, 2, 3, 64, the
+    whole stream at once and a seeded ragged mix leave identical
+    replies, latencies and statistics — on a compiled cycle model and
+    on the behavioural pause-count."""
 
     CASES = [
         ("memcached", None, 3, {"protocol": "binary"}),
         ("nat", None, 2, {}),
         # DRAM waits accrue per request on the service object: read
-        # them where send() does, or they land on the wrong frame.
+        # them behind that request's own core run, or they land on the
+        # wrong frame.
         ("memcached", _memcached_dram, 3, {"protocol": "binary"}),
+        ("memcached", _memcached_dram, None, {"protocol": "binary"}),
     ]
 
     @staticmethod
@@ -219,9 +223,9 @@ class TestBurstPartitionInvariance:
              for emitted, latency in results],
             target.latencies_ns, target.service_times_ns,
             target.core_cycle_counts,
-            (model.requests, model.total_cycles),
-            {name: model._runner.memory_image(name)
-             for name, _ in model._runner.spec.memory_params},
+            model and (model.requests, model.total_cycles),
+            model and {name: model._runner.memory_image(name)
+                       for name, _ in model._runner.spec.memory_params},
             (pipeline.frames_in, pipeline.frames_out,
              pipeline.frames_dropped_ingress, pipeline.core_busy_cycles,
              pipeline.occupancy()))
@@ -231,25 +235,29 @@ class TestBurstPartitionInvariance:
         service, build, opt_level, options = case
         spec = registry()[service]
         target = FpgaTarget((build or spec.build)(), seed=11,
-                            opt_level=opt_level, batch=64)
+                            opt_level=opt_level)
         frames = list(spec.workload(256, seed=5, **options))
         for index, frame in enumerate(frames):
             frame.src_port = ports[index % len(ports)]
         if prepare is not None:
             prepare(target, frames)
-        results = [outcome for burst in bursts(frames, sizes)
-                   for outcome in target.send_batch(burst)]
+        if sizes is None:
+            results = [target.send(frame) for frame in frames]
+        else:
+            results = [outcome for burst in bursts(frames, sizes)
+                       for outcome in target.send_batch(burst)]
         assert len(results) == len(frames)
         return self._observe(target, results)
 
     @pytest.mark.parametrize("case", CASES,
-                             ids=["memcached", "nat", "memcached-dram"])
+                             ids=["memcached", "nat", "memcached-dram",
+                                  "memcached-dram-behavioural"])
     def test_replies_latencies_and_statistics(self, case, bursts):
         import random
         ragged = random.Random("targets/partition/%s" % case[0])
-        reference = self._run(bursts, case, [1])
+        reference = self._run(bursts, case, None)
         assert any(latency is not None for _, latency in reference[0])
-        for sizes in ([2], [3], [64],
+        for sizes in ([1], [2], [3], [64], [256],
                       [ragged.choice((1, 1, 2, 3, 5, 17, 64))
                        for _ in range(40)]):
             assert self._run(bursts, case, sizes) == reference, sizes
@@ -263,10 +271,10 @@ class TestBurstPartitionInvariance:
                     bytes(12) + b"\x08\x00" + bytes(6), src_port=0)
 
         case = self.CASES[0]
-        reference = self._run(bursts, case, [1], runts)
+        reference = self._run(bursts, case, None, runts)
         assert sum(1 for emitted, _ in reference[0] if not emitted) >= 4
         assert reference[-1][0] == 256           # every frame admitted
-        for sizes in ([2], [9], [64], [5, 1, 17, 2, 64, 1, 1, 9]):
+        for sizes in ([1], [2], [9], [64], [5, 1, 17, 2, 64, 1, 1, 9]):
             assert self._run(bursts, case, sizes, runts) == reference, sizes
 
     def test_burst_overflowing_one_ingress_fifo(self, bursts):
@@ -280,16 +288,17 @@ class TestBurstPartitionInvariance:
             for frame in frames[:INPUT_QUEUE_DEPTH]:
                 assert target.pipeline.receive(frame.copy())
 
-        case = self.CASES[0]
-        reference = self._run(bursts, case, [1], prefill,
-                              ports=(0, 0, 1))
-        pipeline_counts = reference[-1]
-        assert pipeline_counts[2] > 0            # some refused at ingress
-        assert any(pipeline_counts[4]["input"])  # some still queued
-        assert any(emitted for emitted, _ in reference[0])
-        for sizes in ([2], [3], [64], [5, 1, 17, 2, 64, 1, 1, 9]):
-            assert self._run(bursts, case, sizes, prefill,
-                             ports=(0, 0, 1)) == reference, sizes
+        for case in (self.CASES[0], self.CASES[3]):
+            reference = self._run(bursts, case, None, prefill,
+                                  ports=(0, 0, 1))
+            pipeline_counts = reference[-1]
+            assert pipeline_counts[2] > 0        # some refused at ingress
+            assert any(pipeline_counts[4]["input"])  # some still queued
+            assert any(emitted for emitted, _ in reference[0])
+            for sizes in ([1], [2], [3], [64],
+                          [5, 1, 17, 2, 64, 1, 1, 9]):
+                assert self._run(bursts, case, sizes, prefill,
+                                 ports=(0, 0, 1)) == reference, sizes
 
 
 class TestCpuTarget:
