@@ -20,7 +20,6 @@ import sys
 import time
 
 from repro.deploy.builder import deploy
-from repro.deploy.conformance import run_matrix
 from repro.errors import ServeError
 from repro.harness.report import render_table
 from repro.obs.slo import SloSpec
@@ -194,6 +193,7 @@ def main(argv=None):
         print(_list_services())
         return 0
     if args.matrix:
+        from repro.deploy.conformance import run_matrix
         count = min(args.requests, 64)
         if count < args.requests:
             print("(--requests clamped to %d for the matrix; every "

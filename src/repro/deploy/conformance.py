@@ -1,25 +1,23 @@
 """Backend conformance: the same trace must get the same replies.
 
-For each registered service, the shard-safe trace replays through
-every backend the spec supports, and the replies are compared against
-the CPU target (software semantics — the ground truth per §3.3).  The
-comparison is exact: same number of replies per request, same output
-ports (where the backend has the CPU target's port space), same reply
-bytes.  Metrics snapshots are also checked for a consistent shape.
+The matrix columns (:data:`BACKEND_CASES`) and its renderer.  The
+comparison itself is :func:`repro.verify.check` with one
+:class:`~repro.verify.Deployed` leg per column: each registered
+service's shard-safe trace replays through every backend the spec
+supports, and every request's reply signature — which ports, which
+bytes, in which order — must equal the CPU target's (software
+semantics, the ground truth per §3.3).
 
-Used two ways:
-
-* ``tests/deploy/test_conformance.py`` parametrizes over the matrix
-  and asserts each cell;
-* ``python -m repro.deploy --matrix`` prints the summary table (the
-  CI non-gating job), via :func:`run_matrix`.
+``tests/deploy/test_conformance.py`` asserts each cell;
+``python -m repro.deploy --matrix`` prints :func:`run_matrix`'s table.
 """
 
-from repro.deploy.builder import deploy
 from repro.harness.report import render_table
 from repro.services.catalog import registry
+from repro.verify import Deployed, check, job_streams
 
-#: (label, backend name, builder-configuration kwargs, opt level)
+#: (label, backend name, builder-configuration kwargs, opt level);
+#: the cpu column comes first — it is the reference leg.
 BACKEND_CASES = [
     ("cpu", "cpu", {}, None),
     ("fpga -O0", "fpga", {}, 0),
@@ -29,73 +27,30 @@ BACKEND_CASES = [
     ("netsim", "netsim", {}, None),
 ]
 
-#: netsim replies ride simulated wires whose latency model is the
-#: link's, not the CPU target's port bitmap timing — ports and bytes
-#: still must match exactly.
-DEFAULT_COUNT = 32
-DEFAULT_SEED = 7
 
-
-def backend_cases(spec):
-    """The matrix columns this spec participates in."""
-    return [case for case in BACKEND_CASES if spec.supports(case[1])]
-
-
-def reply_signature(results):
-    """Canonical per-request reply list: ``[(port, bytes), ...]``.
-
-    Latency is backend-specific by design; the *functional* reply —
-    which ports, which bytes, in which order — is what conformance
-    asserts.
-    """
-    signature = []
-    for emitted, _latency in results:
-        signature.append(tuple((port, bytes(frame.data))
-                               for port, frame in emitted))
-    return signature
-
-
-def run_case(spec, label, backend_name, kwargs, opt_level,
-             count=DEFAULT_COUNT, seed=DEFAULT_SEED):
-    """Replay the spec's trace on one backend; returns
-    ``(signature, deployment)``."""
-    dep = deploy(spec).on(backend_name, **kwargs).with_seed(seed)
-    if opt_level is not None:
-        dep = dep.with_opt(opt_level)
-    dep.start()
-    results = [dep.send(frame.copy())
-               for frame in spec.trace(count, seed)]
-    return reply_signature(results), dep
-
-
-def run_matrix(count=DEFAULT_COUNT, seed=DEFAULT_SEED, services=None):
+def run_matrix(count=32, seed=7, services=None):
     """Run every (service × backend) cell; returns ``(results, text)``.
 
-    ``results[service][label]`` is ``"ok"``, ``"MISMATCH"``, or
-    ``"skip"`` (spec does not support the backend).
+    ``results[service][label]`` is ``"ok"``, ``"skip"`` (spec does not
+    support the backend) or the first :class:`~repro.verify.Mismatch`
+    of that column against the cpu one — it names the request.
     """
     specs = registry()
     names = sorted(specs) if services is None else list(services)
+    labels = [case[0] for case in BACKEND_CASES]
     results = {}
     for name in names:
         spec = specs[name]
-        baseline = None
-        row = {}
-        for label, backend_name, kwargs, opt_level in BACKEND_CASES:
-            if not spec.supports(backend_name):
-                row[label] = "skip"
-                continue
-            signature, _ = run_case(spec, label, backend_name, kwargs,
-                                    opt_level, count=count, seed=seed)
-            if baseline is None:        # the cpu column comes first
-                baseline = signature
-                row[label] = "ok"
-            else:
-                row[label] = "ok" if signature == baseline \
-                    else "MISMATCH"
-        results[name] = row
-    labels = [case[0] for case in BACKEND_CASES]
-    rows = [[name] + [results[name][label] for label in labels]
+        report = check(spec, [Deployed(case, seed) for case in BACKEND_CASES
+                              if spec.supports(case[1])],
+                       job_streams(spec, count, seed))
+        row = results[name] = {
+            label: "ok" if label in report.legs else "skip"
+            for label in labels}
+        for mismatch in reversed(report.mismatches):
+            row[mismatch.leg] = mismatch
+    rows = [[name] + [cell if isinstance(cell, str) else "MISMATCH"
+                      for cell in results[name].values()]
             for name in names]
     text = render_table(
         ["Service"] + labels, rows,

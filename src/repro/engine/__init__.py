@@ -17,13 +17,10 @@ allows):
   :mod:`repro.engine.pipelined`'s ``run_stream`` (requests overlap
   *within* one kernel the way the -O3 hardware schedule does — a new
   request issues every II cycles, hazard stalls only on real memory
-  dependences, strict in-order retire).
-  :mod:`repro.engine.verify` proves the compiled kernel equivalent to
-  the interpreted :class:`~repro.rtl.simulator.Simulator` on random
-  inputs (results, final memories, and same-level cycle counts), the
-  lockstep driver equivalent to both on warm job streams, and the
-  pipelined driver equivalent to the sequential -O0 engine with N
-  requests in flight.
+  dependences, strict in-order retire; verification only, so it is
+  imported by module path, not from here).  :mod:`repro.verify` holds
+  all of them — and the interpreted
+  :class:`~repro.rtl.simulator.Simulator` — to one semantics.
 * :mod:`repro.engine.sched` is the one discrete-event scheduler every
   layer now shares (the netsim event loop subclasses it), with
   processes and bounded back-pressure queues;
@@ -38,22 +35,10 @@ from repro.engine.compiler import (
 from repro.engine.openloop import (
     ArrivalSpec, OpenLoopReport, run_open_loop,
 )
-from repro.engine.pipelined import PipelinedKernel, compile_pipelined
 from repro.engine.sched import Delay, Process, Queue, Scheduler
-from repro.engine.verify import (
-    BatchReport, EngineReport, PipelineReport, assert_batch_equivalent,
-    assert_engine_equivalent, assert_pipeline_equivalent,
-    batch_differential_check, engine_differential_check,
-    pipeline_differential_check,
-)
 
 __all__ = [
-    "ArrivalSpec", "BatchReport", "BatchedKernel", "CompiledKernel",
-    "Delay", "EngineReport", "OpenLoopReport", "PipelineReport",
-    "PipelinedKernel", "Process", "Queue", "Scheduler",
-    "assert_batch_equivalent", "assert_engine_equivalent",
-    "assert_pipeline_equivalent", "batch_differential_check",
-    "compile_design", "compile_kernel",
-    "compile_pipelined", "engine_differential_check",
-    "pipeline_differential_check", "run_open_loop",
+    "ArrivalSpec", "BatchedKernel", "CompiledKernel", "Delay",
+    "OpenLoopReport", "Process", "Queue", "Scheduler",
+    "compile_design", "compile_kernel", "run_open_loop",
 ]

@@ -60,10 +60,10 @@ def memcached_binary_frame(opcode, key, value=b""):
 
 
 def memcached_request_inputs(rng):
-    """Crafted-input factory for differential verification of
-    ``memcached_kernel``: a valid binary request with random opcode,
-    key and value over random table contents — so co-simulation
-    exercises the GET/SET/DELETE paths, not just the header rejects."""
+    """The memcached case's crafted generator: a valid binary request
+    with random opcode, key and value over random table contents — so
+    a differential stream exercises GET/SET/DELETE on keys the
+    representative request never uses."""
     opcode = rng.choice([0, 1, 4, 9])
     key = bytes(rng.getrandbits(8) for _ in range(6))
     value = bytes(rng.getrandbits(8) for _ in range(8))
@@ -99,35 +99,48 @@ def _udp_outbound_frame():
 
 
 def _filter_rule_memories():
-    """One installed rule: drop UDP to port 53; the probe matches it."""
+    """One installed rule — drop UDP from 10.0.0.0/8 to port 53 — that
+    the probe matches on every field the chain compares."""
     return {
         "frame": _udp_outbound_frame(),
         "rule_valid": [1] + [0] * 7,
         "rule_proto": [17] + [0] * 7,
-        "rule_src": [0] * 8,
-        "rule_smask": [0] * 8,
-        "rule_dlo": [0] * 8,
-        "rule_dhi": [65535] * 8,
+        "rule_src": [ip_to_int("10.0.0.0")] + [0] * 7,
+        "rule_smask": [ip_to_int("255.0.0.0")] + [0] * 7,
+        "rule_dlo": [53] + [0] * 7,
+        "rule_dhi": [53] + [65535] * 7,
         "rule_accept": [0] * 8,
     }
 
 
-class KernelCase:
-    """One kernel + its representative request (and optional warmups)."""
+def _switch_frame():
+    frame = [0] * 64
+    frame[0:6] = [0x02, 0, 0, 0, 0, 0x01]        # destination MAC
+    frame[6:12] = [0x02, 0, 0, 0, 0, 0xAA]       # source MAC (learned)
+    return frame
 
-    def __init__(self, name, kernel, memories, scalars=None, warmups=()):
+
+class KernelCase:
+    """One kernel + its representative request, optional warmups, and
+    an optional *crafted* generator (rng → ``(scalars, memories)``) of
+    further valid requests — together the bases
+    :func:`repro.verify.job_streams` mutates."""
+
+    def __init__(self, name, kernel, memories, scalars=None, warmups=(),
+                 crafted=None):
         self.name = name
         self.kernel = kernel
         self.memories = memories
         self.scalars = dict(scalars or {})
         self.warmups = list(warmups)
+        self.crafted = crafted
 
 
 _GET_KEY = b"abc123"
 
 SERVICE_KERNELS = [
     KernelCase("switch", switch_kernel,
-               {"frame": [0] * 64},
+               {"frame": _switch_frame()},
                scalars={"src_port": 2, "dst_hit": 1, "dst_port": 3,
                         "src_hit": 1}),
     KernelCase("ICMP echo", icmp_echo_kernel,
@@ -141,7 +154,8 @@ SERVICE_KERNELS = [
                scalars={"my_ip": SERVICE_IP},
                warmups=[({"frame": memcached_binary_frame(
                    1, _GET_KEY, bytes(range(8)))},
-                   {"my_ip": SERVICE_IP})]),
+                   {"my_ip": SERVICE_IP})],
+               crafted=memcached_request_inputs),
     KernelCase("NAT outbound", nat_kernel,
                {"frame": _udp_outbound_frame()},
                scalars={"public_ip": PUBLIC_IP, "src_port": 0}),

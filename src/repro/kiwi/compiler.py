@@ -19,10 +19,8 @@ selected by ``opt_level``:
   requests every ``achieved_ii`` cycles, which the cycle models use
   as the sustained service interval.
 
-``verify=True`` additionally runs differential co-simulation of the
-optimized design against ``-O0`` on seeded random inputs and raises if
-they ever diverge (a debug mode; the test suite runs the same check as
-a property test).
+That every level means the same thing is :mod:`repro.verify`'s to
+show, from outside: the compiler does not call its verifier.
 """
 
 from repro.errors import CompileError
@@ -134,9 +132,6 @@ class CompiledDesign:
         self.timing = timing
         self.opt_level = opt_level
         self.pass_stats = list(pass_stats or [])
-        #: Differential-verification report, set when compiled with
-        #: ``verify=True`` (stays None at -O0: nothing to compare).
-        self.verification = None
 
     @property
     def name(self):
@@ -212,17 +207,12 @@ class CompiledDesign:
 
 
 def compile_function(fn, name=None, opt_level=DEFAULT_OPT_LEVEL,
-                     verify=False, level_budget=DEFAULT_LEVEL_BUDGET,
-                     verify_inputs=None):
+                     level_budget=DEFAULT_LEVEL_BUDGET):
     """Compile a kernel function into a :class:`CompiledDesign`.
 
     *opt_level* selects the middle-end pipeline (see the module
     docstring); *level_budget* is the timing budget (logic levels per
-    cycle) that bounds -O2 state fusion; *verify* enables the
-    differential-co-simulation debug mode.  *verify_inputs* (rng →
-    (scalars, memories)) supplies crafted request inputs for the
-    verification runs — recommended for protocol kernels, whose deep
-    paths random noise rarely reaches.
+    cycle) that bounds -O2 state fusion.
     """
     spec = parse_function(fn)
     builder = FsmBuilder(spec)
@@ -231,14 +221,8 @@ def compile_function(fn, name=None, opt_level=DEFAULT_OPT_LEVEL,
                           level_budget=level_budget)
     module = generate(spec, fsm, builder.var_widths, name=name)
     timing = compute_timing(fsm)
-    design = CompiledDesign(spec, fsm, module, timing,
-                            opt_level=opt_level, pass_stats=pass_stats)
-    if verify and opt_level > 0:
-        from repro.kiwi.opt.verify import assert_equivalent
-        design.verification = assert_equivalent(
-            fn, opt_level=opt_level, optimized=design,
-            input_factory=verify_inputs)
-    return design
+    return CompiledDesign(spec, fsm, module, timing,
+                          opt_level=opt_level, pass_stats=pass_stats)
 
 
 def compile_threads(functions, name="parallel",

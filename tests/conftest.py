@@ -29,15 +29,8 @@ def ips():
 def bursts():
     """``bursts(items, sizes)``: *items* cut into consecutive bursts,
     sizes cycling — for burst-partition invariance tests."""
-    def cut(items, sizes):
-        out, start, turn = [], 0, 0
-        while start < len(items):
-            size = sizes[turn % len(sizes)]
-            out.append(items[start:start + size])
-            start += size
-            turn += 1
-        return out
-    return cut
+    from repro.verify import cut
+    return lambda items, sizes: list(cut(items, sizes))
 
 
 @pytest.fixture

@@ -4,7 +4,10 @@ The §3.3 claim as a test matrix: every registry service's shard-safe
 trace replays through every backend the spec supports, and the reply
 signature — (port, bytes) per request, in order — must equal the CPU
 target's (software semantics, the ground truth).  Latency differs by
-design; replies may not.
+design between backends; replies may not — and on one backend neither
+may depend on how the trace is cut into ``send`` / ``send_batch``
+calls.  Each cell is a :func:`repro.verify.check` over
+:class:`~repro.verify.Deployed` legs.
 
 Seeded per tests/README: the trace seed is fixed per cell by SEED, so
 a failing cell reproduces exactly.
@@ -12,53 +15,54 @@ a failing cell reproduces exactly.
 
 import pytest
 
-from repro.deploy.conformance import BACKEND_CASES, run_case
+from repro.deploy.conformance import BACKEND_CASES
 from repro.services.catalog import registry
+from repro.verify import WHOLE, Deployed, check, job_streams
 
 SEED = 7
 COUNT = 24
 
 SPECS = registry()
-_BASELINES = {}
-
-
-def _baseline(spec):
-    """The CPU-target signature for this spec's trace (cached: every
-    non-cpu cell compares against the same ground truth)."""
-    if spec.name not in _BASELINES:
-        _BASELINES[spec.name], _ = run_case(
-            spec, "cpu", "cpu", {}, None, count=COUNT, seed=SEED)
-    return _BASELINES[spec.name]
+CPU = BACKEND_CASES[0]
 
 
 def _matrix_cells():
     cells = []
     for name in sorted(SPECS):
         spec = SPECS[name]
-        for label, backend_name, kwargs, opt_level in BACKEND_CASES:
-            if backend_name == "cpu":
-                continue            # the baseline itself
-            if not spec.supports(backend_name):
-                continue
-            cells.append(pytest.param(
-                name, label, backend_name, kwargs, opt_level,
-                id="%s-%s" % (name, label.replace(" ", ""))))
+        for case in BACKEND_CASES[1:]:      # cpu is the baseline itself
+            if spec.supports(case[1]):
+                cells.append(pytest.param(
+                    name, case,
+                    id="%s-%s" % (name, case[0].replace(" ", ""))))
     return cells
 
 
-@pytest.mark.parametrize(
-    "service,label,backend_name,kwargs,opt_level", _matrix_cells())
-def test_replies_match_cpu_baseline(service, label, backend_name,
-                                    kwargs, opt_level):
+class _Kept(Deployed):
+    """A leg that keeps what it observed, for the metrics check."""
+
+    def run(self, frames):
+        self.observed = super().run(frames)
+        return self.observed
+
+
+@pytest.mark.parametrize("service,case", _matrix_cells())
+def test_replies_match_cpu_baseline(service, case):
     spec = SPECS[service]
-    signature, dep = run_case(spec, label, backend_name, kwargs,
-                              opt_level, count=COUNT, seed=SEED)
-    assert signature == _baseline(spec), \
-        "%s on %s diverged from software semantics" % (service, label)
+    leg = _Kept(case, SEED)
+    report = check(spec, [Deployed(CPU, SEED), leg,
+                          Deployed(case, SEED, WHOLE),
+                          Deployed(case, SEED, (1, 5, 2, 17, 3))],
+                   job_streams(spec, COUNT, SEED))
+    assert report.ok and report.runs == COUNT, \
+        "%s on %s diverged from software semantics (or from itself " \
+        "under another cut): %r" % (service, case[0],
+                                    report.mismatches[:1])
 
     # Uniform observability: every backend filled the same counters
     # through the same code path.
-    snapshot = dep.stats()
+    signature = [seen["result"] for seen, _ in leg.observed]
+    snapshot = leg.deployment.stats()
     assert snapshot["requests"] == COUNT
     assert snapshot["replies"] == sum(len(per_request)
                                       for per_request in signature)
@@ -71,14 +75,11 @@ def test_metrics_shape_is_consistent(service):
     """Every backend's snapshot has the same keys (empty where a
     backend has nothing to measure, never missing)."""
     spec = SPECS[service]
-    shapes = set()
-    for label, backend_name, kwargs, opt_level in BACKEND_CASES:
-        if not spec.supports(backend_name):
-            continue
-        _, dep = run_case(spec, label, backend_name, kwargs, opt_level,
-                          count=4, seed=SEED)
-        keys = frozenset(dep.metrics.snapshot())
-        shapes.add(keys)
+    legs = [Deployed(case, SEED) for case in BACKEND_CASES
+            if spec.supports(case[1])]
+    assert check(spec, legs, job_streams(spec, 4, SEED)).ok
+    shapes = {frozenset(leg.deployment.metrics.snapshot())
+              for leg in legs}
     assert len(shapes) == 1
 
 

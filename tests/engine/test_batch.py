@@ -3,8 +3,8 @@
 The batched engine (:mod:`repro.engine.batch`) is an aggressive
 compilation mode — fused superblocks, per-lane early exits, hazard
 gating — so nothing here is assumed: every property is a differential
-proof against the scalar engine and (through the verify harness) the
-interpreted netlist, on warm streams.
+proof against the scalar engine and (as legs of :mod:`repro.verify`)
+the interpreted netlist, on warm streams.
 
 * three-legged warm-stream proof on every service kernel, with the
   lockstep path asserted engaged (the check cannot pass by silently
@@ -29,45 +29,48 @@ import random
 import pytest
 
 from repro.deploy import deploy
-from repro.engine import (
-    BatchedKernel, assert_batch_equivalent, batch_differential_check,
-    compile_design, compile_kernel,
-)
+from repro.engine import BatchedKernel, compile_design, compile_kernel
 from repro.harness.optimization import (
-    SERVICE_KERNELS, memcached_binary_frame, memcached_request_inputs,
+    SERVICE_KERNELS, memcached_binary_frame,
 )
 from repro.kiwi.compiler import compile_function
-from repro.kiwi.opt.verify import random_inputs
 from repro.services.memcached import memcached_kernel
 from repro.targets.pipeline import INPUT_QUEUE_DEPTH
+from repro.verify import (
+    Interpreter, Lockstep, OneLane, check, job_streams,
+)
 
 SEED = "engine-batch"
 
-KERNEL_CASES = [(case.name, case.kernel) for case in SERVICE_KERNELS]
-KERNEL_IDS = [name for name, _ in KERNEL_CASES]
+KERNEL_IDS = [case.name for case in SERVICE_KERNELS]
 
 
-@pytest.mark.parametrize("name,kernel", KERNEL_CASES, ids=KERNEL_IDS)
-def test_batched_matches_scalar_and_interpreter(name, kernel):
-    report = assert_batch_equivalent(
-        kernel, opt_level=0, batch=4, batches=3,
-        seed="%s/three-legs" % SEED)
-    assert report.ok
-    # The lockstep path must actually have run — a report that only
-    # exercised the scalar fallback proves nothing about the SoA code.
-    assert report.lockstep_batches > 0
+def _three_legs(subject, level, width, jobs, seed):
+    """Interpreter, one-lane ``run`` and ``run_batch`` cut *width*
+    wide: results, per-lane cycle counts and the memory images after
+    every batch must agree — with the lockstep path asserted engaged (a
+    report that only exercised the one-lane fallback proves nothing
+    about the SoA code)."""
+    lockstep = Lockstep(level, (width,))
+    report = check(subject,
+                   [Interpreter(level), OneLane(level), lockstep],
+                   job_streams(subject, jobs, seed))
+    assert report.ok, (level, report.mismatches[:1])
+    assert lockstep.timing == Interpreter(level).timing
+    assert report.legs[lockstep.name]["lockstep_batches"] > 0
+
+
+@pytest.mark.parametrize("case", SERVICE_KERNELS, ids=KERNEL_IDS)
+def test_batched_matches_scalar_and_interpreter(case):
+    _three_legs(case, 0, 4, 12, "%s/three-legs" % SEED)
 
 
 def test_crafted_memcached_deep_paths():
     """GET/SET/DELETE on warm tables through the batched engine, at
     the unoptimized and optimized levels."""
+    case = SERVICE_KERNELS[KERNEL_IDS.index("memcached GET")]
     for level in (0, 2):
-        report = batch_differential_check(
-            memcached_kernel, opt_level=level, batch=8, batches=4,
-            seed="%s/crafted/%d" % (SEED, level),
-            input_factory=memcached_request_inputs)
-        assert report.ok, (level, report.mismatches[:1])
-        assert report.lockstep_batches > 0
+        _three_legs(case, level, 8, 32, "%s/crafted/%d" % (SEED, level))
 
 
 def _memcached_jobs(count, rng, depth):
@@ -109,27 +112,17 @@ def test_batch_sizes_equal_scalar(batch):
 
 
 def test_random_inputs_ragged_final_batch():
-    """Random full-image inputs on every service kernel, with a job
-    count chosen so the final run_batch call is narrower than the
-    batch width."""
+    """Dictionary noise (what a bare kernel gets) on every service
+    kernel, with a job count chosen so the final run_batch call is
+    narrower than the batch width."""
     for case in SERVICE_KERNELS:
-        design = compile_function(case.kernel, opt_level=0)
-        scalar = compile_design(design)
-        batched = BatchedKernel(design)
-        rng = random.Random("%s/ragged/%s" % (SEED, case.name))
-        jobs = [random_inputs(design.spec, rng) for _ in range(19)]
-        reference = []
-        for scalars, memories in jobs:
-            results, latency, _ = scalar.run(
-                memories={name: list(image)
-                          for name, image in memories.items()},
-                **scalars)
-            reference.append((results, latency))
-        got = []
-        for start in range(0, len(jobs), 8):
-            got.extend(batched.run_batch(jobs[start:start + 8]))
-        assert got == reference, case.name
-        assert batched.lockstep_batches > 0, case.name
+        lockstep = Lockstep(0, (8,))
+        report = check(case.kernel, [OneLane(0), lockstep],
+                       job_streams(case.kernel, 19,
+                                   "%s/ragged/%s" % (SEED, case.name)))
+        assert report.ok, (case.name, report.mismatches[:1])
+        assert report.legs[lockstep.name]["lockstep_batches"] > 0, \
+            case.name
 
 
 def test_compile_kernel_batch_returns_batched():

@@ -5,74 +5,76 @@ from the interpreted netlist simulator:
 
 * same level (engine -On vs interpreter -On): byte-identical results,
   final memory contents, and cycle counts, for every service kernel,
-  on seeded random inputs (uniform noise + protocol dictionary bytes)
-  and on crafted deep-path requests;
+  on its representative request with a few words redrawn (memcached:
+  plus crafted GET/SET/DELETE over random tables);
 * cross level (engine -O2 vs interpreter -O0): results and final
   memories still match — the engine composes with the optimizer's own
   differential proof;
 * warm state: a request sequence on one warm kernel matches the same
   sequence on one warm simulator, step for step.
 
-Seeded per tests/README: one module SEED, one stream per property.
+The legs and streams (cold power-on jobs, then one warm stream) are
+:mod:`repro.verify`'s.  Seeded per tests/README: one module SEED, one
+stream per property.
 """
 
 import pytest
 
-from repro.engine import (
-    assert_engine_equivalent, compile_design, compile_kernel,
-    engine_differential_check,
-)
+from repro.engine import compile_design, compile_kernel
 from repro.errors import EngineError
 from repro.harness.optimization import (
-    SERVICE_KERNELS, memcached_binary_frame, memcached_request_inputs,
+    SERVICE_KERNELS, memcached_binary_frame,
 )
 from repro.kiwi.compiler import compile_function
 from repro.services.memcached import memcached_kernel
+from repro.verify import Interpreter, OneLane, check, job_streams
 
 SEED = "engine-differential"
 
-KERNEL_CASES = [(case.name, case.kernel) for case in SERVICE_KERNELS]
-KERNEL_IDS = [name for name, _ in KERNEL_CASES]
+KERNEL_IDS = [case.name for case in SERVICE_KERNELS]
+MEMCACHED = SERVICE_KERNELS[KERNEL_IDS.index("memcached GET")]
 
 
-@pytest.mark.parametrize("name,kernel", KERNEL_CASES, ids=KERNEL_IDS)
-def test_engine_matches_interpreter_at_o0(name, kernel):
-    report = engine_differential_check(
-        kernel, opt_level=0, runs=5,
-        seed="%s/same-level" % SEED)
+@pytest.mark.parametrize("case", SERVICE_KERNELS, ids=KERNEL_IDS)
+def test_engine_matches_interpreter_at_o0(case):
+    legs = [Interpreter(0), OneLane(0)]
+    report = check(case, legs,
+                   job_streams(case, 5, "%s/same-level" % SEED))
     assert report.ok, report.mismatches[:1]
-    assert report.compare_latency
-    # Same machine, so the engine simulated exactly the same cycles.
-    assert report.engine_cycles == report.interpreter_cycles
+    # Same machine, so cycle counts were compared job by job — and the
+    # engine simulated exactly the same cycles in total.
+    assert legs[0].timing == legs[1].timing
+    assert report.legs["one-lane -O0"]["cycles"] == \
+        report.legs["interpreter -O0"]["cycles"] > 0
 
 
-@pytest.mark.parametrize("name,kernel", KERNEL_CASES, ids=KERNEL_IDS)
-def test_engine_o2_matches_interpreter_o0(name, kernel):
+@pytest.mark.parametrize("case", SERVICE_KERNELS, ids=KERNEL_IDS)
+def test_engine_o2_matches_interpreter_o0(case):
     """The satellite contract: the engine compiled from the *optimized*
     FSM still reproduces the unoptimized interpreter's observable
     behaviour (results + final memories; cycles differ by design)."""
-    report = engine_differential_check(
-        kernel, opt_level=2, base_level=0, runs=5,
-        seed="%s/cross-level" % SEED)
+    legs = [Interpreter(0), OneLane(2)]
+    report = check(case, legs,
+                   job_streams(case, 5, "%s/cross-level" % SEED))
     assert report.ok, report.mismatches[:1]
-    assert not report.compare_latency
+    assert legs[0].timing != legs[1].timing
 
 
 def test_engine_crafted_memcached_requests():
-    """Deep GET/SET/DELETE paths via the crafted input factory, at
-    every opt level."""
+    """Deep GET/SET/DELETE paths (the case's crafted generator is one
+    of the stream's bases), at every opt level."""
     for level in (0, 1, 2):
-        report = engine_differential_check(
-            memcached_kernel, opt_level=level, runs=6,
-            seed="%s/crafted/%d" % (SEED, level),
-            input_factory=memcached_request_inputs)
+        report = check(
+            MEMCACHED, [Interpreter(level), OneLane(level)],
+            job_streams(MEMCACHED, 6, "%s/crafted/%d" % (SEED, level)))
         assert report.ok, (level, report.mismatches[:1])
 
 
 def test_assert_engine_equivalent_returns_report():
-    report = assert_engine_equivalent(memcached_kernel, opt_level=1,
-                                      runs=3, seed=SEED)
-    assert report.runs == 3
+    report = check(MEMCACHED, [Interpreter(1), OneLane(1)],
+                   job_streams(MEMCACHED, 3, SEED))
+    assert report.require() is report
+    assert report.runs == 6             # three cold jobs, three warm
 
 
 def test_warm_state_matches_warm_simulator():

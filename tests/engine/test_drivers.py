@@ -20,9 +20,8 @@ import random
 
 import pytest
 
-from repro.engine import (
-    PipelinedKernel, compile_design, compile_kernel, compile_pipelined,
-)
+from repro.engine import compile_design, compile_kernel
+from repro.engine.pipelined import PipelinedKernel, compile_pipelined
 from repro.errors import CompileError, EngineError
 from repro.harness.optimization import (
     SERVICE_KERNELS, memcached_binary_frame,

@@ -15,7 +15,8 @@ import itertools
 
 import pytest
 
-from repro.engine import BatchedKernel, PipelinedKernel
+from repro.engine import BatchedKernel
+from repro.engine.pipelined import PipelinedKernel
 from repro.kiwi.builder import FsmBuilder, MemReadRef, VarRef, zext
 from repro.kiwi.codegen import generate
 from repro.kiwi.compiler import CompiledDesign, compute_timing

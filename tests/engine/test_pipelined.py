@@ -7,26 +7,23 @@ memory dependences, strict in-order retire.  These tests check
 
 * six-kernel differential: every service kernel, pipelined at depth
   >= 4, matches the sequential -O0 engine exactly (per-request
-  results, reply bytes, final memory images) — with deep inputs (the
-  kernels' representative requests and warmups) mixed into the random
-  stream;
+  results, reply bytes, the memory images at every drain) on its
+  representative request and warm-ups, mutated;
 * crafted hazard kernels forcing II > 1 still match, and the measured
   issue interval equals the static II;
 * ragged in-flight shutdown: draining mid-stream and resuming keeps
-  parity (the check splits its stream on purpose);
+  parity (the pipelined leg drains on purpose: before every job that
+  reloads a shared memory, and once more short of the end);
 * infeasible kernels fall back to serial issue and still match.
 """
 
 import pytest
 
-from repro.engine import (
-    PipelinedKernel, assert_pipeline_equivalent, compile_pipelined,
-    pipeline_differential_check,
-)
+from repro.engine.pipelined import compile_pipelined
 from repro.errors import EngineError
-from repro.harness.optimization import (
-    SERVICE_KERNELS, memcached_request_inputs,
-)
+from repro.harness.optimization import SERVICE_KERNELS
+from repro.kiwi.compiler import DEFAULT_LEVEL_BUDGET
+from repro.verify import OneLane, Pipelined, check, job_streams
 
 SEED = "engine-pipelined-1"
 
@@ -34,13 +31,15 @@ SEED = "engine-pipelined-1"
 OVERLAPPING = {"ICMP echo", "memcached GET", "NAT outbound"}
 
 
-def _deep_inputs(case):
-    """A case's representative request + warmups as (scalars, memories)
-    jobs (KernelCase stores warmups as (memories, scalars) — reversed)."""
-    jobs = [(case.scalars, case.memories)]
-    jobs.extend((scalars, memories)
-                for memories, scalars in case.warmups)
-    return jobs
+def _pipelined(subject, depth, requests, seed,
+               level_budget=DEFAULT_LEVEL_BUDGET):
+    """The -O3 pipelined leg against the sequential -O0 engine; returns
+    ``(report, the pipelined leg's counters)``."""
+    leg = Pipelined(3, depth, level_budget)
+    assert leg.timing is None       # overlap changes latencies: exempt
+    report = check(subject, [OneLane(0), leg],
+                   job_streams(subject, requests, seed))
+    return report, report.legs[leg.name]
 
 
 # -- crafted hazard kernels (branch diamonds pin the shared-memory
@@ -92,31 +91,28 @@ class TestServiceKernelDifferential:
     @pytest.mark.parametrize(
         "case", SERVICE_KERNELS, ids=lambda c: c.name)
     def test_pipelined_matches_sequential(self, case):
-        report = assert_pipeline_equivalent(
-            case.kernel, depth=4, requests=24,
-            seed="%s/%s" % (SEED, case.name),
-            deep_inputs=_deep_inputs(case))
-        assert report.runs >= 4
+        report, counters = _pipelined(case, 4, 24,
+                                      "%s/%s" % (SEED, case.name))
+        assert report.require().runs >= 4
         assert report.mismatches == []
         if case.name in OVERLAPPING:
-            assert report.achieved_ii is not None
-            assert report.peak_in_flight >= 2
+            assert counters["achieved_ii"] is not None
+            assert counters["peak_in_flight"] >= 2
         else:
             # Serial fallback: the infeasible kernels never overlap.
-            assert report.achieved_ii is None
-            assert report.peak_in_flight == 1
+            assert counters["achieved_ii"] is None
+            assert counters["peak_in_flight"] == 1
 
     def test_memcached_protocol_stream(self):
         """Real GET/SET traffic (not random bytes) through the
         pipelined memcached kernel, deep — depth 8, 48 requests."""
         case = next(c for c in SERVICE_KERNELS
                     if c.name == "memcached GET")
-        report = assert_pipeline_equivalent(
-            case.kernel, depth=8, requests=48,
-            seed="%s/memcached-protocol" % SEED,
-            input_factory=memcached_request_inputs)
-        assert report.achieved_ii == 1
-        assert report.peak_in_flight >= 3
+        report, counters = _pipelined(case, 8, 48,
+                                      "%s/memcached-protocol" % SEED)
+        report.require()
+        assert counters["achieved_ii"] == 1
+        assert counters["peak_in_flight"] >= 3
 
 
 class TestHazardKernels:
@@ -126,28 +122,26 @@ class TestHazardKernels:
                              [(drain_raw3, 3), (drain_raw2, 2)],
                              ids=["raw3", "raw2"])
     def test_hazard_parity_and_interval(self, kernel, expected_ii):
-        report = assert_pipeline_equivalent(
-            kernel, depth=8, requests=40,
-            seed="%s/hazard" % SEED)
-        assert report.mismatches == []
-        assert report.achieved_ii == expected_ii
-        assert report.peak_in_flight >= 2
+        report, counters = _pipelined(kernel, 8, 40, "%s/hazard" % SEED)
+        assert report.require().mismatches == []
+        assert counters["achieved_ii"] == expected_ii
+        assert counters["peak_in_flight"] >= 2
         # The dynamic executor achieves the static schedule: issues are
         # spaced exactly II cycles apart in steady state.
-        assert report.measured_interval == float(expected_ii)
+        assert counters["measured_interval"] == float(expected_ii)
 
 
 class TestRaggedShutdown:
-    """Draining the pipeline mid-stream (the check splits its job
-    stream across two run_stream calls) keeps parity at every depth."""
+    """Draining the pipeline mid-stream (the leg splits its job
+    stream across several run_stream calls) keeps parity at every
+    depth."""
 
     @pytest.mark.parametrize("depth", [2, 3, 5, 8])
     def test_depths(self, depth):
-        report = pipeline_differential_check(
-            drain_raw2, depth=depth, requests=19,
-            seed="%s/ragged-%d" % (SEED, depth))
+        report, _ = _pipelined(drain_raw2, depth, 19,
+                               "%s/ragged-%d" % (SEED, depth))
         assert report.ok, report.mismatches[:3]
-        assert report.runs == 19
+        assert report.runs == 2 * 19    # 19 cold jobs, 19 warm
 
     def test_explicit_partial_drain(self):
         """run_stream with fewer jobs than the pipeline depth drains
@@ -175,12 +169,10 @@ class TestSerialFallback:
         kernel = compile_pipelined(case.kernel, depth=4)
         assert kernel.schedule is not None
         assert not kernel.schedule.feasible
-        report = pipeline_differential_check(
-            case.kernel, depth=4, requests=12,
-            seed="%s/dns-serial" % SEED,
-            deep_inputs=_deep_inputs(case))
+        report, counters = _pipelined(case, 4, 12,
+                                      "%s/dns-serial" % SEED)
         assert report.ok
-        assert report.peak_in_flight == 1
+        assert counters["peak_in_flight"] == 1
 
     def test_tight_budget_falls_back(self):
         """level_budget threads into the pipelined compile: a budget
@@ -191,11 +183,11 @@ class TestSerialFallback:
         squeezed = compile_pipelined(drain_raw2, depth=4, level_budget=2)
         assert not squeezed.schedule.feasible
         assert "budget" in squeezed.schedule.reason
-        report = pipeline_differential_check(
-            drain_raw2, depth=4, requests=10, level_budget=2,
-            seed="%s/budget-serial" % SEED)
+        report, counters = _pipelined(drain_raw2, 4, 10,
+                                      "%s/budget-serial" % SEED,
+                                      level_budget=2)
         assert report.ok
-        assert report.achieved_ii is None
+        assert counters["achieved_ii"] is None
 
 
 class TestJobValidation:

@@ -1,36 +1,39 @@
 """Differential property tests for the optimizing middle-end.
 
-Properties (seeded per tests/README.md conventions):
+Properties (seeded per tests/README.md conventions; the legs and
+streams are :mod:`repro.verify`'s):
 
-* for every service kernel and for randomly *generated* kernels, the
-  ``-O2`` design produces the same results and final memory contents as
-  ``-O0`` on random inputs (differential co-simulation);
+* for every service kernel and for *generated* kernels
+  (``strategies.kernels``), the ``-O2`` interpreter returns the same
+  results and final memory contents as ``-O0`` — on the kernel's
+  representative request mutated, cold and warm, not on noise that
+  stops at the ethertype check;
 * optimized designs still emit Verilog via ``emit_verilog`` without
   error;
 * the acceptance bar: the memcached GET path loses >= 10% of its
   simulated cycles at ``-O2``.
 """
 
-import importlib.util
-import random
+from hypothesis import given, settings
 
-from repro.harness.optimization import (
-    SERVICE_KERNELS, measure_kernel, memcached_request_inputs,
-)
+import strategies
+from repro.harness.optimization import SERVICE_KERNELS, measure_kernel
 from repro.kiwi import compile_function
-from repro.kiwi.opt.verify import differential_check
-from repro.services.dns_server import dns_kernel
-from repro.services.filter_l3l4 import filter_kernel
-from repro.services.icmp_echo import icmp_echo_kernel
-from repro.services.memcached import memcached_kernel
-from repro.services.nat import nat_kernel
-from repro.services.switch import switch_kernel
+from repro.verify import Interpreter, check, job_streams
 
 SEED = "kiwi-opt-differential-1"
 
+MEMCACHED = next(case for case in SERVICE_KERNELS
+                 if case.name == "memcached GET")
 
-def _rng(name):
-    return random.Random("%s/%s" % (SEED, name))
+
+def _levels(subject, level, jobs, seed=SEED):
+    """``-Olevel`` against ``-O0``, both interpreted; returns
+    ``(report, fraction of simulated cycles the optimizer removed)``."""
+    report = check(subject, [Interpreter(0), Interpreter(level)],
+                   job_streams(subject, jobs, seed))
+    return report, 1.0 - (report.legs["interpreter -O%d" % level]["cycles"]
+                          / report.legs["interpreter -O0"]["cycles"])
 
 
 # -- fixed kernels ---------------------------------------------------------
@@ -57,46 +60,41 @@ def sum_buf(buf: "mem[16]x8", n: "u8") -> "u16":
     return bits(total, 16)
 
 
-SERVICE_KERNEL_FNS = [switch_kernel, icmp_echo_kernel, dns_kernel,
-                      memcached_kernel, nat_kernel, filter_kernel]
+SERVICE_KERNEL_FNS = [case.kernel for case in SERVICE_KERNELS]
 
 
 class TestServiceKernelEquivalence:
     def test_loop_kernels_equivalent_at_o2(self):
         for kernel in (gcd, sum_buf):
-            report = differential_check(kernel, opt_level=2, runs=8,
-                                        seed=SEED)
+            report, _ = _levels(kernel, 2, 8)
             assert report.ok, report
 
     def test_service_kernels_equivalent_at_o2(self):
-        for kernel in SERVICE_KERNEL_FNS:
-            report = differential_check(kernel, opt_level=2, runs=6,
-                                        seed=SEED)
+        for case in SERVICE_KERNELS:
+            report, _ = _levels(case, 2, 6)
             assert report.ok, report
 
     def test_service_kernels_equivalent_at_o1(self):
-        for kernel in SERVICE_KERNEL_FNS:
-            report = differential_check(kernel, opt_level=1, runs=4,
-                                        seed=SEED)
+        for case in SERVICE_KERNELS:
+            report, reduction = _levels(case, 1, 4)
             assert report.ok, report
-            assert report.cycle_reduction == 0.0   # -O1 is cycle-neutral
+            assert reduction == 0.0             # -O1 is cycle-neutral
 
     def test_memcached_crafted_requests_equivalent(self):
         """Valid binary requests (not just noise) through both designs."""
-        report = differential_check(memcached_kernel, opt_level=2,
-                                    runs=12, seed=SEED,
-                                    input_factory=memcached_request_inputs)
+        report, reduction = _levels(MEMCACHED, 2, 12)
         assert report.ok, report
-        assert report.cycle_reduction > 0.1
+        assert reduction > 0.1
 
     def test_verify_inputs_reaches_deep_paths(self):
-        """compile_function(verify=True, verify_inputs=...) proves the
-        real request path, and the report shows the cycle win."""
-        design = compile_function(
-            memcached_kernel, opt_level=2, verify=True,
-            verify_inputs=memcached_request_inputs)
-        assert design.verification.ok
-        assert design.verification.cycle_reduction > 0.1
+        """The stream a check draws for the case proves the real
+        request path — most of its jobs run far past the 3-cycle
+        ethertype reject — and the report shows the cycle win."""
+        report, reduction = _levels(MEMCACHED, 2, 12,
+                                    seed="%s/deep" % SEED)
+        assert report.ok, report
+        assert report.legs["interpreter -O0"]["cycles"] > 6 * report.runs
+        assert reduction > 0.1
 
     def test_optimized_verilog_still_emits(self):
         for kernel in SERVICE_KERNEL_FNS:
@@ -106,86 +104,17 @@ class TestServiceKernelEquivalence:
                 assert "endmodule" in text
 
 
-# -- random generated kernels ----------------------------------------------
+# -- generated kernels ------------------------------------------------------
 
-_BINOPS = ["+", "-", "*", "&", "|", "^", "%"]
-
-
-def _gen_expr(rng, names):
-    def atom():
-        if rng.random() < 0.6:
-            return rng.choice(names)
-        return str(rng.randint(0, 255))
-
-    text = atom()
-    for _ in range(rng.randint(0, 2)):
-        text = "(%s %s %s)" % (text, rng.choice(_BINOPS), atom())
-    return text
-
-
-def _gen_kernel(rng, index):
-    """One random straight-line/branchy kernel over two scalars and a
-    small memory — assignments, comb and stateful ifs, memory traffic,
-    and pauses, all fodder for every pass."""
-    lines = ['def k%d(a: "u16", b: "u16", buf: "mem[16]x8") -> "u16":'
-             % index]
-    names = ["a", "b"]
-    fresh = [0]
-
-    def new_name():
-        fresh[0] += 1
-        return "v%d" % fresh[0]
-
-    for _ in range(rng.randint(5, 12)):
-        roll = rng.random()
-        if roll < 0.12:
-            lines.append("    pause()")
-        elif roll < 0.27:
-            lines.append("    buf[bits(%s, 4)] = %s"
-                         % (_gen_expr(rng, names), _gen_expr(rng, names)))
-        elif roll < 0.42:
-            name = new_name()
-            lines.append("    %s = buf[bits(%s, 4)]"
-                         % (name, _gen_expr(rng, names)))
-            names.append(name)
-        elif roll < 0.62:
-            target = rng.choice(names)
-            lines.append("    if %s > %s:" % (_gen_expr(rng, names),
-                                              _gen_expr(rng, names)))
-            body = ["        %s = %s" % (target, _gen_expr(rng, names))]
-            if rng.random() < 0.3:
-                body.insert(0, "        pause()")   # stateful if
-            lines.extend(body)
-            lines.append("    else:")
-            lines.append("        %s = %s" % (target,
-                                              _gen_expr(rng, names)))
-        else:
-            name = new_name()
-            lines.append("    %s = %s" % (name, _gen_expr(rng, names)))
-            names.append(name)
-    lines.append("    return bits(%s, 16)" % _gen_expr(rng, names))
-    return "\n".join(lines) + "\n"
-
-
-def test_random_kernels_equivalent_at_o2(tmp_path):
-    """Property: for random kernels and random inputs, -O2 == -O0 and
-    the optimized Verilog emits cleanly."""
-    rng = _rng("random-kernels")
-    count = 8
-    source = "\n\n".join(_gen_kernel(rng, index) for index in range(count))
-    path = tmp_path / "generated_kernels.py"
-    path.write_text(source)
-    spec = importlib.util.spec_from_file_location("generated_kernels",
-                                                  path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    for index in range(count):
-        kernel = getattr(module, "k%d" % index)
-        report = differential_check(kernel, opt_level=2, runs=5,
-                                    seed=SEED)
-        assert report.ok, "kernel %d: %r\n%s" % (index, report, source)
-        text = compile_function(kernel, opt_level=2).verilog()
-        assert "endmodule" in text
+@settings(strategies.SETTINGS, max_examples=8)
+@given(kernel=strategies.kernels())
+def test_random_kernels_equivalent_at_o2(kernel):
+    """Property: for generated kernels on dictionary noise, -O2 == -O0
+    and the optimized Verilog emits cleanly.  A failure shrinks to a
+    minimal kernel (tests/test_verify.py asserts how small)."""
+    report, _ = _levels(kernel, 2, 5)
+    assert report.ok, report
+    assert "endmodule" in compile_function(kernel, opt_level=2).verilog()
 
 
 # -- the acceptance bar ----------------------------------------------------

@@ -13,6 +13,7 @@ from repro.kiwi import compile_function
 from repro.kiwi.opt.rewrite import fold_expr
 from repro.rtl.expr import BinOp, Const, Mux, Slice, UnOp
 from repro.kiwi.builder import VarRef
+from repro.verify import Interpreter, check, job_streams
 
 
 # -- kernels (module level so inspect can find their source) --------------
@@ -287,9 +288,10 @@ class TestPipeline:
         assert "_x0" in opt
 
     def test_verify_flag_runs_cosimulation(self):
-        design = compile_function(chain, opt_level=2, verify=True)
-        assert design.verification.ok
-        assert design.verification.runs > 0
+        report = check(chain, [Interpreter(0), Interpreter(2)],
+                       job_streams(chain, 8, "opt-passes/chain"))
+        assert report.ok
+        assert report.runs > 0
 
 
 class TestDump:

@@ -8,16 +8,14 @@ Properties (seeded per tests/README.md conventions):
   refused (loop, stale registers, budget, no II below latency);
 * crafted hazard-heavy kernels (shared-memory read early, write late)
   force ``II > 1`` and the schedule equals the RAW bound exactly;
-* the same holds on randomly *generated* kernels (reusing the seeded
-  generator from ``test_opt_differential.py``);
+* the same holds on *generated* kernels (``strategies.kernels``);
 * a tighter ``level_budget`` blocks fusion and pipelining rather than
   mis-reporting timing, and threads through ``with_opt``.
 """
 
-import importlib.util
-import os
-import random
+from hypothesis import given, settings
 
+import strategies
 from repro.harness.optimization import SERVICE_KERNELS, measure_kernel
 from repro.kiwi import compile_function
 from repro.kiwi.opt import PIPELINE_CONTROL_LEVELS
@@ -163,39 +161,20 @@ class TestRandomKernels:
     interval below any memory's recurrence bound, and a feasible II is
     always below the latency."""
 
-    def _generated_kernels(self, tmp_path, count=8):
-        here = os.path.dirname(__file__)
-        spec = importlib.util.spec_from_file_location(
-            "opt_differential_helpers",
-            os.path.join(here, "test_opt_differential.py"))
-        helpers = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(helpers)
-        rng = random.Random("%s/random" % SEED)
-        source = "\n\n".join(helpers._gen_kernel(rng, index)
-                             for index in range(count))
-        path = tmp_path / "generated_pipeline_kernels.py"
-        path.write_text(source)
-        mod_spec = importlib.util.spec_from_file_location(
-            "generated_pipeline_kernels", path)
-        module = importlib.util.module_from_spec(mod_spec)
-        mod_spec.loader.exec_module(module)
-        return [getattr(module, "k%d" % index) for index in range(count)]
-
-    def test_ii_at_least_recurrence_bound(self, tmp_path):
-        feasible = 0
-        for kernel in self._generated_kernels(tmp_path):
-            _, schedule = _schedule(kernel)
-            assert schedule is not None
-            if not schedule.feasible:
-                assert schedule.reason
-                continue
-            feasible += 1
-            ii = schedule.initiation_interval
-            assert ii >= schedule.recurrence_ii
-            assert ii >= schedule.resource_ii
-            for bounds in schedule.memory_bounds.values():
-                assert ii >= max(bounds.values())
-            assert ii < schedule.latency_cycles
+    @settings(strategies.SETTINGS, max_examples=8)
+    @given(kernel=strategies.kernels())
+    def test_ii_at_least_recurrence_bound(self, kernel):
+        _, schedule = _schedule(kernel)
+        assert schedule is not None
+        if not schedule.feasible:
+            assert schedule.reason
+            return
+        ii = schedule.initiation_interval
+        assert ii >= schedule.recurrence_ii
+        assert ii >= schedule.resource_ii
+        for bounds in schedule.memory_bounds.values():
+            assert ii >= max(bounds.values())
+        assert ii < schedule.latency_cycles
 
 
 class TestLevelBudget:
