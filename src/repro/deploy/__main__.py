@@ -25,6 +25,11 @@ from repro.harness.report import render_table
 from repro.obs.slo import SloSpec
 from repro.services.catalog import registry
 
+#: ``--serve`` exit code when the serving bridge itself raised (see
+#: ``SocketServer.first_internal_error``) — distinct from argparse's 2
+#: and the load generator's 7 / 13 / 17, which win when non-zero.
+INTERNAL_ERROR_EXIT_CODE = 23
+
 
 def _parser():
     parser = argparse.ArgumentParser(
@@ -82,7 +87,9 @@ def _parser():
                              "tsv=/tmp/lat.tsv,json=/tmp/report.json' "
                              "(keys are repro.serve.loadgen flags; "
                              "with --serve); the loadgen verdict "
-                             "becomes this command's exit code")
+                             "becomes this command's exit code (a "
+                             "clean verdict over a server that hit "
+                             "its own bug exits 23)")
     parser.add_argument("--trace", metavar="PATH", default=None,
                         help="record a virtual-time trace and write "
                              "Chrome trace JSON (Perfetto-loadable) "
@@ -342,7 +349,9 @@ def _loadgen_argv(spec_text, service, host, port):
 
 def _run_serve(dep, args):
     """The --serve flow: bind, optionally drive the external load
-    generator, report, and propagate the loadgen verdict."""
+    generator, report, and propagate the loadgen verdict — or, when
+    that is clean, the server's own (``INTERNAL_ERROR_EXIT_CODE`` if
+    its bridge raised anything that was not hostile input)."""
     try:
         host, port = _parse_endpoint(args.serve)
     except ValueError as error:
@@ -388,6 +397,10 @@ def _run_serve(dep, args):
         print()
         print(dep.slo.text())
     _finish_obs(dep, args)
+    if server.first_internal_error is not None:
+        print("the serving bridge raised (first traceback):\n%s"
+              % server.first_internal_error, file=sys.stderr)
+        code = code or INTERNAL_ERROR_EXIT_CODE
     return code
 
 

@@ -211,9 +211,11 @@ class Backend:
         return emitted, 0.0, float(latency_ns or 0.0)
 
     def open_loop_profile_batch(self, frames):
-        """:meth:`open_loop_profile` over a burst, in order.  Default:
-        the per-frame loop; a :attr:`burst_native` backend (fpga) hands
-        the target the whole burst."""
+        """One ``(emitted, service_ns, overhead_ns)`` per frame of a
+        burst, in order — the only profile call ``run_open_loop``
+        makes.  Default: :meth:`open_loop_profile` on each frame; a
+        :attr:`burst_native` backend (fpga) overrides this method
+        alone and hands its target the whole burst."""
         return [self.open_loop_profile(frame) for frame in frames]
 
     def _profile_via(self, fpga_target, send):
@@ -311,9 +313,6 @@ class FpgaBackend(Backend):
     def send_batch(self, frames):
         self._require_started()
         return self.target.send_batch(frames)
-
-    def open_loop_profile(self, frame):
-        return self.open_loop_profile_batch([frame])[0]
 
     def open_loop_profile_batch(self, frames):
         """The target measures the whole burst's core cycles in one

@@ -22,10 +22,13 @@ allows):
   all of them — and the interpreted
   :class:`~repro.rtl.simulator.Simulator` — to one semantics.
 * :mod:`repro.engine.sched` is the one discrete-event scheduler every
-  layer now shares (the netsim event loop subclasses it), with
-  processes and bounded back-pressure queues;
-  :mod:`repro.engine.openloop` uses them to drive deployments with
-  open-loop arrivals so latency distributions are queueing-derived.
+  layer shares — a heap of timed callbacks (the netsim event loop
+  subclasses it; fault plans and health detectors arm on it).  Events
+  at one nanosecond run in scheduling order, so a zero-delay event
+  follows everything already queued for that instant.
+  :mod:`repro.engine.openloop` drives deployments with open-loop
+  arrivals as arrival/start/completion events on it, so latency
+  distributions are queueing-derived.
 """
 
 from repro.engine.batch import BatchedKernel
@@ -35,10 +38,9 @@ from repro.engine.compiler import (
 from repro.engine.openloop import (
     ArrivalSpec, OpenLoopReport, run_open_loop,
 )
-from repro.engine.sched import Delay, Process, Queue, Scheduler
+from repro.engine.sched import Scheduler
 
 __all__ = [
-    "ArrivalSpec", "BatchedKernel", "CompiledKernel", "Delay",
-    "OpenLoopReport", "Process", "Queue", "Scheduler",
-    "compile_design", "compile_kernel", "run_open_loop",
+    "ArrivalSpec", "BatchedKernel", "CompiledKernel", "OpenLoopReport",
+    "Scheduler", "compile_design", "compile_kernel", "run_open_loop",
 ]

@@ -41,7 +41,7 @@ results, per-lane latency cycles, final memory images, and warm state
 across successive batches (the one permitted difference: a register
 the analysis proved unreadable-before-write may hold a different
 *internal* value after a batch — it is unobservable by construction,
-and :mod:`repro.engine.verify` checks the observable set).
+and :mod:`repro.verify` checks the observable set).
 """
 
 from repro.errors import EngineError

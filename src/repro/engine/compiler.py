@@ -32,7 +32,7 @@ lockstep under hazard gating) and
 :meth:`repro.engine.pipelined.PipelinedKernel.run_stream` (one lane per
 in-flight request, one state per cycle).  Equivalence with the
 interpreter is not assumed: it is proven per kernel by
-:mod:`repro.engine.verify` (results, final memories, *and* cycle
+:mod:`repro.verify` (results, final memories, *and* cycle
 counts), and the differential suite gates CI.
 
 ``opt_level`` threads through naturally: the engine compiles whatever

@@ -23,6 +23,14 @@ The backend contract (see :class:`repro.deploy.backends.Backend`):
 * with a tracer, ``open_loop_server_names()`` (a track name each) and
   ``open_loop_trace_detail(frame)`` (a request's routing detail).
 
+A run is plain events on one :class:`~repro.engine.sched.Scheduler`
+heap — ``arrive`` (sample the depth, tail-drop or admit), ``start``
+(execute the request at its dequeue) and ``finish`` (account the
+completion, hand the server its next request) — next to the fault
+plan's events and the time-series tick.  ``start`` is always its own
+zero-delay event, which fixes the order inside one nanosecond: every
+completion is accounted before any server's next request executes.
+
 Determinism: one seeded ``random.Random`` drives the arrival process,
 and the scheduler breaks timestamp ties by insertion order, so a run
 is a pure function of (deployment seed, arrival spec, workload).
@@ -30,10 +38,11 @@ is a pure function of (deployment seed, arrival spec, workload).
 
 import random
 from collections import deque
+from itertools import islice
 
 from repro.errors import EngineError
 from repro.engine.batch import LANES
-from repro.engine.sched import Delay, Queue, Scheduler
+from repro.engine.sched import Scheduler
 from repro.obs.metrics import interpolate_percentile
 
 ARRIVAL_PROCESSES = ("poisson", "uniform")
@@ -54,6 +63,8 @@ class ArrivalSpec:
                               % (process, ", ".join(ARRIVAL_PROCESSES)))
         if qps <= 0:
             raise EngineError("arrival rate must be positive")
+        if capacity is not None and capacity < 1:
+            raise EngineError("queue capacity must be >= 1 (or None)")
         self.process = process
         self.qps = float(qps)
         self.capacity = capacity
@@ -278,9 +289,10 @@ def run_open_loop(backend, spec, frames, duration_ns, seed=1,
       is bound to this run's scheduler, every completion emits the
       request/queue/kernel/reply span family on the server's track,
       and tail-drops emit instant events.
-    * *series* — a :class:`~repro.obs.series.TimeSeries`; a sampler
-      process flushes a window row every ``series.window_ns`` of
-      virtual time (queue depths read live at each boundary).
+    * *series* — a :class:`~repro.obs.series.TimeSeries`; a
+      self-rescheduling tick flushes a window row every
+      ``series.window_ns`` of virtual time (queue depths read live at
+      each boundary).
     * *injector* — a :class:`~repro.netsim.faults.FaultInjector` with
       pending events; they are armed on this scheduler, so plan times
       are virtual nanoseconds on the same axis as the spans.
@@ -289,10 +301,16 @@ def run_open_loop(backend, spec, frames, duration_ns, seed=1,
         raise EngineError("batch must be >= 1")
     lookahead = batch - 1 if getattr(backend, "burst_native", False) else 0
     scheduler = Scheduler()
+    schedule = scheduler.schedule
     num_servers, route = backend.open_loop_servers()
     report = OpenLoopReport(spec, duration_ns, num_servers)
-    queues = [Queue(capacity=spec.capacity, scheduler=scheduler)
-              for _ in range(num_servers)]
+    capacity = spec.capacity
+    # Per server: the (arrival_ns, frame, detail) items waiting for it,
+    # whether it is occupied, and the outcomes of queue-mates it
+    # executed ahead of their dequeue (in the queue's own FIFO order).
+    waiting = [deque() for _ in range(num_servers)]
+    busy = [False] * num_servers
+    ahead = [deque() for _ in range(num_servers)]
 
     detail_of = None
     if tracer is not None:
@@ -302,70 +320,76 @@ def run_open_loop(backend, spec, frames, duration_ns, seed=1,
             injector.tracer = tracer
         injector.arm(scheduler)
 
-    def server(index, queue, stats):
-        # Outcomes of queue-mates executed ahead of their dequeue, in
-        # the queue's own (FIFO) order.
-        ahead = deque()
-        while True:
-            arrival_ns, frame, detail = yield queue.get()
-            if not ahead:
-                ahead.extend(backend.open_loop_profile_batch(
-                    [frame] + [waiting for _, waiting, _
-                               in queue.peek(lookahead)]))
-            emitted, service_ns, overhead_ns = ahead.popleft()
-            dispatch_ns = scheduler.now_ns
-            if service_ns > 0:
-                yield Delay(service_ns)
-            stats.busy_ns += service_ns
-            now = scheduler.now_ns
-            report.completed += 1
-            if now > report.finished_ns:
-                report.finished_ns = now
-            if emitted:
-                report.replies += len(emitted)
-                latency_ns = now - arrival_ns + overhead_ns
-                report.latencies_ns.append(latency_ns)
-                if series is not None:
-                    series.observe_latency(latency_ns)
-            else:
-                report.service_drops += 1
-            if tracer is not None:
-                tracer.request(index, arrival_ns, dispatch_ns, now,
-                               overhead_ns, detail,
-                               dropped=not emitted)
-
-    for index, (queue, stats) in enumerate(zip(queues,
-                                               report.servers)):
-        scheduler.spawn(server(index, queue, stats))
-
-    if series is not None:
-        windows = -(-int(duration_ns) // series.window_ns)   # ceil
-
-        def sampler():
-            for _ in range(windows):
-                yield Delay(series.window_ns)
-                series.flush(scheduler.now_ns, report, queues)
-
-        scheduler.spawn(sampler())
-
     def arrive(frame):
         report.offered += 1
         index = route(frame)
-        queue = queues[index]
-        report.servers[index].sample(queue.depth)
-        if queue.full:
-            queue.drops += 1
+        queue = waiting[index]
+        depth = len(queue)
+        report.servers[index].sample(depth)
+        if capacity is not None and depth >= capacity:
             report.queue_drops += 1
             if tracer is not None:
                 tracer.instant("tail-drop", track=index, cat="queue",
                                args={"seq": report.offered - 1,
-                                     "depth": queue.depth})
+                                     "depth": depth})
             return
         detail = None
         if tracer is not None:
             detail = dict(detail_of(frame), seq=report.offered - 1)
         report.admitted += 1
-        queue.try_put((scheduler.now_ns, frame, detail))
+        item = (scheduler.now_ns, frame, detail)
+        if busy[index]:
+            queue.append(item)
+        else:
+            busy[index] = True
+            schedule(0, lambda: start(index, item))
+
+    def start(index, item):
+        outcomes = ahead[index]
+        if not outcomes:
+            outcomes.extend(backend.open_loop_profile_batch(
+                [item[1]] + [frame for _, frame, _
+                             in islice(waiting[index], lookahead)]))
+        outcome = outcomes.popleft()
+        dispatch_ns = scheduler.now_ns
+        service_ns = outcome[1]
+        if service_ns > 0:
+            schedule(service_ns,
+                     lambda: finish(index, item, dispatch_ns, outcome))
+        else:
+            finish(index, item, dispatch_ns, outcome)
+
+    def finish(index, item, dispatch_ns, outcome):
+        arrival_ns, _, detail = item
+        emitted, service_ns, overhead_ns = outcome
+        report.servers[index].busy_ns += service_ns
+        now = scheduler.now_ns
+        report.completed += 1
+        if now > report.finished_ns:
+            report.finished_ns = now
+        if emitted:
+            report.replies += len(emitted)
+            latency_ns = now - arrival_ns + overhead_ns
+            report.latencies_ns.append(latency_ns)
+            if series is not None:
+                series.observe_latency(latency_ns)
+        else:
+            report.service_drops += 1
+        if tracer is not None:
+            tracer.request(index, arrival_ns, dispatch_ns, now,
+                           overhead_ns, detail, dropped=not emitted)
+        # The next request leaves the queue now but executes in a
+        # zero-delay event: every completion at this nanosecond is
+        # accounted before any server's next request runs.
+        queue = waiting[index]
+        if queue:
+            following = queue.popleft()
+            schedule(0, lambda: start(index, following))
+        else:
+            busy[index] = False
+
+    def depths():
+        return [len(queue) for queue in waiting]
 
     rng = random.Random("%s/openloop/%s/%s" % (seed, spec.process,
                                                spec.qps))
@@ -375,9 +399,21 @@ def run_open_loop(backend, spec, frames, duration_ns, seed=1,
     if len(frames) < len(times):
         times = times[:len(frames)]
     for when, frame in zip(times, frames):
-        scheduler.schedule(when, lambda f=frame: arrive(f.copy()))
+        schedule(when, lambda f=frame: arrive(f.copy()))
+
+    if series is not None:
+        end_ns = int(duration_ns)
+
+        def tick():
+            series.flush(scheduler.now_ns, report, depths())
+            if scheduler.now_ns < end_ns:
+                schedule(series.window_ns, tick)
+
+        if end_ns > 0:
+            schedule(series.window_ns, tick)
+
     scheduler.run(max_events=max(1_000_000, 32 * len(times)))
     if series is not None:
         series.finish(max(scheduler.now_ns, report.finished_ns),
-                      report, queues)
+                      report, depths())
     return report

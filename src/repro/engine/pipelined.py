@@ -24,7 +24,7 @@ the pipeline always drains.  Requests retire strictly in issue order
 (results, stream-buffer commit, and the warm register file hand-off
 all happen at retire), which keeps final memory images byte-identical
 to sequential execution — the differential harness in
-:mod:`repro.engine.verify` proves exactly that, N requests in flight
+:mod:`repro.verify` proves exactly that, N requests in flight
 against the sequential ``-O0`` engine.
 
 When the kernel has no feasible schedule (data-dependent loops, stale

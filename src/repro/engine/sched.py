@@ -1,28 +1,22 @@
-"""The unified discrete-event runtime.
+"""The unified discrete-event runtime: one heap of timed callbacks.
 
-One virtual-time scheduler now underlies every layer that used to keep
-its own ad-hoc clock: the network simulator's :class:`EventLoop
-<repro.netsim.sim.EventLoop>` is a subclass, and the open-loop load
-layer (:mod:`repro.engine.openloop`) builds its ingest→core→egress
-overlap on the process/queue primitives here.
+One virtual-time scheduler underlies every layer that used to keep its
+own ad-hoc clock: the network simulator's :class:`EventLoop
+<repro.netsim.sim.EventLoop>` is a subclass, fault plans and health
+detectors arm themselves on it, and the open-loop load layer
+(:mod:`repro.engine.openloop`) runs its arrivals, request starts,
+completions and time-series ticks on it.  All of them speak one idiom,
+``schedule(delay_ns, callback)``.
 
-Three primitives:
-
-* :class:`Scheduler` — a nanosecond-resolution virtual-time heap.
-  Events at the same timestamp run in scheduling order (a monotonic
-  sequence number breaks ties), so runs are deterministic by
-  construction.
-* processes — plain generators driven by :meth:`Scheduler.spawn`.
-  A process yields :class:`Delay` (or a bare number of nanoseconds) to
-  sleep, ``queue.get()`` to receive, and ``queue.put(item)`` to send.
-* :class:`Queue` — a bounded FIFO with *back-pressure*: ``put`` blocks
-  the producing process while the queue is full; ``try_put`` is the
-  tail-drop variant hardware ingress FIFOs use (it counts ``drops``).
+:class:`Scheduler` is a nanosecond-resolution virtual-time heap.
+Events at the same timestamp run in scheduling order (a monotonic
+sequence number breaks ties), so an event scheduled at delay 0 runs in
+the same nanosecond but after everything already queued for it — and
+runs are deterministic by construction.
 """
 
 import heapq
 import itertools
-from collections import deque
 
 from repro.errors import EngineError
 
@@ -77,204 +71,3 @@ class Scheduler:
     @property
     def pending(self):
         return len(self._queue)
-
-    # -- processes --------------------------------------------------------
-
-    def spawn(self, generator):
-        """Start a process (a generator yielding Delay/Get/Put).
-
-        The first step runs as a zero-delay event, so spawning inside a
-        running simulation keeps time order.  Returns the
-        :class:`Process`.
-        """
-        process = Process(self, generator)
-        self.schedule(0, lambda: process._resume(None))
-        return process
-
-
-class Process:
-    """A scheduler-driven generator.  Created via :meth:`Scheduler.spawn`."""
-
-    __slots__ = ("scheduler", "generator", "finished")
-
-    def __init__(self, scheduler, generator):
-        self.scheduler = scheduler
-        self.generator = generator
-        self.finished = False
-
-    def _resume(self, value):
-        if self.finished:
-            return
-        try:
-            request = self.generator.send(value)
-        except StopIteration:
-            self.finished = True
-            return
-        if isinstance(request, (int, float)):
-            request = Delay(request)
-        request._arm(self.scheduler, self)
-
-    def __repr__(self):
-        return "Process(%s%s)" % (
-            getattr(self.generator, "__name__", "gen"),
-            ", finished" if self.finished else "")
-
-
-class Delay:
-    """Yielded by a process to sleep for *ns* virtual nanoseconds."""
-
-    __slots__ = ("ns",)
-
-    def __init__(self, ns):
-        self.ns = ns
-
-    def _arm(self, scheduler, process):
-        scheduler.schedule(self.ns, lambda: process._resume(None))
-
-
-class _Get:
-    __slots__ = ("queue",)
-
-    def __init__(self, queue):
-        self.queue = queue
-
-    def _arm(self, scheduler, process):
-        queue = self.queue
-        queue._bind(scheduler)
-        queue._getters.append(process)
-        queue._service()
-
-
-class _Put:
-    __slots__ = ("queue", "item")
-
-    def __init__(self, queue, item):
-        self.queue = queue
-        self.item = item
-
-    def _arm(self, scheduler, process):
-        queue = self.queue
-        queue._bind(scheduler)
-        queue._putters.append((process, self.item))
-        queue._service()
-
-
-class Queue:
-    """A bounded FIFO between processes, with back-pressure.
-
-    * ``yield queue.put(item)`` — append; blocks the producer while the
-      queue is at *capacity* (back-pressure), resuming in FIFO order as
-      consumers drain it.
-    * ``yield queue.get()`` — pop; blocks the consumer while empty.
-    * ``try_put(item)`` — the non-blocking tail-drop variant: returns
-      ``False`` (and counts a drop) when full, like a hardware ingress
-      FIFO rejecting a frame.
-
-    ``max_depth`` tracks the high-water mark of *waiting* items; an
-    item being serviced by a consumer has already left the queue,
-    matching how FIFO occupancy reads in the pipeline model.
-    """
-
-    def __init__(self, capacity=None, scheduler=None):
-        if capacity is not None and capacity < 1:
-            raise EngineError("queue capacity must be >= 1 (or None)")
-        self.capacity = capacity
-        self._scheduler = scheduler
-        self._items = deque()
-        self._getters = deque()
-        self._putters = deque()
-        self.max_depth = 0
-        self.total_enqueued = 0
-        self.drops = 0
-
-    # -- introspection ------------------------------------------------------
-
-    @property
-    def depth(self):
-        return len(self._items)
-
-    @property
-    def full(self):
-        return self.capacity is not None and \
-            len(self._items) >= self.capacity
-
-    # -- process-facing requests -------------------------------------------
-
-    def get(self):
-        """Request object for ``yield queue.get()``."""
-        return _Get(self)
-
-    def put(self, item):
-        """Request object for ``yield queue.put(item)`` (blocking)."""
-        return _Put(self, item)
-
-    # -- non-blocking -------------------------------------------------------
-
-    def try_put(self, item):
-        """Append if there is space; otherwise count a drop."""
-        if self.full:
-            self.drops += 1
-            return False
-        self._append(item)
-        if self._getters:
-            self._service()
-        return True
-
-    def try_get(self):
-        """``(True, item)`` if an item was waiting, else ``(False, None)``."""
-        if not self._items:
-            return False, None
-        item = self._items.popleft()
-        if self._putters:
-            self._service()
-        return True, item
-
-    def peek(self, limit=None):
-        """The oldest *limit* waiting items (all when ``None``) without
-        removing them — batched consumers look ahead at what they are
-        about to drain while the items keep occupying their slots."""
-        if limit is None:
-            return list(self._items)
-        return list(itertools.islice(self._items, max(0, limit)))
-
-    # -- internals ----------------------------------------------------------
-
-    def _bind(self, scheduler):
-        if self._scheduler is None:
-            self._scheduler = scheduler
-        elif scheduler is not None and scheduler is not self._scheduler:
-            raise EngineError("queue is bound to a different scheduler")
-
-    def _append(self, item):
-        self._items.append(item)
-        self.total_enqueued += 1
-        if len(self._items) > self.max_depth:
-            self.max_depth = len(self._items)
-
-    def _service(self):
-        """Match waiting putters with space and waiting getters with
-        items; resumptions are zero-delay events so time order (and
-        determinism) is preserved."""
-        if self._scheduler is None:
-            raise EngineError(
-                "queue has blocked processes but no scheduler")
-        schedule = self._scheduler.schedule
-        moved = True
-        while moved:
-            moved = False
-            while self._putters and not self.full:
-                process, item = self._putters.popleft()
-                self._append(item)
-                schedule(0, lambda p=process: p._resume(None))
-                moved = True
-            while self._getters and self._items:
-                process = self._getters.popleft()
-                item = self._items.popleft()
-                schedule(0, lambda p=process, i=item: p._resume(i))
-                moved = True
-
-    def __repr__(self):
-        return "Queue(depth=%d%s, drops=%d)" % (
-            self.depth,
-            "" if self.capacity is None else "/%d" % self.capacity,
-            self.drops)

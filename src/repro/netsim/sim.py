@@ -13,6 +13,6 @@ from repro.errors import NetSimError
 
 class EventLoop(Scheduler):
     """Nanosecond-resolution event loop (the netsim face of the
-    engine scheduler; it also inherits ``spawn`` for processes)."""
+    engine scheduler)."""
 
     error = NetSimError

@@ -124,9 +124,10 @@ class TimeSeries:
     def observe_latency(self, latency_ns):
         self._window_latencies.append(latency_ns)
 
-    def flush(self, now_ns, report, queues):
+    def flush(self, now_ns, report, depths):
         """Close the window ending at *now_ns* against the cumulative
-        *report* counters and the live *queues*."""
+        *report* counters and the live per-server ingest *depths* (a
+        list of ints)."""
         current = (report.offered, report.admitted, report.completed,
                    report.replies, report.queue_drops,
                    report.service_drops)
@@ -145,7 +146,7 @@ class TimeSeries:
             self._last_end_ns, now_ns, *delta,
             p50_us=None if p50 is None else p50 / 1000.0,
             p99_us=None if p99 is None else p99 / 1000.0,
-            depths=[queue.depth for queue in queues],
+            depths=depths,
             busy_fraction=(busy - busy_before) / capacity_ns
             if capacity_ns else 0.0)
         self.rows.append(row)
@@ -157,7 +158,7 @@ class TimeSeries:
             observer(row, ordered)
         return row
 
-    def finish(self, now_ns, report, queues):
+    def finish(self, now_ns, report, depths):
         """Capture the post-duration tail (completions still draining
         after the last full window) as one final partial row, exposed
         on :attr:`final_partial` — created only when time passed since
@@ -170,7 +171,7 @@ class TimeSeries:
                 (report.offered, report.admitted, report.completed,
                  report.replies, report.queue_drops,
                  report.service_drops)):
-            self.final_partial = self.flush(now_ns, report, queues)
+            self.final_partial = self.flush(now_ns, report, depths)
         return self.final_partial
 
     # -- consumption ---------------------------------------------------------

@@ -66,13 +66,6 @@ class _SocketArrivals:
         self.capacity = capacity
 
 
-class _IngestGauge:
-    """Live ingest depth for time-series boundary sampling."""
-
-    def __init__(self):
-        self.depth = 0
-
-
 class SocketServer:
     """Bridge real sockets into a started deployment."""
 
@@ -102,7 +95,6 @@ class SocketServer:
         self._report = OpenLoopReport(_SocketArrivals(self.capacity),
                                       0, num_servers)
         self._detail_of = None
-        self._gauge = _IngestGauge()
         self._pending = []           # (payload, reply, depth, t_arr_ns)
         self._drain_scheduled = False
         self._seq = 0
@@ -185,9 +177,8 @@ class SocketServer:
         self._final_ns = max(1, self._now_ns())
         self._report.duration_ns = self._final_ns
         if self.series is not None:
-            self._gauge.depth = len(self._pending)
             self.series.finish(self._final_ns, self._report,
-                               [self._gauge])
+                               [len(self._pending)])
         return self.report
 
     async def _close(self):
@@ -414,8 +405,8 @@ class SocketServer:
         period_s = max(series.window_ns / 1e9, 0.001)
         while True:
             await asyncio.sleep(period_s)
-            self._gauge.depth = len(self._pending)
-            series.flush(self._now_ns(), self._report, [self._gauge])
+            series.flush(self._now_ns(), self._report,
+                         [len(self._pending)])
 
     def __repr__(self):
         state = "serving" if self._running else "stopped"

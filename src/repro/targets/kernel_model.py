@@ -12,7 +12,7 @@ state between requests, exactly like the hardware).
 The measurement runs on the compiled execution spine
 (:mod:`repro.engine.compiler`); its cycle counts are identical to the
 interpreted netlist's by the engine's differential proof
-(:mod:`repro.engine.verify`), the wall clock is not.
+(:mod:`repro.verify`), the wall clock is not.
 """
 
 from repro.engine.batch import LANES, BatchedKernel
@@ -98,7 +98,7 @@ class KernelCycleModel:
         They go through the lockstep driver ``LANES`` at a time; how a
         stream is cut into calls is unobservable — cycle counts and the
         warm-memory end state are those of one frame per call (the batch
-        differential harness in :mod:`repro.engine.verify` proves it).
+        differential harness in :mod:`repro.verify` proves it).
         """
         depth, param = self.depth, self.frame_param
         jobs = [(self.scalars,

@@ -1,8 +1,12 @@
 """Smoke tests for the ``python -m repro.deploy`` CLI driver."""
 
+import socket
+import time
+
 import pytest
 
-from repro.deploy.__main__ import main
+from repro.deploy.__main__ import INTERNAL_ERROR_EXIT_CODE, main
+from repro.deploy.builder import Deployment
 
 
 def test_list_services(capsys):
@@ -184,3 +188,39 @@ def test_validate_cli_summary(capsys, tmp_path):
     assert "valid trace TSV" in out
     assert "valid alert log" in out
     assert "summary: " in out and "alert event(s)" in out
+
+
+SERVE = ["--service", "memcached", "--backend", "cpu",
+         "--serve", "127.0.0.1:0", "--serve-duration", "0.05"]
+
+
+def test_serve_exits_clean_without_traffic(capsys):
+    assert main(SERVE) == 0
+    assert capsys.readouterr().err == ""
+
+
+def test_serve_exits_nonzero_on_the_servers_own_bug(monkeypatch,
+                                                    capsys):
+    """A non-``ReproError`` out of the bridge is the server's bug, not
+    hostile input: with no load generator to fail the run, ``--serve``
+    itself must — its own code, the traceback on stderr."""
+    real_serve = Deployment.serve
+
+    def faulty_encap(payload, seq):
+        raise RuntimeError("injected codec fault")
+
+    def serve_one_faulty_request(self, *args, **kwargs):
+        server = real_serve(self, *args, **kwargs)
+        server.binding.encap = faulty_encap
+        with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as sock:
+            sock.sendto(b"any payload", server.address)
+        deadline = time.monotonic() + 5.0
+        while server.report.completed < 1:
+            assert time.monotonic() < deadline
+            time.sleep(0.005)
+        return server
+
+    monkeypatch.setattr(Deployment, "serve", serve_one_faulty_request)
+    assert main(SERVE) == INTERNAL_ERROR_EXIT_CODE
+    assert INTERNAL_ERROR_EXIT_CODE not in (0, 2, 7, 13, 17)
+    assert "injected codec fault" in capsys.readouterr().err

@@ -3,10 +3,12 @@
 Seeded per tests/README: one module SEED, one stream per property.
 """
 
+import functools
 import random
 
 import pytest
 
+import openloop_sweep as sweep
 from repro.deploy import deploy
 from repro.engine.openloop import ArrivalSpec
 from repro.errors import EngineError, TargetError
@@ -22,6 +24,10 @@ class TestArrivalSpec:
     def test_rejects_nonpositive_rate(self):
         with pytest.raises(EngineError):
             ArrivalSpec("poisson", qps=0)
+
+    def test_rejects_nonpositive_capacity(self):
+        with pytest.raises(EngineError):
+            ArrivalSpec("poisson", capacity=0)
 
     def test_uniform_gaps_are_exact(self):
         spec = ArrivalSpec("uniform", qps=1e6)   # 1000 ns gaps
@@ -227,3 +233,61 @@ class TestPercentileCache:
                                 duration_ns=1000, num_servers=1)
         assert report.p50_latency_us() is None
         assert report.p999_latency_us() is None
+
+
+@functools.lru_cache(maxsize=None)
+def _sweep_run(case):
+    return sweep.run_case(case)
+
+
+class TestSameBytesAcrossCommits:
+    """"Same seed => same bytes" held across a change to the runtime,
+    not only between two runs of one commit: the digests in
+    ``openloop_sweep.PINNED`` were recorded on the generator-process
+    scheduler, before ``run_open_loop`` became plain heap events."""
+
+    @pytest.mark.parametrize("case", sorted(sweep.PINNED))
+    def test_digest_is_the_recorded_one(self, case):
+        artefacts, _ = _sweep_run(case)
+        assert sweep.digest(artefacts) == sweep.PINNED[case]
+
+    def test_pinned_cases_span_the_sweep(self):
+        assert len(sweep.CASES) == 90
+        pinned = [sweep.CASES[name] for name in sweep.PINNED]
+        assert {case.backend for case in pinned} == \
+            {"cpu", "fpga", "multicore", "cluster", "netsim"}
+        assert {case.policy for case in pinned} >= \
+            {"primary+1", "write-all"}
+        assert {case.obs for case in pinned} == {False, True}
+        assert any(case.faults for case in pinned)
+        assert any(case.qps == 12e6 for case in pinned)
+
+    def test_completions_are_accounted_before_the_next_request_runs(
+            self):
+        """The same-nanosecond order: every completion at an instant
+        is accounted before any server executes its next request —
+        the next request's ``start`` is a zero-delay event behind the
+        completions already queued, never a call from inside one.
+        Under ``ReadOneWriteAll`` a write's ``replica-apply:*``
+        instants fire while it executes, so in export order none may
+        precede a ``reply`` span (stamped at its completion) that
+        starts at the same timestamp."""
+        _, dep = _sweep_run("memcached-cluster-12M-write-all-obs")
+        events = dep.tracer.find()
+        completing = {}
+        for event in events:
+            if event["name"].startswith("hop:"):
+                completing.setdefault(event["ts"] + event["dur"],
+                                      set()).add(event["tid"])
+        applied = {event["ts"] for event in events
+                   if event["name"].startswith("replica-apply:")}
+        # Not vacuous: two servers complete in one nanosecond and a
+        # replicated write executes in that same nanosecond.
+        assert any(len(tracks) > 1 and when in applied
+                   for when, tracks in completing.items())
+        executed = set()
+        for event in events:
+            if event["name"].startswith("replica-apply:"):
+                executed.add(event["ts"])
+            elif event["name"] == "reply":
+                assert event["ts"] not in executed, event

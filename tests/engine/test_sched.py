@@ -1,16 +1,10 @@
-"""Scheduler primitives: ordering, processes, queues, determinism.
-
-Seeded per tests/README: one module SEED, one stream per property.
-"""
-
-import random
+"""The scheduler heap: time order, FIFO among equals, the zero-delay
+rule the open loop's same-nanosecond order rests on."""
 
 import pytest
 
-from repro.engine.sched import Delay, Queue, Scheduler
+from repro.engine.sched import Scheduler
 from repro.errors import EngineError
-
-SEED = "engine-sched"
 
 
 class TestOrdering:
@@ -63,149 +57,3 @@ class TestOrdering:
         scheduler.schedule(0, respawn)
         with pytest.raises(EngineError):
             scheduler.run(max_events=50)
-
-
-class TestProcesses:
-    def test_delay_and_bare_number_both_sleep(self):
-        scheduler = Scheduler()
-        log = []
-
-        def proc():
-            yield Delay(10)
-            log.append(scheduler.now_ns)
-            yield 15
-            log.append(scheduler.now_ns)
-
-        scheduler.spawn(proc())
-        scheduler.run()
-        assert log == [10, 25]
-
-    def test_process_finishes(self):
-        scheduler = Scheduler()
-
-        def proc():
-            yield Delay(1)
-
-        process = scheduler.spawn(proc())
-        scheduler.run()
-        assert process.finished
-
-
-class TestQueue:
-    def test_get_blocks_until_put(self):
-        scheduler = Scheduler()
-        queue = Queue()
-        log = []
-
-        def consumer():
-            item = yield queue.get()
-            log.append((scheduler.now_ns, item))
-
-        def producer():
-            yield Delay(30)
-            yield queue.put("x")
-
-        scheduler.spawn(consumer())
-        scheduler.spawn(producer())
-        scheduler.run()
-        assert log == [(30, "x")]
-
-    def test_back_pressure_blocks_producer_until_space(self):
-        scheduler = Scheduler()
-        queue = Queue(capacity=1)
-        log = []
-
-        def producer():
-            for index in range(3):
-                yield queue.put(index)
-                log.append(("put", index, scheduler.now_ns))
-
-        def consumer():
-            for _ in range(3):
-                item = yield queue.get()
-                log.append(("got", item, scheduler.now_ns))
-                yield Delay(10)
-
-        scheduler.spawn(producer())
-        scheduler.spawn(consumer())
-        scheduler.run()
-        puts = [entry for entry in log if entry[0] == "put"]
-        gots = [entry for entry in log if entry[0] == "got"]
-        # Items arrive in order, and the producer's 2nd/3rd puts wait
-        # for the consumer to free a slot (10 ns service each).
-        assert [item for _, item, _ in gots] == [0, 1, 2]
-        assert puts[0][2] == 0          # first put: immediate
-        assert puts[1][2] == 0          # refills the slot the get freed
-        assert puts[2][2] >= 10         # third put waited out a service
-        assert queue.max_depth == 1     # capacity was honoured
-
-    def test_try_put_drops_when_full(self):
-        queue = Queue(capacity=2)
-        assert queue.try_put("a")
-        assert queue.try_put("b")
-        assert not queue.try_put("c")
-        assert queue.drops == 1
-        assert queue.depth == 2
-        assert queue.full
-
-    def test_try_get(self):
-        queue = Queue()
-        assert queue.try_get() == (False, None)
-        queue.try_put("a")
-        assert queue.try_get() == (True, "a")
-
-    def test_capacity_must_be_positive(self):
-        with pytest.raises(EngineError):
-            Queue(capacity=0)
-
-    def test_fifo_among_blocked_getters(self):
-        scheduler = Scheduler()
-        queue = Queue()
-        log = []
-
-        def consumer(name):
-            item = yield queue.get()
-            log.append((name, item))
-
-        scheduler.spawn(consumer("first"))
-        scheduler.spawn(consumer("second"))
-
-        def producer():
-            yield Delay(5)
-            yield queue.put("a")
-            yield queue.put("b")
-
-        scheduler.spawn(producer())
-        scheduler.run()
-        assert log == [("first", "a"), ("second", "b")]
-
-
-class TestDeterministicReplay:
-    def test_same_seed_same_trace(self):
-        """A seeded random workload over processes + queues replays
-        identically: the scheduler introduces no hidden ordering."""
-
-        def trace(seed):
-            rng = random.Random("%s/%s" % (SEED, seed))
-            scheduler = Scheduler()
-            queue = Queue(capacity=4)
-            log = []
-
-            def producer():
-                for index in range(40):
-                    yield Delay(rng.randint(0, 3))
-                    yield queue.put(index)
-
-            def consumer():
-                for _ in range(40):
-                    item = yield queue.get()
-                    log.append((scheduler.now_ns, item, queue.depth))
-                    yield Delay(rng.randint(0, 5))
-
-            scheduler.spawn(producer())
-            scheduler.spawn(consumer())
-            scheduler.run()
-            return log
-
-        assert trace("replay") == trace("replay")
-        assert trace("replay") != trace("other-stream")

@@ -24,11 +24,6 @@ class FakeServer:
         self.busy_ns = 0.0
 
 
-class FakeQueue:
-    def __init__(self, depth):
-        self.depth = depth
-
-
 class TestWindow:
     def test_rates_derive_from_span(self):
         window = Window(0, 1_000_000, offered=10, admitted=10,
@@ -57,11 +52,11 @@ class TestTimeSeries:
         report = FakeReport()
         report.offered = report.admitted = report.completed = 5
         report.replies = 5
-        series.flush(1000, report, [FakeQueue(2), FakeQueue(0)])
+        series.flush(1000, report, [2, 0])
         report.offered = report.admitted = report.completed = 12
         report.replies = 11
         report.queue_drops = 1
-        series.flush(2000, report, [FakeQueue(0), FakeQueue(4)])
+        series.flush(2000, report, [0, 4])
         first, second = series.rows
         assert (first.offered, first.completed) == (5, 5)
         assert (second.offered, second.completed) == (7, 7)
@@ -122,7 +117,7 @@ class TestTimeSeries:
         report.offered = report.admitted = report.completed = 2
         report.replies = 2
         series.observe_latency(1500)
-        series.flush(1000, report, [FakeQueue(1), FakeQueue(3)])
+        series.flush(1000, report, [1, 3])
         lines = series.to_tsv().strip().split("\n")
         header = lines[0].split("\t")
         assert header[:3] == ["t_ms", "window_ms", "offered"]
@@ -137,7 +132,7 @@ class TestTimeSeries:
             report = FakeReport()
             report.offered = report.completed = 4
             series.observe_latency(1234)
-            series.flush(1000, report, [FakeQueue(2)])
+            series.flush(1000, report, [2])
             return series.to_tsv()
         assert build() == build()
 
