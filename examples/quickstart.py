@@ -82,9 +82,6 @@ def main():
     print("fpga backend: %(requests)d requests, %(replies)d replies, "
           "avg %(avg_latency_us).2f us" % snapshot)
     print(fpga.describe())
-    print("\n(before repro.deploy this file hand-wired CpuTarget and "
-          "FpgaTarget; direct construction still works but is "
-          "deprecated — see README 'Deployment API')")
 
 
 if __name__ == "__main__":

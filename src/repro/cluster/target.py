@@ -7,8 +7,8 @@ consistent-hash ring routes each request to the shard owning its key,
 and a :class:`~repro.cluster.replication.ReplicationPolicy` decides
 where writes are additionally applied.
 
-The API matches the existing targets — ``send(frame)`` returns
-``(emitted, latency_ns)`` and ``max_qps`` gives sustainable throughput
+The API matches the existing targets — ``send(frame)`` returns the
+request's outcome and ``max_qps`` gives sustainable throughput
 — plus ``send_batch(frames)``, which groups a frame list by owning
 shard before dispatching so the per-frame Python overhead (ring lookup
 machinery, attribute chasing) is amortized across each shard's run.
@@ -337,13 +337,14 @@ class ClusterTarget:
                             {"shard": shard_id})
 
     def send(self, frame):
-        """Route one request to its shard; returns (emitted, latency_ns).
+        """Route one request to its shard; returns the shard's outcome
+        (see :mod:`repro.deploy.backends`).
 
-        A request routed to a crashed shard times out — ``([], None)``,
-        never acknowledged — and feeds that shard's failure detector;
-        when the detector trips, the shard is failed over
-        (:meth:`evict_shard`) so subsequent requests for its keys reach
-        the promoted owner.
+        A request routed to a crashed shard times out — ``([], None,
+        None, REQUEST_TIMEOUT_NS)``, never acknowledged — and feeds that
+        shard's failure detector; when the detector trips, the shard is
+        failed over (:meth:`evict_shard`) so subsequent requests for
+        its keys reach the promoted owner.
         """
         owner = self._owner(frame)
         if owner in self._down:
@@ -361,7 +362,10 @@ class ClusterTarget:
 
     def _send_timed_out(self, frame, owner):
         """A request hit a crashed shard: count the timeout, feed the
-        detector, and fail over once the miss streak trips it."""
+        detector, and fail over once the miss streak trips it.  No core
+        ran, and the client burns its full timeout on the dead shard's
+        queue — so an open-loop trace shows the 50 us tail span it is,
+        not an instant failure."""
         self.requests += 1
         self.failed_requests += 1
         if self.event_hook is not None:
@@ -370,7 +374,7 @@ class ClusterTarget:
                              "misses": self.detectors[owner].misses + 1})
         if self.detectors[owner].record_miss():
             self.evict_shard(owner)
-        return [], None
+        return [], None, None, REQUEST_TIMEOUT_NS
 
     def send_batch(self, frames):
         """Dispatch a frame list, grouped by shard, preserving order.
@@ -450,13 +454,6 @@ class ClusterTarget:
     def load_imbalance(self):
         """Max/mean requests routed per shard (1.0 = perfectly even)."""
         return max_over_mean(self.shard_loads.values())
-
-    def latencies_ns(self):
-        """All recorded per-request latencies across shards."""
-        merged = []
-        for shard in self.shards.values():
-            merged.extend(shard.latencies_ns)
-        return merged
 
     # -- throughput model ---------------------------------------------------
 

@@ -224,9 +224,3 @@ def build_ascii_set(key, value, flags=0, exptime=0, noreply=False):
 def build_ascii_delete(key, noreply=False):
     return b"delete " + bytes(key) + \
         (b" noreply" if noreply else b"") + b"\r\n"
-
-
-def build_ascii_value_response(key, flags, value):
-    """``VALUE <key> <flags> <bytes>\\r\\n<data>\\r\\nEND\\r\\n``"""
-    return (b"VALUE %s %d %d\r\n" % (bytes(key), flags, len(value)) +
-            bytes(value) + b"\r\nEND\r\n")

@@ -5,17 +5,14 @@ Each adapter wraps one of the existing target layers — it does not
 reimplement them.  The uniform surface is:
 
 * ``start()``                  — build the underlying target(s);
-* ``send(frame)``              — one request; always returns
-  ``(emitted, latency_ns)`` where *emitted* is a ``(port, frame)``
-  list and *latency_ns* is ``None`` on backends without a timing
-  model (CPU) or for dropped frames;
-* ``send_batch(frames)``       — a request list (backends whose
-  target takes a burst hand it over whole; others loop);
+* ``send(frame)``              — one request; returns its *outcome*
+  (below);
+* ``send_batch(frames)``       — a request list, one outcome per frame
+  (backends whose target takes a burst hand it over whole; others
+  loop);
 * ``stop()``                   — release the target;
 * ``stats()``                  — backend-specific counters, merged
   into the deployment's metrics snapshot;
-* ``pop_cycles()``             — core-cycle counts recorded since the
-  last call (feeds the metrics cycle histogram);
 * ``max_qps(read, write, ratio)`` — the model-based throughput
   ceiling, where the target has one;
 * ``attach_faults(plan)``      — wire a
@@ -25,6 +22,26 @@ reimplement them.  The uniform surface is:
   etc. work), the backend adapter itself on netsim (its fault verbs
   are ``partition(port)`` / ``heal(port)``).
 
+A request's **outcome** is one plain tuple, ``(emitted, latency_ns,
+core_cycles, service_ns)`` — the only record of the request below
+:class:`~repro.deploy.builder.Deployment`, whose ``send`` returns its
+first two fields and whose ``metrics`` keep the history:
+
+* *emitted* — the ``(port, frame)`` list that left the device;
+* *latency_ns* — what the DAG card would time; ``None`` for a drop or
+  on a backend without a timing model (cpu);
+* *core_cycles* — what the main logical core spent on it: ``0`` for a
+  frame refused at ingress, ``None`` where no device core ran (cpu,
+  netsim, a cluster timeout);
+* *service_ns* — how long the request occupied its server, drops
+  included (a rejected frame still held the core; a request a crashed
+  shard ate holds its queue for the client's timeout); ``0.0`` without
+  a timing model.
+
+The device models (:class:`~repro.targets.fpga.FpgaTarget`,
+``MultiCoreTarget``, ``ClusterTarget``) return it and every adapter
+passes it up unchanged.
+
 Register new backends with :func:`register_backend`; the
 :class:`~repro.deploy.builder.Deployment` builder resolves them by
 name, so new execution substrates compose with every registered
@@ -33,7 +50,7 @@ service and workload without touching call sites.
 
 from repro.cluster.balancer import flow_key
 from repro.cluster.ring import DEFAULT_VNODES
-from repro.cluster.target import REQUEST_TIMEOUT_NS, ClusterTarget
+from repro.cluster.target import ClusterTarget
 from repro.errors import TargetError
 from repro.netsim import FaultInjector, Network
 from repro.targets.cpu import CpuTarget
@@ -65,6 +82,14 @@ def resolve_backend(name):
                           % (name, ", ".join(backend_names())))
 
 
+def _profile(outcome):
+    """The open loop's ``(emitted, service_ns, overhead_ns)`` view of
+    one outcome."""
+    emitted, latency_ns, _, service_ns = outcome
+    return (emitted, service_ns, 0.0 if latency_ns is None
+            else max(0.0, latency_ns - service_ns))
+
+
 class Backend:
     """Adapter base: common config handling + default loops."""
 
@@ -78,7 +103,6 @@ class Backend:
         self.spec = spec
         self.config = config
         self.target = None
-        self._cycle_offsets = {}
         #: The opt level the running deployment actually honours;
         #: ``None`` on backends without a compiled-kernel cycle model
         #: (cpu, netsim) or when the service has no flat kernel.
@@ -92,18 +116,11 @@ class Backend:
     def stop(self):
         self.target = None
 
-    @property
-    def started(self):
-        return self.target is not None
-
-    def _require_started(self):
-        if not self.started:
-            raise TargetError("backend %r is not started" % (self.name,))
-
     # -- dispatch -----------------------------------------------------------
 
     def send(self, frame):
-        raise NotImplementedError
+        """One request's outcome, as the device model returns it."""
+        return self.target.send(frame)
 
     def send_batch(self, frames):
         """Default: sequential sends (overridden where the target
@@ -113,20 +130,8 @@ class Backend:
     # -- observability ------------------------------------------------------
 
     def _fpga_targets(self):
-        """The FpgaTarget instances whose cycle counts feed metrics."""
+        """The FpgaTarget instances this backend runs."""
         return []
-
-    def pop_cycles(self):
-        """Core-cycle counts recorded since the last call."""
-        harvested = []
-        for target in self._fpga_targets():
-            key = id(target)
-            offset = self._cycle_offsets.get(key, 0)
-            counts = target.core_cycle_counts
-            if offset < len(counts):
-                harvested.extend(counts[offset:])
-                self._cycle_offsets[key] = len(counts)
-        return harvested
 
     def stats(self):
         return {}
@@ -203,12 +208,11 @@ class Backend:
         *service_ns* is the time the request occupies its server (the
         queueing resource); *overhead_ns* is the constant wire/PHY time
         that pipelines perfectly and is simply added to the recorded
-        latency.  Backends without a timing model report zero service
-        time (no queueing) and their measured latency, if any, as
-        overhead.
+        latency — whatever of the outcome's latency is not occupancy.
+        Backends without a timing model report zero service time (no
+        queueing) and their measured latency, if any, as overhead.
         """
-        emitted, latency_ns = self.send(frame)
-        return emitted, 0.0, float(latency_ns or 0.0)
+        return _profile(self.send(frame))
 
     def open_loop_profile_batch(self, frames):
         """One ``(emitted, service_ns, overhead_ns)`` per frame of a
@@ -217,17 +221,6 @@ class Backend:
         :attr:`burst_native` backend (fpga) overrides this method
         alone and hands its target the whole burst."""
         return [self.open_loop_profile(frame) for frame in frames]
-
-    def _profile_via(self, fpga_target, send):
-        """Shared fpga-shaped profile: *send* runs a burst and returns
-        its ``(emitted, latency_ns)`` list; each occupancy is the
-        service time *fpga_target* recorded for it."""
-        before = len(fpga_target.service_times_ns)
-        outcomes = send()
-        return [(emitted, service_ns, 0.0 if latency_ns is None
-                 else max(0.0, latency_ns - service_ns))
-                for (emitted, latency_ns), service_ns
-                in zip(outcomes, fpga_target.service_times_ns[before:])]
 
     # -- models / faults ----------------------------------------------------
 
@@ -279,11 +272,9 @@ class CpuBackend(Backend):
         return self
 
     def send(self, frame):
-        self._require_started()
-        return self.target.send(frame), None
+        return self.target.send(frame), None, None, 0.0
 
     def stats(self):
-        self._require_started()
         return {"frames_processed": self.target.frames_processed}
 
     def describe_scale(self):
@@ -306,27 +297,19 @@ class FpgaBackend(Backend):
                                  level_budget=self._effective_level_budget())
         return self
 
-    def send(self, frame):
-        self._require_started()
-        return self.target.send(frame)
-
     def send_batch(self, frames):
-        self._require_started()
         return self.target.send_batch(frames)
 
     def open_loop_profile_batch(self, frames):
         """The target measures the whole burst's core cycles in one
         lockstep run; per-frame statistics do not depend on how the
         stream is cut (see FpgaTarget.send_batch)."""
-        self._require_started()
-        return self._profile_via(
-            self.target, lambda: self.target.send_batch(frames))
+        return [_profile(outcome) for outcome in self.send_batch(frames)]
 
     def _fpga_targets(self):
         return [self.target] if self.target else []
 
     def max_qps(self, read_frame, write_frame=None, write_ratio=0.0):
-        self._require_started()
         read_qps = self.target.max_qps(read_frame.copy())
         if write_frame is None or write_ratio <= 0.0:
             return read_qps
@@ -335,7 +318,6 @@ class FpgaBackend(Backend):
                       (1.0 - write_ratio) / read_qps)
 
     def stats(self):
-        self._require_started()
         pipeline = self.target.pipeline
         return {"frames_in": pipeline.frames_in,
                 "frames_out": pipeline.frames_out,
@@ -359,64 +341,27 @@ class MultiCoreBackend(Backend):
             is_write=self.config.get("is_write", self.spec.is_write),
             opt_level=self.effective_opt,
             level_budget=self._effective_level_budget())
-        self._pending_cycles = []
         return self
 
-    def send(self, frame):
-        self._require_started()
-        serving_core = self.target.serving_core(frame)
-        result = self.target.send(frame)
-        # Harvest per send, not per pop: a batch spreads requests over
-        # different serving cores, and only the serving core's count
-        # is a request cost — a replicated write also runs on every
-        # other core, but those replica applies are background work,
-        # exactly like the cluster backend's (which records none).
-        # One cycle sample per request on every backend, batch or not.
-        for index, core in enumerate(self.target.cores):
-            key = id(core)
-            offset = self._cycle_offsets.get(key, 0)
-            counts = core.core_cycle_counts
-            if offset < len(counts):
-                if index == serving_core:
-                    self._pending_cycles.extend(counts[offset:])
-                self._cycle_offsets[key] = len(counts)
-        return result
-
     def open_loop_servers(self):
-        self._require_started()
         return self.target.num_cores, self.target.serving_core
 
     def open_loop_server_names(self):
-        self._require_started()
         return ["core%d" % index
                 for index in range(self.target.num_cores)]
 
     def open_loop_trace_detail(self, frame):
         return {"core": self.target.serving_core(frame)}
 
-    def open_loop_profile(self, frame):
-        self._require_started()
-        serving = self.target.cores[self.target.serving_core(frame)]
-        # Route through self.send so the per-send cycle harvest keeps
-        # its one-sample-per-request invariant; occupancy is the
-        # serving core's (replica applies are background work).
-        return self._profile_via(serving, lambda: [self.send(frame)])[0]
-
     def _fpga_targets(self):
         return self.target.cores if self.target else []
 
-    def pop_cycles(self):
-        pending, self._pending_cycles = self._pending_cycles, []
-        return pending
-
     def max_qps(self, read_frame, write_frame=None, write_ratio=0.0):
-        self._require_started()
         if write_frame is None:
             write_frame = read_frame
         return self.target.max_qps(read_frame, write_frame, write_ratio)
 
     def stats(self):
-        self._require_started()
         return {"cores": self.target.num_cores,
                 "opt_level": self.effective_opt}
 
@@ -444,16 +389,10 @@ class ClusterBackend(Backend):
             level_budget=self._effective_level_budget())
         return self
 
-    def send(self, frame):
-        self._require_started()
-        return self.target.send(frame)
-
     def send_batch(self, frames):
-        self._require_started()
         return self.target.send_batch(frames)
 
     def open_loop_servers(self):
-        self._require_started()
         target = self.target
         count = max(1, target.num_shards)
         # Pin shard -> queue index for the whole run.  The live
@@ -471,7 +410,6 @@ class ClusterBackend(Backend):
         return count, route
 
     def open_loop_server_names(self):
-        self._require_started()
         return list(self.target._shard_order)
 
     def open_loop_trace_detail(self, frame):
@@ -481,31 +419,16 @@ class ClusterBackend(Backend):
     def attach_tracer(self, tracer):
         """Cluster membership changes (kills, evictions, rejoins,
         replica applies, timeouts) become instant events on track 0."""
-        self._require_started()
         self.target.event_hook = tracer.hook(cat="cluster")
         return tracer
 
     def open_loop_profile(self, frame):
-        self._require_started()
-        owner = self.target.owner_of(frame)
-        shard = self.target.shards.get(owner)
-        if shard is None:
+        if self.target.owner_of(frame) is None:
             # No routable key: the balancer has nowhere to send it —
             # no reply, no shard occupied (closed-loop send() raises
             # here; an open-loop run records a drop and moves on).
             return [], 0.0, 0.0
-        if owner in self.target._down:
-            # A crashed-but-not-yet-evicted shard eats the request:
-            # send() runs the failure detector (and the eventual
-            # eviction), and the client burns the full timeout on the
-            # dead shard's queue — the same REQUEST_TIMEOUT_NS the
-            # closed-loop availability harness charges, so timed-out
-            # requests show up in the trace as the 50 us tail spans
-            # they are instead of instant failures.
-            emitted, _ = self.target.send(frame)
-            return emitted, float(REQUEST_TIMEOUT_NS), 0.0
-        return self._profile_via(
-            shard, lambda: [self.target.send(frame)])[0]
+        return _profile(self.send(frame))
 
     def _fpga_targets(self):
         if not self.target:
@@ -513,17 +436,14 @@ class ClusterBackend(Backend):
         return list(self.target.shards.values())
 
     def max_qps(self, read_frame, write_frame=None, write_ratio=0.0):
-        self._require_started()
         if write_frame is None:
             write_frame = read_frame
         return self.target.max_qps(read_frame, write_frame, write_ratio)
 
     def attach_faults(self, plan):
-        self._require_started()
         return FaultInjector(plan, self.target)
 
     def stats(self):
-        self._require_started()
         target = self.target
         return {"shards": target.num_shards,
                 "writes": target.writes,
@@ -577,15 +497,12 @@ class NetsimBackend(Backend):
     def partition(self, port):
         """Cut the wire between the simulated host on *port* and the
         service (the ``plan.partition(when, port)`` verb)."""
-        self._require_started()
         self.links[int(port)].take_down()
 
     def heal(self, port):
-        self._require_started()
         self.links[int(port)].bring_up()
 
     def send(self, frame):
-        self._require_started()
         if not 0 <= frame.src_port < len(self.hosts):
             raise TargetError("no simulated host on port %d"
                               % frame.src_port)
@@ -600,7 +517,7 @@ class NetsimBackend(Backend):
                 if latest_ns is None or reply.timestamp_ns > latest_ns:
                     latest_ns = reply.timestamp_ns
         latency_ns = None if latest_ns is None else latest_ns - start_ns
-        return emitted, latency_ns
+        return emitted, latency_ns, None, 0.0
 
     def attach_faults(self, plan):
         """Arm *plan* on the simulator's event loop (times are loop
@@ -608,13 +525,11 @@ class NetsimBackend(Backend):
         its :meth:`partition` / :meth:`heal` port verbs (there are no
         shards here — shard-verb plans belong on the cluster backend
         or the :mod:`repro.cluster.topology` builders)."""
-        self._require_started()
         injector = FaultInjector(plan, self)
         injector.arm(self.net.loop)
         return injector
 
     def stats(self):
-        self._require_started()
         return {"frames_handled": self.node.frames_handled,
                 "frames_dropped": self.node.frames_dropped,
                 "sim_time_ns": self.net.now_ns}

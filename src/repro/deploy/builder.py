@@ -287,20 +287,19 @@ class Deployment:
     def send(self, frame):
         """One request; returns ``(emitted, latency_ns)`` uniformly."""
         self._require_started()
-        emitted, latency_ns = self.backend.send(frame)
-        for cycles in self.backend.pop_cycles():
-            self.metrics.core_cycles.append(cycles)
-        self.metrics.record(emitted, latency_ns)
+        emitted, latency_ns, core_cycles, _ = self.backend.send(frame)
+        self.metrics.record(emitted, latency_ns, core_cycles)
         return emitted, latency_ns
 
     def send_batch(self, frames):
         """A request list, handed over whole where the target takes one."""
         self._require_started()
-        results = self.backend.send_batch(frames)
-        for cycles in self.backend.pop_cycles():
-            self.metrics.core_cycles.append(cycles)
-        for emitted, latency_ns in results:
-            self.metrics.record(emitted, latency_ns)
+        record = self.metrics.record
+        results = []
+        for emitted, latency_ns, core_cycles, _ in \
+                self.backend.send_batch(frames):
+            record(emitted, latency_ns, core_cycles)
+            results.append((emitted, latency_ns))
         self.metrics.record_batch()
         return results
 

@@ -164,7 +164,7 @@ def run_availability(num_shards=8, windows=12, per_window=256,
         failures_before = cluster.failed_requests
 
         for frame in frames:
-            emitted, _ = cluster.send(frame)
+            emitted = cluster.send(frame)[0]
             if emitted:
                 request = _request_id(frame)
                 ack_counts[request] = ack_counts.get(request, 0) + 1
@@ -189,7 +189,7 @@ def run_availability(num_shards=8, windows=12, per_window=256,
     # -- post-run audit ------------------------------------------------------
     report.acked_writes = len(acked_keys)
     for key in sorted(acked_keys):
-        emitted, _ = cluster.send(_get_frame(key))
+        emitted = cluster.send(_get_frame(key))[0]
         reply = bytes(emitted[0][1].data) if emitted else b""
         if b"VALUE " + key not in reply:
             report.lost_acked += 1

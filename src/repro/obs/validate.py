@@ -349,13 +349,6 @@ def _load_json(path):
             return None, ["not JSON: %s" % error]
 
 
-def validate_file(path):
-    document, problems = _load_json(path)
-    if problems:
-        return problems
-    return validate_trace(document)
-
-
 def main(argv=None):
     argv = sys.argv[1:] if argv is None else argv
     trace_path = None

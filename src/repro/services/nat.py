@@ -79,10 +79,6 @@ class NatService(EmuService):
             self._inbound[(protocol, public_port)] = entry
         return entry
 
-    def mapping_for(self, protocol, private_ip, private_port):
-        """Inspect the translation table (tests/debugging)."""
-        return self._outbound.get((protocol, private_ip, private_port))
-
     # -- dataplane -----------------------------------------------------------
 
     def on_frame(self, dataplane):

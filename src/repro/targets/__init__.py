@@ -15,14 +15,13 @@ The same service object runs on all of them:
 Build them through :func:`repro.deploy.deploy` — one fluent API with
 uniform seeding, optimization threading, fault wiring, and metrics.
 These classes are the implementation layer the deploy backends
-delegate to.
+delegate to, and the package exports exactly what
+:mod:`repro.deploy.backends` imports; everything else is reached by
+module path.
 """
 
 from repro.targets.cpu import CpuTarget
-from repro.targets.fpga import FpgaTarget, FpgaTimingModel
-from repro.targets.kernel_model import KernelCycleModel
-from repro.targets.pipeline import NetfpgaPipeline
+from repro.targets.fpga import FpgaTarget
 from repro.targets.multicore import MultiCoreTarget
 
-__all__ = ["CpuTarget", "FpgaTarget", "FpgaTimingModel",
-           "KernelCycleModel", "NetfpgaPipeline", "MultiCoreTarget"]
+__all__ = ["CpuTarget", "FpgaTarget", "MultiCoreTarget"]

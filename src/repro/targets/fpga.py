@@ -120,8 +120,11 @@ class FpgaTimingModel:
 class FpgaTarget:
     """Run a service as the main logical core of a NetFPGA SUME.
 
-    ``send(frame)`` returns ``(emitted, latency_ns)``; aggregate
-    statistics accumulate for the measurement harness.
+    ``send(frame)`` returns the request's outcome, ``(emitted,
+    latency_ns, core_cycles, service_ns)`` (see
+    :mod:`repro.deploy.backends`); the device keeps no per-request
+    history — that is :class:`~repro.deploy.metrics.Metrics`' job, above
+    the deployment.
 
     *opt_level* selects the Kiwi middle-end level for the core-cycle
     model.  ``None`` (the default) keeps the behavioural pause-count;
@@ -162,13 +165,6 @@ class FpgaTarget:
             service, "datapath_extra_cycles", _checksum_walk_cycles)
         self.timing = FpgaTimingModel(seed)
         self.seed = seed
-        self.latencies_ns = []
-        self.core_cycle_counts = []
-        #: Per-request datapath occupancy (ns) — what the request
-        #: serialises on the core for, recorded for every frame
-        #: (including drops: a rejected frame still occupied the
-        #: core).  The open-loop load layer reads this.
-        self.service_times_ns = []
 
     @property
     def cycle_model(self):
@@ -179,16 +175,16 @@ class FpgaTarget:
         return self.pipeline.cycle_model
 
     def send(self, frame):
-        """One request through the DUT; returns (emitted, latency_ns)."""
+        """One request through the DUT; returns its outcome."""
         return self._emit(frame, self._core(self.pipeline.admit(frame),
                                             _UNMEASURED))
 
     def send_batch(self, frames):
         """A burst of requests through the DUT.
 
-        Returns one ``(emitted, latency_ns)`` per frame.  How a stream
-        is cut into bursts (or ``send`` calls) is unobservable:
-        admission, arbitration, behavioural fate, statistics, and the
+        Returns one outcome per frame.  How a stream is cut into
+        bursts (or ``send`` calls) is unobservable: admission,
+        arbitration, behavioural fate, statistics, and the
         arbiter-jitter RNG all advance in frame order.  With a compiled
         cycle model the burst's admitted frames are measured in one
         ``cycles_batch`` call.
@@ -219,26 +215,26 @@ class FpgaTarget:
         return frame, dataplane, cycles, self._extra_cycles(frame)
 
     def _emit(self, frame, core):
-        """A frame's dispatch, statistics and timing; *core* is its
-        :meth:`_core` (``None``: refused at ingress)."""
+        """A frame's dispatch, statistics and timing — its outcome;
+        *core* is its :meth:`_core` (``None``: refused at ingress).
+        The occupancy is what the request serialises on the core for,
+        drops included: a rejected frame still occupied the core."""
         if core is None:
             emitted, core_cycles = [], 0
             extra_cycles = self._extra_cycles(frame)
         else:
             frame, dataplane, core_cycles, extra_cycles = core
             emitted = self.pipeline.dispatch(dataplane)
-        self.core_cycle_counts.append(core_cycles)
         reply_bytes = len(emitted[0][1].data) if emitted else None
         latency_cycles, occupancy = self.timing.cycles(
             len(frame.data), core_cycles, extra_cycles, reply_bytes,
             self.core_interval_cycles)
-        self.service_times_ns.append(occupancy * NS_PER_CYCLE)
-        if not emitted:
-            return emitted, None      # dropped: nothing on the wire
+        service_ns = occupancy * NS_PER_CYCLE
+        if not emitted:               # dropped: nothing on the wire
+            return emitted, None, core_cycles, service_ns
         self.pipeline.drain(emitted)
-        latency = self.timing.wire_ns(latency_cycles, reply_bytes)
-        self.latencies_ns.append(latency)
-        return emitted, latency
+        return (emitted, self.timing.wire_ns(latency_cycles, reply_bytes),
+                core_cycles, service_ns)
 
     def max_qps(self, frame):
         """Sustainable queries/s for requests shaped like *frame*."""

@@ -42,7 +42,9 @@ class MultiCoreTarget:
         return port % self.num_cores
 
     def send(self, frame, port=None):
-        """Route one request; writes are replicated to every core."""
+        """Route one request; writes are replicated to every core.
+        The outcome is the serving core's: replica applies are
+        background work, not a cost of the request."""
         core_index = self.serving_core(frame, port)
         if self._is_write(frame):
             results = []

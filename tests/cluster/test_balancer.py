@@ -196,10 +196,11 @@ class TestBalancerService:
         main logical core with a measurable cycle count."""
         balancer = self.build()
         target = FpgaTarget(balancer, num_ports=5)
-        emitted, latency_ns = target.send(mix(1)[0])
+        emitted, latency_ns, cycles, _ = target.send(mix(1)[0])
         assert len(emitted) == 1
         assert emitted[0][0] in (1, 2, 3, 4)
         assert latency_ns > 0
+        assert cycles > 0
 
     def test_external_ring_is_honoured(self):
         ring = HashRing(["a", "b"])
@@ -256,6 +257,6 @@ class TestDatapathCycleModel:
         measurably more cycles through the FPGA target."""
         short_target = FpgaTarget(self.build(), num_ports=3, seed=1)
         long_target = FpgaTarget(self.build(), num_ports=3, seed=1)
-        _, short_ns = short_target.send(self.memcached_frame(b"k"))
-        _, long_ns = long_target.send(self.memcached_frame(b"k" * 120))
+        short_ns = short_target.send(self.memcached_frame(b"k"))[1]
+        long_ns = long_target.send(self.memcached_frame(b"k" * 120))[1]
         assert long_ns > short_ns

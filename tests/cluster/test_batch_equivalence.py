@@ -30,12 +30,11 @@ def build_pair(policy_factory=NoReplication, num_shards=8, count=2):
 
 
 def results_fingerprint(results):
-    """Replies as comparable data: (ports, bytes, latency) per frame."""
-    out = []
-    for emitted, latency in results:
-        out.append((tuple((port, bytes(frame.data))
-                          for port, frame in emitted), latency))
-    return out
+    """Outcomes as comparable data: (ports, bytes) then latency, core
+    cycles and service time per frame."""
+    return [(tuple((port, bytes(frame.data)) for port, frame in emitted),
+             latency, cycles, service_ns)
+            for emitted, latency, cycles, service_ns in results]
 
 
 def reply_data_fingerprint(results):
@@ -47,7 +46,7 @@ def reply_data_fingerprint(results):
     different order; reply *data* is unaffected (re-homed keys are
     disjoint from the owner's native keys), but per-request latency
     jitter is not comparable."""
-    return [frames for frames, _ in results_fingerprint(results)]
+    return [frames for frames, *_ in results_fingerprint(results)]
 
 
 def state_fingerprint(cluster):

@@ -40,7 +40,7 @@ class TestDispatch:
         cluster = make_cluster()
         results = cluster.send_batch(mix(200))
         assert len(results) == 200
-        assert all(emitted for emitted, _ in results)
+        assert all(emitted for emitted, *_ in results)
 
     def test_batch_matches_sequential_send(self):
         batched = make_cluster()
@@ -48,8 +48,8 @@ class TestDispatch:
         frames = mix(100)
         batch_results = batched.send_batch([f.copy() for f in frames])
         seq_results = [sequential.send(f.copy()) for f in frames]
-        batch_replies = [bytes(e[0][1].data) for e, _ in batch_results]
-        seq_replies = [bytes(e[0][1].data) for e, _ in seq_results]
+        batch_replies = [bytes(e[0][1].data) for e, *_ in batch_results]
+        seq_replies = [bytes(e[0][1].data) for e, *_ in seq_results]
         assert batch_replies == seq_replies
 
     def test_same_key_always_same_shard(self):

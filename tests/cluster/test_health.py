@@ -7,6 +7,7 @@ from repro.cluster import (
     ShardBalancerService, build_star, memcached_is_write,
 )
 from repro.cluster.balancer import memcached_key
+from repro.cluster.target import REQUEST_TIMEOUT_NS
 from repro.core.dataplane import NetFPGAData
 from repro.core.protocols.memcached import (
     build_ascii_get, build_udp_frame_header,
@@ -121,16 +122,19 @@ class TestClusterTargetFailover:
         """Drive a write-heavy mix; returns the acked keys."""
         acked = set()
         for frame in memaslap_frames(0.5, count=count, seed=seed):
-            emitted, _ = cluster.send(frame.copy())
+            emitted = cluster.send(frame.copy())[0]
             if emitted and memcached_is_write(frame):
                 acked.add(memcached_key(frame.data))
         return acked
 
     def drive_eviction(self, cluster, seed=9):
+        """Send until the detector evicts; returns the outcomes."""
+        outcomes = []
         for frame in memaslap_frames(0.9, count=200, seed=seed):
-            cluster.send(frame.copy())
+            outcomes.append(cluster.send(frame.copy()))
             if cluster.failovers:
                 break
+        return outcomes
 
     def test_killed_shard_times_out_then_gets_evicted(self):
         cluster = self.make(suspect_after=3)
@@ -138,9 +142,16 @@ class TestClusterTargetFailover:
         victim = cluster.shard_ids[2]
         cluster.kill_shard(victim)
         assert victim not in cluster.live_shards
-        self.drive_eviction(cluster)
+        outcomes = self.drive_eviction(cluster)
         assert cluster.failovers == 1
         assert cluster.failed_requests == 3       # exactly the misses
+        # A timed-out request: no reply, no latency, no core ran, and
+        # the client held the dead shard's queue for its whole timeout.
+        assert [outcome for outcome in outcomes if not outcome[0]] == \
+            [([], None, None, REQUEST_TIMEOUT_NS)] * 3
+        assert all(cycles > 0 and service_ns < REQUEST_TIMEOUT_NS
+                   for emitted, _, cycles, service_ns in outcomes
+                   if emitted)
         assert victim not in cluster.shards
         assert victim not in cluster.ring.shards
         assert victim in cluster.failed_shards
@@ -156,7 +167,7 @@ class TestClusterTargetFailover:
         self.drive_eviction(cluster)
         assert cluster.failovers == 1
         for key in acked:
-            emitted, _ = cluster.send(get_frame(key))
+            emitted = cluster.send(get_frame(key))[0]
             assert emitted and b"VALUE " + key in bytes(
                 emitted[0][1].data), "acked write lost: %r" % key
 
@@ -172,7 +183,7 @@ class TestClusterTargetFailover:
         assert cluster.rejoins == 1
         assert 0.0 < stats.fraction < 0.35        # ~1/N, not a reshuffle
         for key in acked:
-            emitted, _ = cluster.send(get_frame(key))
+            emitted = cluster.send(get_frame(key))[0]
             assert emitted and b"VALUE " + key in bytes(
                 emitted[0][1].data)
 

@@ -189,6 +189,50 @@ class TestUniformCycleAccounting:
             dep.send_batch(frames)
             assert len(dep.metrics.core_cycles) == 16, backend
 
+    def test_closed_loop_metrics_do_not_inherit_open_loop_samples(self):
+        """The open loop executes through the backend and records
+        nothing in ``metrics``; a cycle count travels with its
+        request's outcome, so a later ``send`` accounts exactly
+        itself (a side list harvested by position handed it every
+        open-loop completion's sample too)."""
+        for backend, kwargs in (("fpga", {}),
+                                ("multicore", {"cores": 4}),
+                                ("cluster", {"shards": 4})):
+            dep = deploy("memcached").on(backend, **kwargs) \
+                .with_seed(SEED).with_arrivals("poisson", qps=500_000) \
+                .start()
+            assert dep.run_open_loop(duration_ms=0.5).completed > 100
+            dep.send(next(iter(dep.spec.workload(1, 3))))
+            assert dep.metrics.requests == 1, backend
+            assert len(dep.metrics.core_cycles) == 1, backend
+            assert dep.metrics.core_cycles[0] > 0, backend
+            assert dep.stats()["avg_core_cycles"] == \
+                dep.metrics.core_cycles[0], backend
+
+    def test_a_serving_device_model_is_constant_size(self):
+        """Per-request history lives in ``Deployment.metrics`` and
+        nowhere below it: replaying a warm working set grows no
+        container on the device model, its pipeline or the adapter."""
+        from collections import deque
+        dep = deploy("memcached").on("fpga").with_opt(3) \
+            .with_seed(SEED).start()
+        frames = list(dep.spec.workload(64, 3))
+
+        def sizes():
+            return {(type(owner).__name__, name): len(value)
+                    for owner in (dep.target, dep.target.pipeline,
+                                  dep.backend)
+                    for name, value in vars(owner).items()
+                    if isinstance(value, (list, dict, deque))}
+
+        dep.send_batch([frame.copy() for frame in frames])
+        before = sizes()
+        assert before                      # the probe sees containers
+        for _ in range(2000 // len(frames)):
+            dep.send_batch([frame.copy() for frame in frames])
+        assert dep.metrics.requests > 2000
+        assert sizes() == before
+
 
 class TestFaults:
     def test_fault_plan_attaches_on_cluster(self):

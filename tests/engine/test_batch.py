@@ -154,17 +154,18 @@ def test_fpga_target_send_batch_equals_scalar_sends(bursts):
     def observe(opt_level, drive):
         target = FpgaTarget(spec.build(), seed=11, opt_level=opt_level)
         results = drive(target, frames())
-        return ([(tuple((port, bytes(reply.data)) for port, reply
-                        in emitted), latency)
-                 for emitted, latency in results],
-                target.core_cycle_counts, target.service_times_ns,
-                target.latencies_ns)
+        return [(tuple((port, bytes(reply.data)) for port, reply
+                       in emitted), latency, cycles, service_ns)
+                for emitted, latency, cycles, service_ns in results]
 
     for opt_level in (2, None):
         one_by_one = observe(opt_level, lambda target, stream: [
             target.send(frame) for frame in stream])
-        assert len(one_by_one[0]) == len(one_by_one[1]) == 48
-        assert any(latency is not None for _, latency in one_by_one[0])
+        assert len(one_by_one) == 48
+        assert any(latency is not None
+                   for _, latency, _, _ in one_by_one)
+        assert all(cycles > 0 and service_ns > 0
+                   for _, _, cycles, service_ns in one_by_one)
         assert one_by_one == observe(
             opt_level, lambda target, stream: target.send_batch(stream))
         assert one_by_one == observe(

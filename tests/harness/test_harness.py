@@ -64,7 +64,8 @@ class TestTimingModelConsistency:
         frame = next(iter(ping_flood(ip_to_int("10.0.0.1"),
                                      ip_to_int("10.0.0.2"), count=1)))
         qps = target.max_qps(frame.copy())
-        _, latency_ns = target.send(frame.copy())
+        _, latency_ns, _, service_ns = target.send(frame.copy())
+        assert service_ns == pytest.approx(1e9 / qps)
         fixed_ns = latency_ns - 1e9 / qps
         assert 500 < fixed_ns < 900       # PHY/MAC + serialization
 

@@ -121,19 +121,21 @@ def test_a_runt_mid_burst_costs_only_itself(bursts):
             else:
                 results = [outcome for burst in bursts(frames, sizes)
                            for outcome in target.send_batch(burst)]
-            assert [bool(emitted) for emitted, _ in results] == \
+            assert [bool(emitted) for emitted, *_ in results] == \
                 [True] * 3 + [False] + [True] * 5
             service = target.service
             assert (service.sets, service.gets, service.hits) == (3, 5, 5)
             assert service.malformed == 1
             pipeline = target.pipeline
             assert (pipeline.frames_in, pipeline.frames_out) == (9, 8)
-            assert len(target.service_times_ns) == 9
-            assert len(target.latencies_ns) == 8
-            observed.append((
-                [([bytes(reply.data) for _, reply in emitted], latency)
-                 for emitted, latency in results],
-                target.service_times_ns, target.core_cycle_counts))
+            assert len(results) == 9
+            assert sum(latency is not None
+                       for _, latency, _, _ in results) == 8
+            assert all(service_ns > 0 for *_, service_ns in results)
+            observed.append(
+                [([bytes(reply.data) for _, reply in emitted], latency,
+                  cycles, service_ns)
+                 for emitted, latency, cycles, service_ns in results])
         finally:
             dep.stop()
     assert all(other == observed[0] for other in observed[1:])

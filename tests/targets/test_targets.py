@@ -6,7 +6,8 @@ from repro.core.protocols.icmp import ICMPWrapper, build_icmp_echo_request
 from repro.errors import TargetError
 from repro.net.packet import Frame, ip_to_int, mac_to_int
 from repro.services import IcmpEchoService, LearningSwitch
-from repro.targets import CpuTarget, FpgaTarget, NetfpgaPipeline
+from repro.targets import CpuTarget, FpgaTarget
+from repro.targets.pipeline import NetfpgaPipeline
 from repro.targets.fpga import FpgaTimingModel, line_rate_pps
 
 IP_SVC = ip_to_int("10.0.0.1")
@@ -154,18 +155,20 @@ class TestTimingModel:
 class TestFpgaTarget:
     def test_send_returns_reply_and_latency(self):
         target = FpgaTarget(IcmpEchoService(my_ip=IP_SVC))
-        emitted, latency_ns = target.send(echo_frame())
+        emitted, latency_ns, cycles, service_ns = target.send(echo_frame())
         assert emitted
         assert 500 < latency_ns < 3000
+        assert cycles > 0 and 0 < service_ns < latency_ns
 
     def test_dropped_frame_has_no_latency(self):
         target = FpgaTarget(IcmpEchoService(my_ip=IP_SVC))
         other = Frame(build_icmp_echo_request(
             MAC_SVC, MAC_CLI, IP_CLI, ip_to_int("10.9.9.9")),
             src_port=0).pad()
-        emitted, latency_ns = target.send(other)
+        emitted, latency_ns, cycles, service_ns = target.send(other)
         assert emitted == []
         assert latency_ns is None
+        assert cycles > 0 and service_ns > 0   # the core still ran it
 
     def test_deterministic_with_seed(self):
         lat_a = FpgaTarget(IcmpEchoService(my_ip=IP_SVC),
@@ -185,8 +188,7 @@ class TestFpgaTarget:
         target = FpgaTarget(IcmpEchoService(my_ip=IP_SVC))
         capture = LatencyCapture()
         for _ in range(500):
-            _, latency = target.send(echo_frame())
-            capture.record(latency)
+            capture.record(target.send(echo_frame())[1])
         assert capture.tail_to_average() < 1.05
 
 
@@ -219,10 +221,8 @@ class TestBurstPartitionInvariance:
         pipeline = target.pipeline
         return (
             [([(port, bytes(reply.data), reply.src_port)
-               for port, reply in emitted], latency)
-             for emitted, latency in results],
-            target.latencies_ns, target.service_times_ns,
-            target.core_cycle_counts,
+               for port, reply in emitted], latency, cycles, service_ns)
+             for emitted, latency, cycles, service_ns in results],
             model and (model.requests, model.total_cycles),
             model and {name: model._runner.memory_image(name)
                        for name, _ in model._runner.spec.memory_params},
@@ -256,7 +256,10 @@ class TestBurstPartitionInvariance:
         import random
         ragged = random.Random("targets/partition/%s" % case[0])
         reference = self._run(bursts, case, None)
-        assert any(latency is not None for _, latency in reference[0])
+        assert any(latency is not None
+                   for _, latency, _, _ in reference[0])
+        assert all(cycles is not None and service_ns > 0
+                   for _, _, cycles, service_ns in reference[0])
         for sizes in ([1], [2], [3], [64], [256],
                       [ragged.choice((1, 1, 2, 3, 5, 17, 64))
                        for _ in range(40)]):
@@ -272,7 +275,7 @@ class TestBurstPartitionInvariance:
 
         case = self.CASES[0]
         reference = self._run(bursts, case, None, runts)
-        assert sum(1 for emitted, _ in reference[0] if not emitted) >= 4
+        assert sum(1 for emitted, *_ in reference[0] if not emitted) >= 4
         assert reference[-1][0] == 256           # every frame admitted
         for sizes in ([1], [2], [9], [64], [5, 1, 17, 2, 64, 1, 1, 9]):
             assert self._run(bursts, case, sizes, runts) == reference, sizes
@@ -294,7 +297,7 @@ class TestBurstPartitionInvariance:
             pipeline_counts = reference[-1]
             assert pipeline_counts[2] > 0        # some refused at ingress
             assert any(pipeline_counts[4]["input"])  # some still queued
-            assert any(emitted for emitted, _ in reference[0])
+            assert any(emitted for emitted, *_ in reference[0])
             for sizes in ([1], [2], [3], [64],
                           [5, 1, 17, 2, 64, 1, 1, 9]):
                 assert self._run(bursts, case, sizes, prefill,
