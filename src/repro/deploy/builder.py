@@ -203,7 +203,8 @@ class Deployment:
         :meth:`with_timeseries` is not already on), burn-rate alerts
         land in ``self.alert_log``, and — when :meth:`with_trace` is
         also on — every alert transition is mirrored as an instant
-        event on the trace timeline."""
+        event on the trace timeline.  *spec* must be finished: each
+        run's monitor reads its rules once, at construction."""
         self._require_not_started()
         if not isinstance(spec, SloSpec):
             raise TargetError("with_slo wants an SloSpec, got %r"

@@ -3,13 +3,13 @@
 Every backend adapter feeds the same :class:`Metrics` object through
 the same code path (:meth:`Metrics.record`, called once per request by
 the deployment), so request/reply/drop accounting, the latency
-histogram, and the core-cycle histogram mean the same thing on every
+samples, and the core-cycle samples mean the same thing on every
 backend — replacing the ad-hoc per-harness counters that used to be
 reinvented next to every experiment loop.
 
 Latency is only meaningful where the backend has a timing model (fpga,
 multicore, cluster, netsim); the CPU target's software semantics record
-``None`` latencies, which simply don't enter the histogram.  The shapes
+``None`` latencies, which simply don't enter the samples.  The shapes
 stay consistent: every snapshot has every key, empty where a backend
 has nothing to report.
 """
@@ -19,7 +19,7 @@ from repro.obs.metrics import MetricsRegistry
 
 
 class Metrics:
-    """Request/reply/drop counters + latency and cycle histograms.
+    """Request/reply/drop counters + latency and cycle samples.
 
     Since the observability layer landed, this class is a *view* over a
     :class:`~repro.obs.metrics.MetricsRegistry`: the counters live as
@@ -114,15 +114,6 @@ class Metrics:
             return None
         return self.requests * 1e9 / self.elapsed_ns
 
-    def latency_histogram(self, bins=8):
-        """``[(low_us, high_us, count)]`` over the recorded samples."""
-        return _histogram([s / 1000.0 for s in self.latency.samples_ns],
-                          bins)
-
-    def cycle_histogram(self, bins=8):
-        """``[(low, high, count)]`` over recorded core-cycle counts."""
-        return _histogram(self.core_cycles, bins)
-
     def snapshot(self):
         """A dict with a consistent shape on every backend."""
         return {
@@ -145,17 +136,3 @@ class Metrics:
                 "latency_samples=%d)" % (self.requests, self.replies,
                                          self.drops, self.latency.count))
 
-
-def _histogram(samples, bins):
-    if not samples:
-        return []
-    low, high = min(samples), max(samples)
-    if high == low:
-        return [(low, high, len(samples))]
-    width = (high - low) / bins
-    counts = [0] * bins
-    for sample in samples:
-        index = min(int((sample - low) / width), bins - 1)
-        counts[index] += 1
-    return [(low + i * width, low + (i + 1) * width, counts[i])
-            for i in range(bins)]

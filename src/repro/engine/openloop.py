@@ -112,10 +112,14 @@ class ServerStats:
 
 
 class OpenLoopReport:
-    """What an open-loop run observed."""
+    """What an open-loop run observed — simulated arrivals
+    (:func:`run_open_loop`) and served sockets
+    (:class:`repro.serve.SocketServer`) account a completion through
+    the same :meth:`complete`, into *tracer* too when the run has one."""
 
-    def __init__(self, spec, duration_ns, num_servers):
+    def __init__(self, spec, duration_ns, num_servers, tracer=None):
         self.spec = spec
+        self.tracer = tracer
         self.duration_ns = duration_ns
         self.offered = 0
         self.admitted = 0
@@ -127,6 +131,27 @@ class OpenLoopReport:
         self.servers = [ServerStats(index) for index in range(num_servers)]
         self.finished_ns = 0
         self._sorted_latencies = None     # percentile cache
+
+    def complete(self, index, arrival_ns, dispatch_ns, done_ns, busy_ns,
+                 replies, overhead_ns=0, detail=None):
+        """Account the request that waited for server *index* from
+        *arrival_ns*, left its queue at *dispatch_ns* and was done at
+        *done_ns* having occupied the server for *busy_ns*: *replies*
+        answers (0 is a service drop, with no latency) that each spend
+        a further constant *overhead_ns* on the wire.  *detail* is the
+        trace row's routing detail."""
+        self.servers[index].busy_ns += busy_ns
+        self.completed += 1
+        if done_ns > self.finished_ns:
+            self.finished_ns = done_ns
+        if replies:
+            self.replies += replies
+            self.latencies_ns.append(done_ns - arrival_ns + overhead_ns)
+        else:
+            self.service_drops += 1
+        if self.tracer is not None:
+            self.tracer.request(index, arrival_ns, dispatch_ns, done_ns,
+                                overhead_ns, detail, dropped=not replies)
 
     # -- derived ------------------------------------------------------------
 
@@ -223,15 +248,8 @@ class OpenLoopReport:
     def text(self):
         """An aligned table of the run (harness/CLI output)."""
         from repro.harness.report import render_table
-        snapshot = self.snapshot()
         rows = []
-        for key in ("process", "offered_qps", "achieved_qps", "offered",
-                    "admitted", "completed", "replies", "queue_drops",
-                    "service_drops", "drop_rate", "p50_latency_us",
-                    "p99_latency_us", "p999_latency_us",
-                    "avg_latency_us", "max_queue_depth",
-                    "mean_queue_depth", "servers"):
-            value = snapshot[key]
+        for key, value in self.snapshot().items():
             if isinstance(value, float):
                 value = "%.3f" % value
             rows.append([key, "n/a" if value is None else str(value)])
@@ -286,13 +304,14 @@ def run_open_loop(backend, spec, frames, duration_ns, seed=1,
     Observability (all optional, zero-cost when ``None``):
 
     * *tracer* — a :class:`~repro.obs.trace.TraceRecorder`; its clock
-      is bound to this run's scheduler, every completion emits the
-      request/queue/kernel/reply span family on the server's track,
-      and tail-drops emit instant events.
+      is bound to this run's scheduler, every completion records one
+      request row on the server's track (exported as the
+      request/queue/kernel/reply span family), and tail-drops emit
+      instant events.
     * *series* — a :class:`~repro.obs.series.TimeSeries`; a
       self-rescheduling tick flushes a window row every
       ``series.window_ns`` of virtual time (queue depths read live at
-      each boundary).
+      each boundary, latencies from the report's own list).
     * *injector* — a :class:`~repro.netsim.faults.FaultInjector` with
       pending events; they are armed on this scheduler, so plan times
       are virtual nanoseconds on the same axis as the spans.
@@ -303,7 +322,7 @@ def run_open_loop(backend, spec, frames, duration_ns, seed=1,
     scheduler = Scheduler()
     schedule = scheduler.schedule
     num_servers, route = backend.open_loop_servers()
-    report = OpenLoopReport(spec, duration_ns, num_servers)
+    report = OpenLoopReport(spec, duration_ns, num_servers, tracer)
     capacity = spec.capacity
     # Per server: the (arrival_ns, frame, detail) items waiting for it,
     # whether it is occupied, and the outcomes of queue-mates it
@@ -362,22 +381,8 @@ def run_open_loop(backend, spec, frames, duration_ns, seed=1,
     def finish(index, item, dispatch_ns, outcome):
         arrival_ns, _, detail = item
         emitted, service_ns, overhead_ns = outcome
-        report.servers[index].busy_ns += service_ns
-        now = scheduler.now_ns
-        report.completed += 1
-        if now > report.finished_ns:
-            report.finished_ns = now
-        if emitted:
-            report.replies += len(emitted)
-            latency_ns = now - arrival_ns + overhead_ns
-            report.latencies_ns.append(latency_ns)
-            if series is not None:
-                series.observe_latency(latency_ns)
-        else:
-            report.service_drops += 1
-        if tracer is not None:
-            tracer.request(index, arrival_ns, dispatch_ns, now,
-                           overhead_ns, detail, dropped=not emitted)
+        report.complete(index, arrival_ns, dispatch_ns, scheduler.now_ns,
+                        service_ns, len(emitted), overhead_ns, detail)
         # The next request leaves the queue now but executes in a
         # zero-delay event: every completion at this nanosecond is
         # accounted before any server's next request runs.

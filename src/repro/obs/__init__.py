@@ -2,14 +2,15 @@
 
 Three instruments over one clock (the engine scheduler's ``now_ns``):
 
-* :class:`~repro.obs.trace.TraceRecorder` — per-request spans and
-  instant events (faults, detector transitions, tail-drops), exported
-  as Chrome trace-event JSON (Perfetto-loadable) and TSV;
+* :class:`~repro.obs.trace.TraceRecorder` — one row per served
+  request (its span family is derived at export) and instant events
+  (faults, detector transitions, tail-drops), exported as Chrome
+  trace-event JSON (Perfetto-loadable) and TSV;
 * :class:`~repro.obs.metrics.MetricsRegistry` — labelled counters /
   gauges / histograms that :class:`~repro.deploy.metrics.Metrics` is a
   view over, plus :class:`~repro.obs.series.TimeSeries`, the windowed
   sampler that turns an open-loop run into qps/p99/queue-depth/drop
-  time-series;
+  time-series (window latencies are slices of the run report's list);
 * :class:`~repro.obs.profiler.KernelProfile` — cycles per FSM state on
   the compiled engine, the hotspot table behind the optimizer's wins.
 

@@ -1,14 +1,17 @@
 """Post-run trace analytics: critical paths and tail attribution.
 
-A :class:`~repro.obs.trace.TraceRecorder` full of span families says
-what every request did; this module turns that into the three answers
-an operator (or the coming remediation planner) actually asks:
+A :class:`~repro.obs.trace.TraceRecorder` holds one row per served
+request (the span families in its exports are a view of the same
+rows); this module turns the rows into the three answers an operator
+(or the coming remediation planner) actually asks:
 
 * **critical path** — where does a request's latency go?  Every traced
   request decomposes exactly into its phases (the admit-wait in the
   ingest ``queue``, the ``kernel`` / ``hop:<shard>`` service time, the
-  constant-overhead ``reply``), because the open-loop tracer emits the
-  family from one clock: ``queue + service + reply == request``.
+  constant-overhead ``reply``), because a row is three timestamps
+  from one clock plus that overhead: ``queue + service + reply ==
+  request`` — also for a payload the socket path refused before
+  dispatch (it waited, it got no service).
 * **tail attribution** — *why* is p99 worse than p50?  The completed
   population splits into the body (latency <= p50) and the tail
   (latency >= p99, plus every slower-than-median drop: a request that
@@ -23,15 +26,18 @@ an operator (or the coming remediation planner) actually asks:
   proportional bars (Emu FSMs are flat, so one level is the whole
   flame).
 
-Everything is derived from the recorder's deterministic event list, so
+Everything is derived from the recorder's deterministic row list, so
 :meth:`TraceAnalysis.to_dict` is seeded-reproducible and CI can assert
 on it; :meth:`TraceAnalysis.text` is the human report behind the CLI's
 ``--analyze`` flag and ``Deployment.analysis()``.
 """
 
+from collections import namedtuple
+
 from repro.errors import ObsError
 from repro.harness.report import render_table
 from repro.obs.metrics import interpolate_percentile
+from repro.obs.trace import decompose
 
 #: Phase keys of the per-request decomposition, in request order.
 PHASES = ("queue", "service", "reply")
@@ -39,35 +45,18 @@ PHASES = ("queue", "service", "reply")
 FLAME_WIDTH = 40
 
 
-class RequestRecord:
-    """One traced request, decomposed into phases (all times ns)."""
+class RequestRecord(namedtuple("RequestRecord", (
+        "seq", "track", "server", "start_ns", "latency_ns", "queue_ns",
+        "service_ns", "reply_ns", "service_kind", "where", "dropped"))):
+    """One traced request, decomposed into phases (all times ns).
+    ``service_kind`` is ``kernel`` (device) or ``hop`` (cluster shard);
+    ``where`` is the attribution bucket: the hop's shard, the kernel's
+    core, or the server track name."""
 
-    __slots__ = ("seq", "track", "server", "start_ns", "latency_ns",
-                 "queue_ns", "service_ns", "reply_ns", "service_kind",
-                 "where", "dropped")
-
-    def __init__(self, seq, track, server, start_ns, latency_ns,
-                 queue_ns, service_ns, reply_ns, service_kind, where,
-                 dropped):
-        self.seq = seq
-        self.track = track
-        self.server = server
-        self.start_ns = start_ns
-        self.latency_ns = latency_ns
-        self.queue_ns = queue_ns
-        self.service_ns = service_ns
-        self.reply_ns = reply_ns
-        #: ``kernel`` (device), ``hop`` (cluster shard), or the raw
-        #: span name when neither.
-        self.service_kind = service_kind
-        #: The attribution bucket: the hop's shard, the kernel's core,
-        #: or the server track name.
-        self.where = where
-        self.dropped = dropped
+    __slots__ = ()
 
     def phase_ns(self, phase):
-        return {"queue": self.queue_ns, "service": self.service_ns,
-                "reply": self.reply_ns}[phase]
+        return getattr(self, phase + "_ns")
 
     def __repr__(self):
         return ("RequestRecord(seq=%r, %s, %d ns = %d queue + %d "
@@ -77,61 +66,20 @@ class RequestRecord:
                    ", dropped" if self.dropped else ""))
 
 
-def _service_split(name):
-    """``(service_kind, where)`` from a service-span name —
-    ``hop:shard1`` -> ``("hop", "shard1")``, ``kernel@core2`` ->
-    ``("kernel", "core2")``, ``kernel`` -> ``("kernel", None)``."""
-    if name.startswith("hop:"):
-        return "hop", name[len("hop:"):]
-    if name.startswith("kernel@"):
-        return "kernel", name[len("kernel@"):]
-    return name, None
-
-
 def requests_from_trace(tracer):
-    """Reconstruct :class:`RequestRecord` groups from a recorder.
-
-    The open-loop tracer appends one request's whole span family
-    (``request``, ``queue``, service, ``reply``) atomically at
-    completion time, so grouping walks the event list in emission
-    order: a ``request`` span opens a group on its track and the
-    following member spans on the same track fill it in.
-    """
+    """One :class:`RequestRecord` per row of ``tracer.requests``, in
+    completion order — the same :func:`~repro.obs.trace.decompose` the
+    exported span family is built from."""
     records = []
-    open_groups = {}                 # track -> RequestRecord
-    for event in sorted(tracer.events,
-                        key=lambda event: event["order"]):
-        if event["ph"] != "X":
-            continue
-        track = event["tid"]
-        name = event["name"]
-        if name == "request":
-            record = RequestRecord(
-                seq=event["args"].get("seq"), track=track,
-                server=tracer.track_names.get(track,
-                                              "track%d" % track),
-                start_ns=event["ts"], latency_ns=event["dur"],
-                queue_ns=0, service_ns=0, reply_ns=0,
-                service_kind="?", where=None,
-                dropped=bool(event["args"].get("dropped")))
-            open_groups[track] = record
-            records.append(record)
-            continue
-        record = open_groups.get(track)
-        if record is None:
-            continue
-        if name == "queue":
-            record.queue_ns = event["dur"]
-        elif name == "reply":
-            record.reply_ns = event["dur"]
-        else:
-            record.service_ns = event["dur"]
-            kind, where = _service_split(name)
-            record.service_kind = kind
-            record.where = where if where is not None else record.server
-    for record in records:
-        if record.where is None:
-            record.where = record.server
+    for row in tracer.requests:
+        _, track, _, _, _, _, detail, dropped = row
+        server = tracer.track_names.get(track, "track%d" % track)
+        start, latency, queue, service, reply, kind, where = \
+            decompose(row)
+        records.append(RequestRecord(
+            (detail or {}).get("seq"), track, server, start, latency,
+            queue, service, reply or 0, kind,
+            server if where is None else where, dropped))
     return records
 
 

@@ -14,11 +14,13 @@ Everything derives from the seeded run, so the exported TSV is
 byte-identical across repeat runs (fixed ``%.3f`` formatting, no wall
 clock anywhere).
 
-The open-loop layer drives the live interface (``observe_latency`` per
-completion, ``flush`` at each boundary); consumers read :attr:`rows`
-or :meth:`to_tsv`.  Streaming consumers (the SLO monitor) register in
-:attr:`TimeSeries.observers` and are called at every window close with
-the new row plus that window's own sorted latencies.
+The open-loop layer drives the live interface — ``flush`` at each
+boundary, handing over the run's report; a window's latencies are the
+slice of ``report.latencies_ns`` appended since the previous flush, so
+the sampler keeps no per-request state of its own.  Consumers read
+:attr:`rows` or :meth:`to_tsv`.  Streaming consumers (the SLO monitor)
+register in :attr:`TimeSeries.observers` and are called at every
+window close with the new row plus that window's own sorted latencies.
 
 Trailing-partial-window semantics (pinned, regression-tested): the
 sampler flushes one full-width window per elapsed ``window_ns``;
@@ -33,32 +35,20 @@ the nominal duration); its rates always derive from its actual span.
 nothing.
 """
 
+from collections import namedtuple
+
 from repro.errors import ObsError
 from repro.obs.metrics import interpolate_percentile
 
 
-class Window:
-    """One sampled window: counter deltas + boundary gauges."""
+class Window(namedtuple("Window", (
+        "start_ns", "end_ns", "offered", "admitted", "completed",
+        "replies", "queue_drops", "service_drops", "p50_us", "p99_us",
+        "depths", "busy_fraction"))):
+    """One sampled window: counter deltas + boundary gauges
+    (``depths`` is the per-server ingest depth at ``end_ns``)."""
 
-    __slots__ = ("start_ns", "end_ns", "offered", "admitted",
-                 "completed", "replies", "queue_drops", "service_drops",
-                 "p50_us", "p99_us", "depths", "busy_fraction")
-
-    def __init__(self, start_ns, end_ns, offered, admitted, completed,
-                 replies, queue_drops, service_drops, p50_us, p99_us,
-                 depths, busy_fraction):
-        self.start_ns = start_ns
-        self.end_ns = end_ns
-        self.offered = offered
-        self.admitted = admitted
-        self.completed = completed
-        self.replies = replies
-        self.queue_drops = queue_drops
-        self.service_drops = service_drops
-        self.p50_us = p50_us
-        self.p99_us = p99_us
-        self.depths = depths            # per-server depth at end_ns
-        self.busy_fraction = busy_fraction
+    __slots__ = ()
 
     @property
     def span_ns(self):
@@ -92,6 +82,12 @@ class Window:
         return sum(self.depths) / len(self.depths)
 
 
+def _counters(report):
+    """The cumulative counters a window's deltas are taken over."""
+    return (report.offered, report.admitted, report.completed,
+            report.replies, report.queue_drops, report.service_drops)
+
+
 class TimeSeries:
     """Accumulates :class:`Window` rows during an open-loop run."""
 
@@ -114,32 +110,24 @@ class TimeSeries:
         #: until finish runs, or when the run ended exactly on a
         #: window boundary with nothing left to record).
         self.final_partial = None
-        self._window_latencies = []
-        self._last = None               # previous cumulative snapshot
-        self._last_busy = None
+        self._seen = 0                  # report.latencies_ns consumed
+        self._last = (0, 0, 0, 0, 0, 0)     # previous cumulative counters
+        self._last_busy = 0.0
         self._last_end_ns = 0
 
     # -- live interface (driven by the open-loop layer) ----------------------
-
-    def observe_latency(self, latency_ns):
-        self._window_latencies.append(latency_ns)
 
     def flush(self, now_ns, report, depths):
         """Close the window ending at *now_ns* against the cumulative
         *report* counters and the live per-server ingest *depths* (a
         list of ints)."""
-        current = (report.offered, report.admitted, report.completed,
-                   report.replies, report.queue_drops,
-                   report.service_drops)
-        previous = self._last if self._last is not None \
-            else (0, 0, 0, 0, 0, 0)
-        delta = [now - before for now, before in zip(current, previous)]
+        current = _counters(report)
+        delta = [now - before
+                 for now, before in zip(current, self._last)]
         busy = sum(server.busy_ns for server in report.servers)
-        busy_before = self._last_busy if self._last_busy is not None \
-            else 0.0
         span_ns = now_ns - self._last_end_ns
         capacity_ns = span_ns * max(1, len(report.servers))
-        ordered = sorted(self._window_latencies)
+        ordered = sorted(report.latencies_ns[self._seen:])
         p50 = interpolate_percentile(ordered, 0.50)
         p99 = interpolate_percentile(ordered, 0.99)
         row = Window(
@@ -147,10 +135,10 @@ class TimeSeries:
             p50_us=None if p50 is None else p50 / 1000.0,
             p99_us=None if p99 is None else p99 / 1000.0,
             depths=depths,
-            busy_fraction=(busy - busy_before) / capacity_ns
+            busy_fraction=(busy - self._last_busy) / capacity_ns
             if capacity_ns else 0.0)
         self.rows.append(row)
-        self._window_latencies = []
+        self._seen += len(ordered)
         self._last = current
         self._last_busy = busy
         self._last_end_ns = now_ns
@@ -164,13 +152,9 @@ class TimeSeries:
         on :attr:`final_partial` — created only when time passed since
         the last boundary *and* something happened in it (pending
         window latencies or counter movement); idempotent otherwise."""
-        previous = self._last if self._last is not None \
-            else (0, 0, 0, 0, 0, 0)
         if now_ns > self._last_end_ns and (
-                self._window_latencies or previous !=
-                (report.offered, report.admitted, report.completed,
-                 report.replies, report.queue_drops,
-                 report.service_drops)):
+                len(report.latencies_ns) > self._seen
+                or self._last != _counters(report)):
             self.final_partial = self.flush(now_ns, report, depths)
         return self.final_partial
 

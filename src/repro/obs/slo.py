@@ -287,12 +287,14 @@ class _ObjectiveState:
 
     def __init__(self, objective):
         self.objective = objective
-        self.samples = []            # (bad, total) per closed window
+        self.bad_samples = []        # one of each per closed window
+        self.total_samples = []
         self.bad = 0
         self.total = 0
 
     def push(self, bad, total):
-        self.samples.append((bad, total))
+        self.bad_samples.append(bad)
+        self.total_samples.append(total)
         self.bad += bad
         self.total += total
 
@@ -300,11 +302,10 @@ class _ObjectiveState:
         """Burn rate over the trailing min(lookback, seen) windows:
         weighted bad fraction / budget fraction (0.0 when the lookback
         saw no events)."""
-        tail = self.samples[-lookback:]
-        total = sum(total for _, total in tail)
+        total = sum(self.total_samples[-lookback:])
         if not total:
             return 0.0
-        bad = sum(bad for bad, _ in tail)
+        bad = sum(self.bad_samples[-lookback:])
         return (bad / total) / self.objective.budget_fraction
 
     def budget_spent(self):
@@ -321,7 +322,8 @@ class SloMonitor:
     Attach to a time-series (``series.observers.append(monitor
     .on_window)``) or feed :meth:`on_window` directly; alerts land in
     :attr:`alert_log` and, when :attr:`tracer` is set, as instant
-    events on the trace timeline.
+    events on the trace timeline.  The spec's rules are read once, at
+    construction: hand the monitor a finished spec.
     """
 
     def __init__(self, spec, tracer=None):
@@ -329,6 +331,7 @@ class SloMonitor:
             raise ObsError("SLO spec %r declares no objectives"
                            % (spec.name,))
         self.spec = spec
+        self.rules = spec.rules         # mildest severity first
         self.tracer = tracer
         self.alert_log = AlertLog(spec.name)
         self.windows_seen = 0
@@ -350,7 +353,7 @@ class SloMonitor:
 
     def _evaluate(self, state, t_ns):
         objective = state.objective
-        for rule in self.spec.rules:        # mildest severity first
+        for rule in self.rules:
             burn_fast = state.burn(rule.fast)
             burn_slow = state.burn(rule.slow)
             key = (objective.key, rule.severity)

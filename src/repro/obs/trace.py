@@ -8,9 +8,16 @@ instant events from fault injections, failure-detector transitions, and
 ingest tail-drops, all stamped from the same clock.
 
 The recorder is passive and dependency-free: producers call
-:meth:`span` / :meth:`instant` (or hand out :meth:`hook` callables to
-layers that must not import this package), and nothing here touches the
-scheduler beyond reading the bound clock.  Export formats:
+:meth:`request` / :meth:`span` / :meth:`instant` (or hand out
+:meth:`hook` callables to layers that must not import this package),
+and nothing here touches the scheduler beyond reading the bound clock.
+
+What is kept per served request is one row — a plain tuple on
+:attr:`TraceRecorder.requests` holding its three timestamps, the wire
+overhead and the routing detail.  The request/queue/kernel/reply span
+family is a *view* of that row (:func:`family`), built when something
+reads the trace (:meth:`find` or an exporter); the analyzer
+(:mod:`repro.obs.analyze`) reads the rows themselves.  Export formats:
 
 * :meth:`to_json` — Chrome trace-event JSON (the ``traceEvents`` array
   format).  Load it at https://ui.perfetto.dev or ``chrome://tracing``;
@@ -27,21 +34,62 @@ import json
 
 from repro.errors import ObsError
 
-#: Trace-event categories used by the built-in instrumentation
-#: (``alert`` marks SLO burn-rate transitions from
-#: :mod:`repro.obs.slo`, mirrored onto the same timeline as the
-#: fault instants that cause them).
-CATEGORIES = ("request", "fault", "health", "queue", "cluster",
-              "alert")
+
+def decompose(row):
+    """One :attr:`TraceRecorder.requests` row as ``(start, latency,
+    queue, service, reply, kind, where)``: its phases in the whole
+    nanoseconds its spans export (*reply* is ``None`` for a drop or a
+    reply without wire overhead) and the engine that served it —
+    ``("hop", <shard>)`` behind a cluster balancer, ``("kernel",
+    "core<n>")`` on a multicore device, else ``("kernel", None)``."""
+    _, _, arrival_ns, dispatch_ns, done_ns, overhead_ns, detail, dropped \
+        = row
+    kind, where = "kernel", None
+    if detail and "shard" in detail:
+        kind, where = "hop", "%s" % detail["shard"]
+    elif detail and "core" in detail:
+        where = "core%s" % detail["core"]
+    return (int(arrival_ns), int(done_ns - arrival_ns + overhead_ns),
+            int(dispatch_ns - arrival_ns), int(done_ns - dispatch_ns),
+            None if dropped or overhead_ns <= 0 else int(overhead_ns),
+            kind, where)
+
+
+def family(row):
+    """One row as its span family: ``request`` (arrival → done + the
+    constant wire overhead, carrying the detail), ``queue`` (waiting),
+    the service span (``hop:<shard>`` / ``kernel@core<n>`` /
+    ``kernel``) and, when it has one, ``reply``."""
+    order, track, _, dispatch_ns, done_ns, _, detail, dropped = row
+    start, latency, queue, service, reply, kind, where = decompose(row)
+    if where is not None:
+        kind += (":" if kind == "hop" else "@") + where
+    args = dict(detail or {})
+    if dropped:
+        args["dropped"] = True
+    spans = [("request", "request", start, latency, args),
+             ("queue", "queue", start, queue, {}),
+             (kind, "request", int(dispatch_ns), service, {})]
+    if reply is not None:
+        spans.append(("reply", "request", int(done_ns), reply, {}))
+    return [{"name": name, "cat": cat, "ph": "X", "ts": ts, "dur": dur,
+             "tid": int(track), "order": order + member, "args": args}
+            for member, (name, cat, ts, dur, args) in enumerate(spans)]
 
 
 class TraceRecorder:
-    """Collects spans + instant events against a virtual-time clock."""
+    """Collects request rows, spans and instant events against a
+    virtual-time clock."""
 
     def __init__(self, process="emu"):
         self.process = process
-        self.events = []            # internal dicts, ts/dur in ns
-        self._order = itertools.count()
+        #: Instants and ad-hoc :meth:`span` calls: dicts, ts/dur in ns.
+        self.events = []
+        #: One ``(order, track, arrival_ns, dispatch_ns, done_ns,
+        #: overhead_ns, detail, dropped)`` tuple per served request.
+        self.requests = []
+        # A row's family takes four consecutive order numbers.
+        self._order = itertools.count(step=4)
         self._clock = None
         self.track_names = {}       # tid -> human name
 
@@ -75,27 +123,17 @@ class TraceRecorder:
 
     def request(self, track, arrival_ns, dispatch_ns, done_ns,
                 overhead_ns=0, detail=None, dropped=False):
-        """One served request's span family on its server's *track*:
-        ``request`` (arrival → done + the constant wire *overhead_ns*),
-        ``queue`` (waiting), the kernel span (``hop:<shard>`` /
-        ``kernel@core<n>`` when *detail* names one) and, for a reply
-        with wire overhead, ``reply``."""
-        args = detail or {}
-        kernel = "kernel"
-        if "shard" in args:
-            kernel = "hop:%s" % args["shard"]
-        elif "core" in args:
-            kernel = "kernel@core%s" % args["core"]
-        if dropped:
-            args = dict(args, dropped=True)
-        self.span("request", arrival_ns,
-                  done_ns - arrival_ns + overhead_ns, track=track,
-                  args=args)
-        self.span("queue", arrival_ns, dispatch_ns - arrival_ns,
-                  track=track, cat="queue")
-        self.span(kernel, dispatch_ns, done_ns - dispatch_ns, track=track)
-        if not dropped and overhead_ns > 0:
-            self.span("reply", done_ns, int(overhead_ns), track=track)
+        """One served request on its server's *track*: waiting from
+        *arrival_ns* to *dispatch_ns*, in service until *done_ns*, plus
+        the constant wire *overhead_ns* of its reply.  *detail* is the
+        routing detail (``seq``, ``shard`` / ``core``) and is kept, not
+        copied.  Recorded as one row; :func:`family` is its spans."""
+        if not arrival_ns <= dispatch_ns <= done_ns or overhead_ns < 0:
+            raise ObsError("request on track %r has a negative phase"
+                           % (track,))
+        self.requests.append((next(self._order), track, arrival_ns,
+                              dispatch_ns, done_ns, overhead_ns, detail,
+                              dropped))
 
     def instant(self, name, ts_ns=None, track=0, cat="fault",
                 args=None):
@@ -119,8 +157,16 @@ class TraceRecorder:
 
     # -- introspection -------------------------------------------------------
 
+    def _counts(self):
+        """``(spans, instants)`` as exported, without building them."""
+        spans = sum(1 for event in self.events if event["ph"] == "X")
+        replies = sum(1 for row in self.requests
+                      if decompose(row)[4] is not None)
+        return (spans + 3 * len(self.requests) + replies,
+                len(self.events) - spans)
+
     def __len__(self):
-        return len(self.events)
+        return sum(self._counts())
 
     def find(self, name_prefix="", cat=None):
         """Events whose name starts with *name_prefix* (and category
@@ -130,8 +176,11 @@ class TraceRecorder:
                 and (cat is None or event["cat"] == cat)]
 
     def _ordered(self):
-        return sorted(self.events,
-                      key=lambda event: (event["ts"], event["order"]))
+        events = list(self.events)
+        for row in self.requests:
+            events += family(row)
+        events.sort(key=lambda event: (event["ts"], event["order"]))
+        return events
 
     # -- export --------------------------------------------------------------
 
@@ -188,6 +237,4 @@ class TraceRecorder:
         return path
 
     def __repr__(self):
-        spans = sum(1 for event in self.events if event["ph"] == "X")
-        return "TraceRecorder(%d spans, %d instants)" % (
-            spans, len(self.events) - spans)
+        return "TraceRecorder(%d spans, %d instants)" % self._counts()

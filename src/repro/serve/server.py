@@ -18,22 +18,23 @@ engine measures in one dispatch — at most ``batch`` payloads per group
 Robustness contract (regression-tested by the garbage-flood suite): a
 malformed, oversized, or unparseable payload is counted — as
 ``service_drops`` on the deployment's metrics registry and in the
-:class:`~repro.engine.openloop.OpenLoopReport`-shaped serve report —
-and dropped.  It never raises out of the event loop and never wedges
+serve report, an :class:`~repro.engine.openloop.OpenLoopReport` fed
+through the same ``complete()`` as a simulated run's — and dropped.  It never raises out of the event loop and never wedges
 the server; a stream peer that overflows its reassembly buffer loses
 its connection, nothing more.  Hostile input and the server's own bugs
 are told apart: a payload the codecs reject (a
 :class:`~repro.errors.ReproError`) is a ``malformed`` drop (the
-reason on its trace span), any other exception out of the bridge also
+reason on its trace row), any other exception out of the bridge also
 counts under the registry's ``internal_error`` — still a counted drop,
 never a crash — and the first such traceback is kept on
 :attr:`SocketServer.first_internal_error`.  A reply or a stream close
 that fails because the peer went away is counted under ``peer_gone``.
 
 Observability mirrors the in-process open-loop path: with
-``.with_trace()`` every served request emits the same
-request/queue/kernel span family on its server's track (wall-clock
-nanoseconds instead of virtual ones — the only difference); with
+``.with_trace()`` every served request — a refused payload included —
+is one trace row on its server's track, exported as the same
+request/queue/kernel span family (wall-clock nanoseconds instead of
+virtual ones — the only difference); with
 ``.with_timeseries`` / ``.with_slo`` a sampler task flushes windows to
 the attached :class:`~repro.obs.series.TimeSeries` and the burn-rate
 monitor judges socket traffic exactly as it judges simulated arrivals.
@@ -93,7 +94,7 @@ class SocketServer:
         num_servers, self._route = \
             deployment.backend.open_loop_servers()
         self._report = OpenLoopReport(_SocketArrivals(self.capacity),
-                                      0, num_servers)
+                                      0, num_servers, deployment.tracer)
         self._detail_of = None
         self._pending = []           # (payload, reply, depth, t_arr_ns)
         self._drain_scheduled = False
@@ -257,7 +258,7 @@ class SocketServer:
         jobs = []                    # (frame, reply, index, t_arr, ...)
         for payload, reply, depth, t_arr in group:
             if len(payload) > self.binding.max_payload:
-                self._drop(t_arr, detail="oversized")
+                self._drop(t_arr, "oversized")
                 continue
             seq = self._seq
             try:
@@ -265,30 +266,27 @@ class SocketServer:
                 self._seq += 1
                 index = self._route(frame)
             except ReproError:
-                self._drop(t_arr, detail="malformed")
+                self._drop(t_arr, "malformed")
                 continue
             except Exception:
                 self._internal_error()
-                self._drop(t_arr, detail="internal_error")
+                self._drop(t_arr, "internal_error")
                 continue
             report.servers[index].sample(depth)
             jobs.append((frame, reply, index, t_arr, seq))
         if not jobs:
             return
         t_disp = self._now_ns()
-        details = None
+        details = [None] * len(jobs)
         if tracer is not None:
             details = [dict(self._detail_of(frame), seq=seq)
                        for frame, _, _, _, seq in jobs]
         results = self._send_group([frame for frame, _, _, _, _ in jobs])
         t_done = self._now_ns()
         busy_share = (t_done - t_disp) / len(jobs)
-        for number, ((frame, reply, index, t_arr, _), outcome) in \
-                enumerate(zip(jobs, results)):
+        for (_, reply, index, t_arr, _), outcome, detail in \
+                zip(jobs, results, details):
             emitted = outcome[0] if outcome is not None else []
-            report.completed += 1
-            report.finished_ns = max(report.finished_ns, t_done)
-            report.servers[index].busy_ns += busy_share
             wire = None
             if emitted:
                 try:
@@ -298,23 +296,17 @@ class SocketServer:
                     pass             # undecodable reply: a plain drop
                 except Exception:
                     self._internal_error()
-            if wire is not None:
-                report.replies += 1
-                latency_ns = t_done - t_arr
-                report.latencies_ns.append(latency_ns)
-                if self.series is not None:
-                    self.series.observe_latency(latency_ns)
-                try:
-                    reply(wire)
-                except Exception:
-                    self._peer_gone.inc()        # the reply is lost
-            else:
-                report.service_drops += 1
+            # Accounted before it is sent: a client holding its reply
+            # finds it in the report.
+            report.complete(index, t_arr, t_disp, t_done, busy_share,
+                            0 if wire is None else 1, detail=detail)
+            if wire is None:
                 self._service_drops.inc()
-            if tracer is not None:
-                tracer.request(index, t_arr, t_disp, t_done,
-                               detail=details[number],
-                               dropped=wire is None)
+                continue
+            try:
+                reply(wire)
+            except Exception:
+                self._peer_gone.inc()            # the reply is lost
 
     def _send_group(self, frames):
         """The batched fast path, with a per-frame fallback so one
@@ -337,17 +329,13 @@ class SocketServer:
         if self.first_internal_error is None:
             self.first_internal_error = traceback.format_exc()
 
-    def _drop(self, t_arr, detail):
-        report = self._report
-        report.completed += 1
-        report.service_drops += 1
+    def _drop(self, t_arr, reason):
+        """A payload refused before dispatch: it waited, it got no
+        service."""
+        now = self._now_ns()
+        self._report.complete(0, t_arr, now, now, 0, 0,
+                              detail={"reason": reason})
         self._service_drops.inc()
-        tracer = self.deployment.tracer
-        if tracer is not None:
-            now = self._now_ns()
-            tracer.span("request", t_arr, now - t_arr, track=0,
-                        cat="request",
-                        args={"dropped": True, "reason": detail})
 
     # -- transports ----------------------------------------------------------
 

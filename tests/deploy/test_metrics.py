@@ -1,4 +1,4 @@
-"""The uniform Metrics object: accounting, histograms, snapshots."""
+"""The uniform Metrics object: accounting, percentiles, snapshots."""
 
 import pytest
 
@@ -34,8 +34,6 @@ class TestRecording:
         for cycles in (5, 5, 7, 11):
             metrics.record([(0, _frame())], 100.0, core_cycles=cycles)
         assert metrics.average_core_cycles() == 7.0
-        histogram = metrics.cycle_histogram(bins=2)
-        assert sum(count for _, _, count in histogram) == 4
 
     def test_qps_is_serial_replay_rate(self):
         metrics = Metrics()
@@ -105,26 +103,3 @@ class TestEmptyShapes:
             assert key in snapshot
         assert snapshot["avg_latency_us"] is None
         assert snapshot["qps"] is None
-
-    def test_empty_histograms(self):
-        metrics = Metrics()
-        assert metrics.latency_histogram() == []
-        assert metrics.cycle_histogram() == []
-
-
-class TestHistogram:
-    def test_single_value_collapses_to_one_bin(self):
-        metrics = Metrics()
-        metrics.record([(0, _frame())], 100.0, core_cycles=6)
-        metrics.record([(0, _frame())], 100.0, core_cycles=6)
-        assert metrics.cycle_histogram() == [(6, 6, 2)]
-
-    def test_bins_cover_the_range(self):
-        metrics = Metrics()
-        for cycles in range(10):
-            metrics.record([(0, _frame())], 100.0, core_cycles=cycles)
-        histogram = metrics.cycle_histogram(bins=3)
-        assert len(histogram) == 3
-        assert histogram[0][0] == 0
-        assert histogram[-1][1] == 9
-        assert sum(count for _, _, count in histogram) == 10

@@ -82,6 +82,30 @@ class TestOpenLoopSpans:
             request["ts"] + request["dur"]
         dep.stop()
 
+    def test_a_request_is_kept_once(self):
+        """Everything on: one trace row per completion (no span dicts
+        until something reads the trace) and no per-request list on
+        the sampler — its latencies are the report's."""
+        spec = SloSpec("once", window_us=20.0).latency_p99(50.0)
+        dep = (deploy("memcached").on("fpga").with_opt(3)
+               .with_seed(SEED)
+               .with_arrivals("poisson", qps=1_500_000.0)
+               .with_trace().with_timeseries(window_us=20.0)
+               .with_slo(spec).start())
+        report = dep.run_open_loop(duration_ms=0.2)
+        tracer, series = dep.tracer, dep.timeseries
+        assert report.completed > len(series.rows) > 0
+        assert len(tracer.requests) == report.completed
+        assert not [event for event in tracer.events
+                    if event["ph"] == "X"]
+        assert len(tracer.find("request")) == report.completed
+        assert not [name for name, value in vars(series).items()
+                    if isinstance(value, list)
+                    and len(value) >= report.completed]
+        assert sum(row.completed for row in series.rows) == \
+            report.completed
+        dep.stop()
+
     def test_tracks_are_named_after_the_servers(self):
         dep = (deploy("memcached").on("cluster", shards=2)
                .with_seed(SEED)

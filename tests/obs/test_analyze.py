@@ -1,4 +1,4 @@
-"""Trace analytics: span-family reconstruction, critical-path
+"""Trace analytics: request-row reconstruction, critical-path
 decomposition exactness, tail attribution, and the FSM flamegraph."""
 
 import pytest
@@ -30,15 +30,9 @@ class TestReconstruction:
         now = {"ns": 0}
         tracer.bind_clock(lambda: now["ns"])
         tracer.name_track(0, "shard0")
-        args = {"seq": 0, "shard": "shard0"}
-        if dropped:
-            args["dropped"] = True
-        tracer.span("request", 100, 1000, track=0, cat="request",
-                    args=args)
-        tracer.span("queue", 100, 200, track=0, cat="queue")
-        tracer.span("hop:shard0", 300, 500, track=0, cat="request")
-        if not dropped:
-            tracer.span("reply", 800, 300, track=0, cat="request")
+        tracer.request(0, 100, 300, 800, overhead_ns=300,
+                       detail={"seq": 0, "shard": "shard0"},
+                       dropped=dropped)
         return tracer
 
     def test_span_family_becomes_one_record(self):
@@ -58,9 +52,7 @@ class TestReconstruction:
         tracer = TraceRecorder()
         now = {"ns": 0}
         tracer.bind_clock(lambda: now["ns"])
-        tracer.span("request", 0, 100, track=2, cat="request",
-                    args={"seq": 5})
-        tracer.span("kernel@core2", 0, 100, track=2, cat="request")
+        tracer.request(2, 0, 0, 100, detail={"seq": 5, "core": 2})
         (rec,) = requests_from_trace(tracer)
         assert (rec.service_kind, rec.where) == ("kernel", "core2")
 

@@ -7,7 +7,7 @@ from repro.obs.series import TimeSeries, Window
 
 
 class FakeReport:
-    """The cumulative-counter surface flush() reads."""
+    """The cumulative counters and latency list flush() reads."""
 
     def __init__(self):
         self.offered = 0
@@ -16,6 +16,7 @@ class FakeReport:
         self.replies = 0
         self.queue_drops = 0
         self.service_drops = 0
+        self.latencies_ns = []
         self.servers = [FakeServer(), FakeServer()]
 
 
@@ -69,7 +70,7 @@ class TestTimeSeries:
         series = TimeSeries(window_ns=1000)
         report = FakeReport()
         for latency_ns in (1000, 2000, 3000):
-            series.observe_latency(latency_ns)
+            report.latencies_ns.append(latency_ns)
         report.completed = 3
         series.flush(1000, report, [])
         assert series.rows[0].p50_us == pytest.approx(2.0)
@@ -116,7 +117,7 @@ class TestTimeSeries:
         report = FakeReport()
         report.offered = report.admitted = report.completed = 2
         report.replies = 2
-        series.observe_latency(1500)
+        report.latencies_ns.append(1500)
         series.flush(1000, report, [1, 3])
         lines = series.to_tsv().strip().split("\n")
         header = lines[0].split("\t")
@@ -131,7 +132,7 @@ class TestTimeSeries:
             series = TimeSeries(window_ns=1000)
             report = FakeReport()
             report.offered = report.completed = 4
-            series.observe_latency(1234)
+            report.latencies_ns.append(1234)
             series.flush(1000, report, [2])
             return series.to_tsv()
         assert build() == build()
@@ -153,7 +154,7 @@ class TestFinalPartial:
         report = FakeReport()
         report.completed = 1
         series.flush(1000, report, [])
-        series.observe_latency(700)       # drained after the boundary
+        report.latencies_ns.append(700)   # drained after the boundary
         row = series.finish(1200, report, [])
         assert row is series.final_partial
         assert row.p50_us == pytest.approx(0.7)
@@ -185,8 +186,8 @@ class TestObservers:
         seen = []
         series.observers.append(
             lambda row, latencies: seen.append((row, latencies)))
-        series.observe_latency(300)
-        series.observe_latency(100)
+        report.latencies_ns.append(300)
+        report.latencies_ns.append(100)
         report.completed = 2
         series.flush(1000, report, [])
         report.completed = 3

@@ -52,6 +52,82 @@ class TestRecording:
         assert len(tracer.find("", cat="request")) == 1
 
 
+class TestRequestRows:
+    """A served request is kept as one row; the span family is what
+    the readers (find, the exporters) see of it."""
+
+    def test_a_row_reads_as_its_family_in_emission_order(self):
+        tracer = TraceRecorder()
+        detail = {"seq": 4, "shard": "shard1"}
+        tracer.request(1, 100, 300, 800, overhead_ns=250.9,
+                       detail=detail)
+        assert len(tracer.requests) == 1 and tracer.events == []
+        members = tracer.find("")
+        assert [(m["name"], m["cat"], m["ts"], m["dur"], m["tid"])
+                for m in members] == [
+            ("request", "request", 100, 950, 1),
+            ("queue", "queue", 100, 200, 1),
+            ("hop:shard1", "request", 300, 500, 1),
+            ("reply", "request", 800, 250, 1)]
+        assert [m["args"] for m in members] == [detail, {}, {}, {}]
+        assert all(m["ph"] == "X" for m in members)
+
+    def test_reply_only_with_overhead_and_never_on_a_drop(self):
+        tracer = TraceRecorder()
+        tracer.request(0, 0, 10, 30, detail={"core": 2})
+        tracer.request(0, 40, 40, 70, overhead_ns=5,
+                       detail={"seq": 1}, dropped=True)
+        names = [m["name"] for m in tracer.find("")]
+        assert names == ["request", "queue", "kernel@core2",
+                         "request", "queue", "kernel"]
+        first, second = tracer.find("request")
+        assert first["args"] == {"core": 2}
+        assert second["args"] == {"seq": 1, "dropped": True}
+        assert second["dur"] == 35
+        assert tracer.requests[1][6] == {"seq": 1}   # detail untouched
+
+    def test_an_instant_between_two_rows_exports_between_them(self):
+        tracer = TraceRecorder()
+        tracer.request(0, 500, 500, 500)
+        tracer.instant("fault:kill", ts_ns=500)
+        tracer.request(0, 500, 500, 500)
+        names = [m["name"] for m in tracer.find("")]
+        assert names == ["request", "queue", "kernel", "fault:kill",
+                         "request", "queue", "kernel"]
+        tsv = [line.split("\t")[5]
+               for line in tracer.to_tsv().splitlines()[1:]]
+        assert tsv == names
+
+    @pytest.mark.parametrize("times, overhead", [
+        ((100, 90, 120), 0),         # dispatched before it arrived
+        ((100, 110, 105), 0),        # done before it was dispatched
+        ((100, 110, 120), -1),       # negative wire overhead
+    ])
+    def test_a_negative_phase_raises_at_record_time(self, times,
+                                                    overhead):
+        tracer = TraceRecorder()
+        with pytest.raises(ObsError):
+            tracer.request(0, *times, overhead_ns=overhead)
+        assert tracer.requests == []
+
+    def test_len_and_repr_count_members_without_building_them(
+            self, monkeypatch):
+        tracer = TraceRecorder()
+        tracer.request(0, 0, 1, 2, overhead_ns=3)            # 4 spans
+        tracer.request(0, 0, 1, 2)                           # 3
+        tracer.request(0, 0, 1, 2, overhead_ns=3, dropped=True)   # 3
+        tracer.span("adhoc", 0, 1)
+        tracer.instant("tick", ts_ns=1)
+        assert len(tracer) == len(tracer.find("")) == 12
+
+        def built(row):
+            raise AssertionError("counting built a family")
+
+        monkeypatch.setattr("repro.obs.trace.family", built)
+        assert len(tracer) == 12
+        assert repr(tracer) == "TraceRecorder(11 spans, 1 instants)"
+
+
 class TestOrdering:
     def test_events_export_sorted_by_timestamp(self):
         tracer = TraceRecorder()

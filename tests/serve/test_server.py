@@ -17,7 +17,7 @@ import time
 import pytest
 
 from repro.deploy import deploy
-from repro.errors import ServeError
+from repro.errors import ParseError, ServeError
 from repro.obs.slo import SloSpec
 from repro.obs.validate import (
     validate_alert_log, validate_trace, validate_tsv,
@@ -193,8 +193,9 @@ def test_bridge_fault_is_an_internal_error_not_a_malformed_drop():
     finally:
         server.stop()
         dep.stop()
-    reasons = [event["args"]["reason"] for event in dep.tracer.events
-               if "reason" in event.get("args", ())]
+    reasons = [event["args"]["reason"]
+               for event in dep.tracer.find("request")
+               if "reason" in event["args"]]
     assert reasons == ["internal_error"]         # malformed == 0
     snapshot = server.report.snapshot()
     assert snapshot["offered"] == snapshot["completed"] == 2
@@ -202,6 +203,46 @@ def test_bridge_fault_is_an_internal_error_not_a_malformed_drop():
     assert snapshot["service_drops"] == 1
     assert counter("service_drops").value == 1
     assert counter("internal_error").value == 1
+
+
+def test_a_refused_payload_is_traced_as_a_whole_family():
+    """A payload dropped before dispatch (oversized, or rejected by
+    the codecs) waited and got no service: its trace row decomposes
+    like every other request's, ``queue + service + reply ==
+    latency``."""
+    dep = deploy("memcached").on("cpu").with_trace().start()
+    server = dep.serve()
+    binding = resolve_binding(dep.spec, "udp")
+    encap = server.binding.encap
+
+    def rejecting_encap(payload, seq):
+        raise ParseError("injected codec rejection")
+
+    try:
+        with udp_client(server) as sock:
+            sock.send(b"A" * (binding.max_payload + 1))
+            server.binding.encap = rejecting_encap
+            sock.send(binding.wrap(binding.probe(SEED, 0)[0]))
+            deadline = time.monotonic() + 5.0
+            while server.report.completed < 2:
+                assert time.monotonic() < deadline
+                time.sleep(0.005)
+            server.binding.encap = encap
+            roundtrip(sock, binding, SEED, 1)
+    finally:
+        server.stop()
+        dep.stop()
+    records = dep.analysis().requests
+    assert [record.dropped for record in records] == [True, True, False]
+    for record in records:
+        assert record.queue_ns + record.service_ns + record.reply_ns \
+            == record.latency_ns, record
+    assert [event["args"].get("reason")
+            for event in dep.tracer.find("request")] == \
+        ["oversized", "malformed", None]
+    assert all(record.queue_ns == record.latency_ns > 0
+               for record in records[:2])
+    assert server.report.snapshot()["service_drops"] == 2
 
 
 def test_a_vanished_peer_is_counted_not_swallowed():
