@@ -94,9 +94,11 @@ class Backend:
     """Adapter base: common config handling + default loops."""
 
     name = "?"
-    #: The open loop executes a server's waiting requests ahead of their
-    #: dequeue only where that is one target call *and* invisible: one
-    #: server, per-server FIFO order, no fault surface.
+    #: A promise ``run_open_loop`` checks (one server) and relies on
+    #: (arrival order, no fault surface — ``attach_faults`` refuses):
+    #: outcomes depend on the admitted sequence alone, so the server may
+    #: execute ahead of their dequeue what waits and, with d waiting,
+    #: the next capacity - d arrivals, none of which can be refused.
     burst_native = False
 
     def __init__(self, spec, config):

@@ -18,8 +18,12 @@ The backend contract (see :class:`repro.deploy.backends.Backend`):
   overhead_ns)`` per frame — the functional outcome plus the split of
   the closed-form latency into *occupancy* (serialises on the server)
   and *constant overhead* (wire/PHY time that pipelines perfectly);
-* ``burst_native`` (optional) — whether a server may execute its
-  waiting requests ahead of their dequeue;
+* ``burst_native`` (optional) — one server, arrival order, no fault
+  surface; it may then execute ahead of their dequeue the requests
+  waiting and the arrivals that cannot be refused: with *d* waiting,
+  the next ``capacity - d`` find fewer than ``capacity`` queued;
+* ``route`` and ``open_loop_trace_detail`` must not write the frame
+  they are shown (the caller's: the backend executes copies);
 * with a tracer, ``open_loop_server_names()`` (a track name each) and
   ``open_loop_trace_detail(frame)`` (a request's routing detail).
 
@@ -293,13 +297,16 @@ def run_open_loop(backend, spec, frames, duration_ns, seed=1,
     :class:`OpenLoopReport`.
 
     On a backend that declares ``burst_native`` a server about to
-    execute a request also executes up to *batch* - 1 requests waiting
-    behind it, in the same ``open_loop_profile_batch`` call, and keeps
-    their outcomes for their own dequeues — invisible by per-server
-    FIFO order: requests still leave the queue one at a time, so
-    admission, tail-drops, queue depths and every latency are those of
-    executing each at its dequeue, which is what every other backend
-    does whatever *batch* says.
+    execute a request fills the same ``open_loop_profile_batch`` call,
+    up to *batch* frames, with the requests waiting behind it and then
+    with arrivals still to come, and keeps their outcomes for their
+    own dequeues.  Invisible: with *d* waiting, each of the next
+    ``capacity - d`` arrivals finds fewer than ``capacity`` queued
+    whatever the service times turn out to be, so it is admitted and
+    served in arrival order behind the *d* — and on one fault-free
+    FIFO server outcomes depend on that order alone.  Every event stays
+    at its nanosecond, as on the other backends, which execute each
+    request at its dequeue whatever *batch* says.
 
     Observability (all optional, zero-cost when ``None``):
 
@@ -318,15 +325,20 @@ def run_open_loop(backend, spec, frames, duration_ns, seed=1,
     """
     if batch < 1:
         raise EngineError("batch must be >= 1")
-    lookahead = batch - 1 if getattr(backend, "burst_native", False) else 0
     scheduler = Scheduler()
     schedule = scheduler.schedule
     num_servers, route = backend.open_loop_servers()
+    lookahead = 0
+    if getattr(backend, "burst_native", False):
+        if num_servers != 1:
+            raise EngineError("a burst_native backend has one server; "
+                              "%r reports %d" % (backend, num_servers))
+        lookahead = batch - 1
     report = OpenLoopReport(spec, duration_ns, num_servers, tracer)
     capacity = spec.capacity
     # Per server: the (arrival_ns, frame, detail) items waiting for it,
-    # whether it is occupied, and the outcomes of queue-mates it
-    # executed ahead of their dequeue (in the queue's own FIFO order).
+    # whether it is occupied, and the outcomes of requests it executed
+    # ahead of their dequeue (in the queue's own FIFO order).
     waiting = [deque() for _ in range(num_servers)]
     busy = [False] * num_servers
     ahead = [deque() for _ in range(num_servers)]
@@ -366,9 +378,17 @@ def run_open_loop(backend, spec, frames, duration_ns, seed=1,
     def start(index, item):
         outcomes = ahead[index]
         if not outcomes:
+            queue = waiting[index]
+            burst = [item[1]]
+            burst.extend(frame for _, frame, _ in islice(queue, lookahead))
+            # frames[report.offered:] are still to arrive; the first
+            # capacity - len(queue) of them cannot be refused.
+            room = lookahead + 1 - len(burst)
+            if capacity is not None:
+                room = min(room, capacity - len(queue))
+            burst.extend(frames[report.offered:report.offered + room])
             outcomes.extend(backend.open_loop_profile_batch(
-                [item[1]] + [frame for _, frame, _
-                             in islice(waiting[index], lookahead)]))
+                [frame.copy() for frame in burst]))
         outcome = outcomes.popleft()
         dispatch_ns = scheduler.now_ns
         service_ns = outcome[1]
@@ -403,8 +423,9 @@ def run_open_loop(backend, spec, frames, duration_ns, seed=1,
         else list(frames)
     if len(frames) < len(times):
         times = times[:len(frames)]
+    del frames[len(times):]         # what never arrives is never run
     for when, frame in zip(times, frames):
-        schedule(when, lambda f=frame: arrive(f.copy()))
+        schedule(when, lambda f=frame: arrive(f))
 
     if series is not None:
         end_ns = int(duration_ns)

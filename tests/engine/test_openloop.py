@@ -7,11 +7,16 @@ import functools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import openloop_sweep as sweep
+import strategies
 from repro.deploy import deploy
-from repro.engine.openloop import ArrivalSpec
+from repro.deploy.backends import BACKENDS, Backend
+from repro.engine.openloop import ArrivalSpec, run_open_loop
 from repro.errors import EngineError, TargetError
+from repro.netsim.faults import FaultPlan
+from repro.services.catalog import registry
 
 SEED = "engine-openloop"
 
@@ -291,3 +296,150 @@ class TestSameBytesAcrossCommits:
                 executed.add(event["ts"])
             elif event["name"] == "reply":
                 assert event["ts"] not in executed, event
+
+
+#: service -> the opt level its ``fpga`` deployment runs below (``None``:
+#: behavioural pause counting).
+FPGA_SERVICES = {"memcached": 3, "nat": 2, "dns": None}
+
+
+def _started(service, backend="fpga", seed=11, **scale):
+    dep = deploy(service).on(backend, **scale).with_seed(seed)
+    if backend != "cpu" and FPGA_SERVICES[service] is not None:
+        dep.with_opt(FPGA_SERVICES[service])
+    return dep.start()
+
+
+@functools.lru_cache(maxsize=None)
+def _modeled_max_qps(service):
+    dep = _started(service)
+    return dep.max_qps(next(iter(dep.spec.workload(1, 11))))
+
+
+@functools.lru_cache(maxsize=None)
+def _workload(service, count, seed):
+    """One frame list per stream, replayed through every run that asks
+    for it (as ``bench/`` replays its slices): a run that wrote a
+    caller's frame would fail the next run's comparison too."""
+    return tuple(registry()[service].workload(count, seed))
+
+
+def _identity(frames):
+    return [(bytes(frame.data), frame.src_port, frame.dst_ports,
+             frame.timestamp_ns) for frame in frames]
+
+
+def _engine_run(width, capacity, process, qps, service="memcached",
+                backend="fpga", seed=11, duration_ns=50_000, **scale):
+    """The engine's ``run_open_loop`` at burst width *width* over a
+    caller's frame list a fifth longer than the expected arrivals;
+    returns everything a width could leak into, and the frame count of
+    each profile call."""
+    dep = _started(service, backend, seed, **scale)
+    frames = list(_workload(
+        service, int(1.2 * qps * duration_ns / 1e9) + 8, seed))
+    offered, mine = _identity(frames), set(map(id, frames))
+    replies, bursts = [], []
+    profile = dep.backend.open_loop_profile_batch
+
+    def capture(burst):
+        assert mine.isdisjoint(map(id, burst))     # copies only
+        outcomes = profile(burst)
+        bursts.append(len(burst))
+        for emitted, _, _ in outcomes:
+            replies.extend(bytes(reply.data) for _, reply in emitted)
+        return outcomes
+
+    dep.backend.open_loop_profile_batch = capture
+    report = run_open_loop(dep.backend,
+                           ArrivalSpec(process, qps, capacity), frames,
+                           duration_ns, seed=seed, batch=width)
+    stats = dep.stats()
+    dep.stop()
+    # The list outlasts the arrivals; nothing past them was executed
+    # and the caller's frames come back as they were.
+    assert report.offered < len(frames) and _identity(frames) == offered
+    assert sum(bursts) == report.admitted == report.completed
+    if backend == "fpga":
+        assert stats["frames_in"] == report.admitted
+    observed = (report.snapshot(), report.latencies_ns, replies, stats,
+                [(server.arrivals, server.depth_samples, server.max_depth,
+                  server.busy_ns) for server in report.servers])
+    return observed, bursts
+
+
+class TestExecuteAhead:
+    """On a ``burst_native`` backend a server executes, with the
+    request it starts, what waits behind it and the arrivals that
+    cannot be refused; width 1 is the execute-at-dequeue reference."""
+
+    @pytest.mark.parametrize("process", ["poisson", "uniform"])
+    @pytest.mark.parametrize("qps", [2.5e6, 20e6],
+                             ids=["underload", "overload"])
+    @pytest.mark.parametrize("capacity", [1, 2, 3, 16, None])
+    def test_every_width_is_the_dequeue_reference(self, capacity, qps,
+                                                  process):
+        reference, bursts = _engine_run(1, capacity, process, qps)
+        assert set(bursts) == {1} and reference[2]
+        if capacity is None:
+            assert not reference[0]["queue_drops"]
+        elif qps > 5e6:
+            assert reference[0]["queue_drops"]
+        for width in (2, 8, 64):
+            observed, bursts = _engine_run(width, capacity, process, qps)
+            assert observed == reference, width
+            assert 1 < max(bursts) <= width
+            if capacity is not None:
+                assert max(bursts) <= capacity + 1
+
+    @settings(strategies.SETTINGS, max_examples=20)
+    @given(service=st.sampled_from(sorted(FPGA_SERVICES)),
+           load=st.floats(0.1, 4.0), width=st.integers(1, 80),
+           capacity=st.none() | st.integers(1, 80),
+           process=st.sampled_from(["poisson", "uniform"]),
+           seed=st.integers(0, 2 ** 16))
+    def test_width_is_unobservable_at_any_load(self, service, load, width,
+                                               capacity, process, seed):
+        qps = load * _modeled_max_qps(service)
+        runs = [_engine_run(each, capacity, process, qps, service,
+                            seed=seed)
+                for each in (1, width)]
+        assert runs[0][0] == runs[1][0]
+
+    def test_half_load_fills_the_lanes_on_fpga_only(self):
+        """Half the modeled maximum, default capacity: almost nothing
+        ever waits, so without execute-ahead a profile call carries
+        1.15 frames."""
+        qps = 0.5 * _modeled_max_qps("memcached")
+
+        def frames_per_call(backend, width, **scale):
+            _, bursts = _engine_run(width, 64, "poisson", qps,
+                                    backend=backend,
+                                    duration_ns=200_000, **scale)
+            return sum(bursts) / len(bursts)
+
+        assert frames_per_call("fpga", 64) >= 32
+        assert frames_per_call("fpga", 1) == 1
+        for backend, scale in (("cluster", {"shards": 4}),
+                               ("multicore", {"cores": 4}), ("cpu", {})):
+            assert frames_per_call(backend, 64, **scale) == 1, backend
+
+    def test_burst_native_is_a_checked_promise(self):
+        """One server (refused at the start of a run otherwise) and no
+        fault surface — what execute-ahead rests on."""
+        class TwoServers(Backend):
+            burst_native = True
+
+            def open_loop_servers(self):
+                return 2, (lambda frame: 0)
+
+        with pytest.raises(EngineError, match="one server"):
+            run_open_loop(TwoServers(None, None),
+                          ArrivalSpec("uniform", qps=1e6), [], 10_000)
+        native = [name for name, cls in BACKENDS.items()
+                  if cls.burst_native]
+        assert "fpga" in native
+        for name in native:
+            with pytest.raises(TargetError, match="no fault surface"):
+                _started("memcached", name).backend.attach_faults(
+                    FaultPlan())
