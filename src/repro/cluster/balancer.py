@@ -30,7 +30,7 @@ from repro.core.protocols.memcached import (
 )
 from repro.core.protocols.udp import UDPRequest
 from repro.cluster.health import DEFAULT_PHI_THRESHOLD, PhiAccrualDetector
-from repro.cluster.ring import DEFAULT_VNODES, HashRing, max_over_mean
+from repro.cluster.ring import DEFAULT_VNODES, HashRing
 from repro.errors import ClusterError, ParseError
 from repro.kiwi.runtime import pause
 from repro.services.base import EmuService
@@ -263,10 +263,6 @@ class ShardBalancerService(EmuService):
         key = self.key_fn(frame.data)
         key_bytes = len(key) if key is not None else 0
         return PARSE_CYCLES + key_bytes + LOOKUP_CYCLES
-
-    def dispatch_imbalance(self):
-        """Max/mean dispatch count across shards (1.0 = perfectly even)."""
-        return max_over_mean(self.dispatched.values())
 
     def reset(self):
         self.dispatched = {shard: 0 for shard in self.shard_ports}

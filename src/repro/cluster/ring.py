@@ -126,9 +126,6 @@ class HashRing:
     def __len__(self):
         return len(self._shards)
 
-    def __contains__(self, shard_id):
-        return shard_id in self._shards
-
     # -- lookup -------------------------------------------------------------
 
     def lookup(self, key):

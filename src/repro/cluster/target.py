@@ -78,7 +78,9 @@ class ClusterTarget:
 
     @property
     def shard_ids(self):
-        return self.ring.shards
+        """Shard ids in ring order (a copy; the index open-loop queues
+        and replica placement use)."""
+        return list(self._shard_order)
 
     @property
     def live_shards(self):

@@ -60,10 +60,6 @@ class ClusterNetwork:
         return [self.spine.service] + [leaf.service
                                        for leaf in self.leaves]
 
-    def shard_services(self):
-        return {shard_id: node.service
-                for shard_id, node in self.shards.items()}
-
     # -- fault verbs (the FaultPlan vocabulary) -----------------------------
 
     def _link_for(self, name):

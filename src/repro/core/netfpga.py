@@ -29,11 +29,6 @@ def set_output_port(dataplane, value):
     dataplane.dst_ports = 1 << int(value)
 
 
-def set_output_ports_raw(dataplane, bitmap):
-    """Set the raw one-hot output bitmap (multi-port transmission)."""
-    dataplane.dst_ports = int(bitmap)
-
-
 def broadcast(dataplane, exclude_source=True):
     """Send out of every port (except, by default, the input port)."""
     mask = (1 << NetFPGAData.NUM_PORTS) - 1

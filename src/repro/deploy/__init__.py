@@ -27,9 +27,7 @@ Try it: ``python -m repro.deploy --service memcached --backend fpga
 --opt 2 --requests 1000``.
 """
 
-from repro.deploy.backends import (
-    BACKENDS, Backend, backend_names, register_backend, resolve_backend,
-)
+from repro.deploy.backends import BACKENDS, Backend, resolve_backend
 from repro.deploy.builder import Deployment, DeploymentConfig, deploy
 from repro.deploy.metrics import Metrics
 from repro.deploy.spec import ALL_BACKENDS, ProtocolClient, ServiceSpec
@@ -37,5 +35,5 @@ from repro.deploy.spec import ALL_BACKENDS, ProtocolClient, ServiceSpec
 __all__ = [
     "ALL_BACKENDS", "BACKENDS", "Backend", "Deployment",
     "DeploymentConfig", "Metrics", "ProtocolClient", "ServiceSpec",
-    "backend_names", "deploy", "register_backend", "resolve_backend",
+    "deploy", "resolve_backend",
 ]

@@ -42,10 +42,10 @@ The device models (:class:`~repro.targets.fpga.FpgaTarget`,
 ``MultiCoreTarget``, ``ClusterTarget``) return it and every adapter
 passes it up unchanged.
 
-Register new backends with :func:`register_backend`; the
-:class:`~repro.deploy.builder.Deployment` builder resolves them by
-name, so new execution substrates compose with every registered
-service and workload without touching call sites.
+A backend is a :class:`Backend` subclass named in :data:`BACKENDS`; the
+:class:`~repro.deploy.builder.Deployment` builder resolves it by name,
+so a new execution substrate composes with every registered service
+and workload without touching call sites.
 """
 
 from repro.cluster.balancer import flow_key
@@ -57,29 +57,13 @@ from repro.targets.cpu import CpuTarget
 from repro.targets.fpga import FpgaTarget
 from repro.targets.multicore import MultiCoreTarget
 
-#: name -> Backend subclass
-BACKENDS = {}
-
-
-def register_backend(name):
-    """Class decorator: make a backend constructible by name."""
-    def decorate(cls):
-        cls.name = name
-        BACKENDS[name] = cls
-        return cls
-    return decorate
-
-
-def backend_names():
-    return sorted(BACKENDS)
-
 
 def resolve_backend(name):
     try:
         return BACKENDS[name]
     except KeyError:
         raise TargetError("unknown backend %r (have: %s)"
-                          % (name, ", ".join(backend_names())))
+                          % (name, ", ".join(sorted(BACKENDS))))
 
 
 def _profile(outcome):
@@ -263,9 +247,10 @@ class Backend:
         return self.config.level_budget
 
 
-@register_backend("cpu")
 class CpuBackend(Backend):
     """Workflow A: software semantics, no timing model."""
+
+    name = "cpu"
 
     def start(self):
         self.target = CpuTarget(self.spec.build(),
@@ -283,10 +268,10 @@ class CpuBackend(Backend):
         return "%d ports" % self.config.get("ports", 4)
 
 
-@register_backend("fpga")
 class FpgaBackend(Backend):
     """One NetFPGA SUME device (cycle/latency/throughput model)."""
 
+    name = "fpga"
     burst_native = True
 
     def start(self):
@@ -330,9 +315,10 @@ class FpgaBackend(Backend):
         return "%d ports" % self.config.get("ports", 4)
 
 
-@register_backend("multicore")
 class MultiCoreBackend(Backend):
     """N Emu cores, one per port, with write replication (§5.4)."""
+
+    name = "multicore"
 
     def start(self):
         self.effective_opt = self._effective_opt_for_factory()
@@ -371,9 +357,10 @@ class MultiCoreBackend(Backend):
         return "%d cores" % self.config.get("cores", 4)
 
 
-@register_backend("cluster")
 class ClusterBackend(Backend):
     """N sharded devices behind a consistent-hash ring (scale-out)."""
+
+    name = "cluster"
 
     def start(self):
         self.effective_opt = self._effective_opt_for_factory()
@@ -404,7 +391,7 @@ class ClusterBackend(Backend):
         # mid-run — rerouted keys must land on their new owner's own
         # queue instead.
         index_of = {shard_id: index for index, shard_id
-                    in enumerate(target._shard_order)}
+                    in enumerate(target.shard_ids)}
 
         def route(frame):
             index = index_of.get(target.owner_of(frame))
@@ -412,7 +399,7 @@ class ClusterBackend(Backend):
         return count, route
 
     def open_loop_server_names(self):
-        return list(self.target._shard_order)
+        return self.target.shard_ids
 
     def open_loop_trace_detail(self, frame):
         owner = self.target.owner_of(frame)
@@ -460,7 +447,6 @@ class ClusterBackend(Backend):
         return "%d shards" % self.config.get("shards", 8)
 
 
-@register_backend("netsim")
 class NetsimBackend(Backend):
     """The Mininet role: the service on a simulated wire.
 
@@ -470,6 +456,8 @@ class NetsimBackend(Backend):
     survive intact: replies come back as ``(port, frame)`` exactly
     like the CPU target's emission list, plus wire latency.
     """
+
+    name = "netsim"
 
     def start(self):
         config = self.config
@@ -538,3 +526,9 @@ class NetsimBackend(Backend):
 
     def describe_scale(self):
         return "%d simulated hosts" % self.config.get("ports", 4)
+
+
+#: name -> Backend subclass
+BACKENDS = {backend.name: backend for backend in (
+    CpuBackend, FpgaBackend, MultiCoreBackend, ClusterBackend,
+    NetsimBackend)}

@@ -507,7 +507,7 @@ def deploy(service, name=None):
     if isinstance(service, ServiceSpec):
         return Deployment(service)
     if isinstance(service, str):
-        from repro.services.catalog import registry
+        from repro.services import registry
         specs = registry()
         if service not in specs:
             raise TargetError("unknown service %r (registry has: %s)"

@@ -3,7 +3,7 @@
 Every backend adapter feeds the same :class:`Metrics` object through
 the same code path (:meth:`Metrics.record`, called once per request by
 the deployment), so request/reply/drop accounting, the latency
-samples, and the core-cycle samples mean the same thing on every
+samples, and the core-cycle tally mean the same thing on every
 backend — replacing the ad-hoc per-harness counters that used to be
 reinvented next to every experiment loop.
 
@@ -19,7 +19,9 @@ from repro.obs.metrics import MetricsRegistry
 
 
 class Metrics:
-    """Request/reply/drop counters + latency and cycle samples.
+    """Request/reply/drop counters, latency samples, and the core
+    cycles as a running total over ``cycle_samples`` requests (only
+    ever averaged, so no per-request list).
 
     Since the observability layer landed, this class is a *view* over a
     :class:`~repro.obs.metrics.MetricsRegistry`: the counters live as
@@ -40,7 +42,8 @@ class Metrics:
         self._batches = self.registry.counter("batches")
         self._latency_us = self.registry.histogram("latency_us")
         self.latency = LatencyCapture()
-        self.core_cycles = []
+        self.core_cycles = 0           # sum over cycle_samples requests
+        self.cycle_samples = 0
         self.elapsed_ns = 0.0          # sum of recorded latencies
 
     # -- counter views (read like the plain ints they once were) ------------
@@ -75,7 +78,8 @@ class Metrics:
             self._latency_us.observe(latency_ns / 1000.0)
             self.elapsed_ns += latency_ns
         if core_cycles is not None:
-            self.core_cycles.append(core_cycles)
+            self.core_cycles += core_cycles
+            self.cycle_samples += 1
 
     def record_batch(self):
         self._batches.inc()
@@ -102,9 +106,9 @@ class Metrics:
             else None
 
     def average_core_cycles(self):
-        if not self.core_cycles:
+        if not self.cycle_samples:
             return None
-        return sum(self.core_cycles) / len(self.core_cycles)
+        return self.core_cycles / self.cycle_samples
 
     def qps(self):
         """Serial-replay throughput: requests over summed latency
@@ -128,7 +132,7 @@ class Metrics:
             "avg_core_cycles": self.average_core_cycles(),
             "qps": self.qps(),
             "latency_samples": self.latency.count,
-            "cycle_samples": len(self.core_cycles),
+            "cycle_samples": self.cycle_samples,
         }
 
     def __repr__(self):

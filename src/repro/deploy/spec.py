@@ -49,13 +49,6 @@ class _Undeclared:
     services).  Falsy so ``if spec.serve:`` reads naturally.
     """
 
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
     def __bool__(self):
         return False
 
@@ -101,8 +94,7 @@ class ServiceSpec:
 
     def __init__(self, name, factory, client=None, workload=None,
                  trace=None, is_write=None, key_fn=None,
-                 host_wrapper=None, has_kernel=False,
-                 backends=ALL_BACKENDS, description="",
+                 host_wrapper=None, backends=ALL_BACKENDS, description="",
                  serve=UNDECLARED):
         if not callable(factory):
             raise TargetError("spec %r needs a callable factory" % name)
@@ -114,7 +106,6 @@ class ServiceSpec:
         self.is_write = is_write
         self.key_fn = key_fn
         self.host_wrapper = host_wrapper
-        self.has_kernel = has_kernel
         self.backends = tuple(backends)
         self.description = description
         self.serve = serve
@@ -141,6 +132,13 @@ class ServiceSpec:
     def supports(self, backend_name):
         return backend_name in self.backends
 
+    @property
+    def has_kernel(self):
+        """Whether the service exposes a compiled-kernel cycle model
+        (the probe ``Backend._effective_opt`` makes before honouring
+        an opt level)."""
+        return hasattr(self.build(), "kernel_cycle_model")
+
     # -- socket-serving capability (see repro.serve) -------------------------
 
     @property
@@ -148,28 +146,6 @@ class ServiceSpec:
         """Whether the spec took a position on socket serving at all
         (``serve=None`` counts: it *declares* "not servable")."""
         return self.serve is not UNDECLARED
-
-    @property
-    def transports(self):
-        """The declared socket transports, e.g. ``("udp", "tcp")`` —
-        empty for unservable or undeclared services."""
-        if not self.serve:
-            return ()
-        return self.serve.transports
-
-    @property
-    def transport(self):
-        """The primary socket transport (``None`` when unservable)."""
-        transports = self.transports
-        return transports[0] if transports else None
-
-    @property
-    def frame_decoder(self):
-        """The stream-framing decoder factory of the service's TCP
-        binding (``None`` for datagram-only or unservable services)."""
-        if not self.serve:
-            return None
-        return self.serve.frame_decoder
 
     @classmethod
     def adhoc(cls, name, factory, **kwargs):

@@ -87,9 +87,6 @@ class CaspMachine:
     def array(self, name):
         return self.arrays.setdefault(name, [])
 
-    def clear_array(self, name):
-        self.arrays[name] = []
-
     def execute(self, procedure, read_var, write_var):
         """Run one procedure against the program's variables.
 

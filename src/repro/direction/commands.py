@@ -45,14 +45,6 @@ class Condition:
         self.op = op
         self.value = value
 
-    def evaluate(self, read_var):
-        lhs = read_var(self.var)
-        rhs = self.value
-        return {
-            "==": lhs == rhs, "!=": lhs != rhs, "<": lhs < rhs,
-            "<=": lhs <= rhs, ">": lhs > rhs, ">=": lhs >= rhs,
-        }[self.op]
-
     def __repr__(self):
         return "%s %s %d" % (self.var, self.op, self.value)
 

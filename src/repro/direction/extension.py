@@ -56,9 +56,6 @@ class DirectedService(EmuService):
                     getter=lambda a=attr: getattr(self.inner, a),
                     setter=lambda v, a=attr: setattr(self.inner, a, v))
 
-    def expose(self, name, getter, setter=None):
-        self.controller.expose(name, getter, setter)
-
     def on_frame(self, dataplane):
         # Fig. 11: the direction check runs before the program.
         if is_direction_frame(dataplane.tdata):
@@ -111,11 +108,6 @@ class DirectedService(EmuService):
             "\n".join(reply_lines))
         dataplane.tdata[:] = reply
         dataplane.dst_ports = 1 << dataplane.src_port
-
-    def poll_point(self):
-        """Cross the main-loop point outside packet handling (hosted
-        directability for idle loops)."""
-        return extension_point(self.controller, MAIN_LOOP_POINT)
 
     def datapath_extra_cycles(self, frame):
         inner = getattr(self.inner, "datapath_extra_cycles", None)

@@ -108,12 +108,6 @@ class ServerStats:
         if depth > self.max_depth:
             self.max_depth = depth
 
-    @property
-    def mean_depth(self):
-        if not self.arrivals:
-            return 0.0
-        return self.depth_samples / self.arrivals
-
 
 class OpenLoopReport:
     """What an open-loop run observed — simulated arrivals
@@ -158,10 +152,6 @@ class OpenLoopReport:
                                 overhead_ns, detail, dropped=not replies)
 
     # -- derived ------------------------------------------------------------
-
-    @property
-    def drops(self):
-        return self.queue_drops + self.service_drops
 
     @property
     def offered_qps(self):
@@ -218,8 +208,7 @@ class OpenLoopReport:
                    default=0)
 
     def mean_queue_depth(self):
-        """Arrival-weighted mean ingest depth across every server (the
-        per-server means are on ``servers[i].mean_depth``)."""
+        """Arrival-weighted mean ingest depth across every server."""
         arrivals = sum(server.arrivals for server in self.servers)
         if not arrivals:
             return 0.0
@@ -267,7 +256,8 @@ class OpenLoopReport:
 
     def __repr__(self):
         return ("OpenLoopReport(offered=%d, completed=%d, drops=%d, "
-                "p99=%s us)" % (self.offered, self.completed, self.drops,
+                "p99=%s us)" % (self.offered, self.completed,
+                                self.queue_drops + self.service_drops,
                                 ("%.3f" % self.p99_latency_us())
                                 if self.latencies_ns else "n/a"))
 

@@ -243,42 +243,6 @@ def run_opt_comparison(opt_levels=(0, 1, 2, 3), cases=None):
     return data, text
 
 
-def run_hotspot_comparison(service="memcached", count=64, seed=9,
-                           opt_levels=(0, 2), **options):
-    """Per-FSM-state attribution of the optimizer's win.
-
-    Deploys *service* on the fpga backend at each level with the
-    kernel profiler on, and returns ``(profiles, text)`` where
-    *profiles* maps level → :class:`~repro.obs.profiler.KernelProfile`
-    and *text* stacks the hotspot tables.  The profile is held to the
-    measured cycle counts before anything is rendered: summed state
-    cycles plus one idle latch per invocation must equal the metrics
-    layer's summed core cycles — the cross-check that the -O0→-O2
-    reduction in the tables above is real per-state accounting, not a
-    second model agreeing with itself.
-    """
-    if service == "memcached":
-        options.setdefault("protocol", "binary")
-    profiles = {}
-    tables = []
-    for level in opt_levels:
-        dep = deploy(service).on("fpga").with_seed(seed) \
-            .with_opt(level).with_profile().start()
-        dep.run(count=count, seed=seed, **options)
-        profile = dep.kernel_profile()
-        measured = sum(dep.metrics.core_cycles)
-        attributed = profile.total_cycles + profile.invocations
-        if attributed != measured:
-            raise CompileError(
-                "profiler lost cycles at -O%d: attributed %d "
-                "(states + idle), measured %d" % (level, attributed,
-                                                  measured))
-        profiles[level] = profile
-        tables.append(profile.hotspot_table())
-        dep.stop()
-    return profiles, "\n\n".join(tables)
-
-
 def deployable_kernel_services():
     """Registry services with a flat kernel (the ones ``with_opt``
     switches to compiled-kernel cycle counting)."""

@@ -64,10 +64,6 @@ class KernelPathModel:
     def sample_latency_us(self):
         return sum(stage.sample_us(self._rng) for stage in self.stages)
 
-    def breakdown_us(self):
-        """Expected fixed cost per stage (for reports/debug)."""
-        return {stage.name: stage.fixed_us for stage in self.stages}
-
 
 # The shared kernel receive/transmit path (constants per [50]): these
 # are the stages every host service pays before/after its own work.

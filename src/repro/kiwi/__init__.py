@@ -10,7 +10,8 @@ extensions the paper lists (§3.2) map as follows:
       code between pauses is scheduled combinationally into one cycle.
 (iii) byte-array ↔ struct casting — protocol wrappers over byte memories
       (:mod:`repro.core.protocols`) give fields names and types.
-(iv)  >64-bit words — :mod:`repro.utils.words`.
+(iv)  >64-bit words — Python ints are unbounded; widths come from the
+      kernel's annotations.
 
 Public surface:
 

@@ -132,11 +132,6 @@ class FsmBuilder:
             return VarRef(name, self.var_widths[name])
         raise CompileError("read of undefined variable %r" % name, node)
 
-    def _var_width(self, name):
-        if name not in self.var_widths:
-            self.var_widths[name] = DEFAULT_WIDTH
-        return self.var_widths[name]
-
     def _assign(self, name, expr, node=None):
         if name in self.const_env:
             raise CompileError(

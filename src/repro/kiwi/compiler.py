@@ -45,8 +45,8 @@ class TimingReport:
     At ``-O3`` the report also carries the latency-vs-throughput split
     of the pipelining analysis: :attr:`latency_cycles` (critical-path
     states per request) is what one request experiences, while
-    :attr:`throughput_cycles` (== :attr:`achieved_ii` when the kernel
-    pipelines) is the steady-state interval between request issues.
+    :attr:`achieved_ii` is the steady-state interval between request
+    issues when the kernel pipelines.
     """
 
     def __init__(self, state_count, max_logic_levels, levels_per_state,
@@ -74,20 +74,6 @@ class TimingReport:
         if self.pipeline is not None:
             return self.pipeline.latency_cycles
         return None
-
-    @property
-    def throughput_cycles(self):
-        """Sustained cycles between request completions: the II when
-        pipelined, the full critical path when not."""
-        ii = self.achieved_ii
-        return ii if ii is not None else self.latency_cycles
-
-    def stage_occupancy(self):
-        """Pipelined states per issue-slot residue (empty when not
-        pipelined); see ``PipelineSchedule.stage_occupancy``."""
-        if self.pipeline is None:
-            return {}
-        return self.pipeline.stage_occupancy()
 
     def meets_timing(self, max_levels=48):
         """Would this schedule close timing at the target clock?
@@ -140,18 +126,6 @@ class CompiledDesign:
     @property
     def state_count(self):
         return self.fsm.state_count
-
-    def dump(self):
-        """Human-readable view of the optimized machine (debugging a
-        pass pipeline reads much better than a netlist diff)."""
-        lines = ["design %s: -O%d, %d states, max %d logic levels"
-                 % (self.name, self.opt_level, self.state_count,
-                    self.timing.max_logic_levels)]
-        for stats in self.pass_stats:
-            if stats.changed():
-                lines.append("  %r" % stats)
-        lines.append(self.fsm.dump())
-        return "\n".join(lines)
 
     def resources(self):
         """Resource estimate of the generated netlist."""

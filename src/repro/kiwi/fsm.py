@@ -114,43 +114,6 @@ class Fsm:
     def state_count(self):
         return len(self.states)
 
-    def dump(self):
-        """Pretty-print the machine, one block per state.
-
-        This is the debugging view for pass pipelines: updates, memory
-        writes, and the transition of every state, with pinned (pause /
-        entry) states marked.
-        """
-
-        def ref(state):
-            if state.index is not None:
-                return "#%d" % state.index
-            return state.label or "?"
-
-        lines = []
-        for state in self.states:
-            head = "state %s" % ref(state)
-            if state.label:
-                head += " [%s]" % state.label
-            if state.pinned:
-                head += " (pinned)"
-            lines.append(head)
-            for name in sorted(state.updates):
-                lines.append("  %s <= %r" % (name, state.updates[name]))
-            for mem, addr, data, enable in state.writes:
-                lines.append("  %s[%r] <= %r when %r"
-                             % (mem, addr, data, enable))
-            transition = state.transition
-            if isinstance(transition, Goto):
-                lines.append("  -> %s" % ref(transition.target))
-            elif isinstance(transition, Branch):
-                lines.append("  -> %s if %r else %s"
-                             % (ref(transition.if_true), transition.cond,
-                                ref(transition.if_false)))
-            else:
-                lines.append("  -> (unset)")
-        return "\n".join(lines)
-
     def successors(self, state):
         transition = state.transition
         if isinstance(transition, Goto):

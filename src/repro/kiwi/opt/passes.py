@@ -38,9 +38,6 @@ class PassStats:
             setattr(self, field,
                     getattr(self, field) + getattr(other, field))
 
-    def as_dict(self):
-        return {field: getattr(self, field) for field in self.FIELDS}
-
     def __repr__(self):
         parts = ["%s=%d" % (f, getattr(self, f))
                  for f in self.FIELDS if getattr(self, f)]
@@ -123,9 +120,9 @@ class CsePass(Pass):
     name = "cse"
 
     def run(self, ctx):
-        # The same canonicalisation as rtl.expr.intern_expr, routed
-        # through the shared `transform` machinery so sharing spans
-        # every expression of every state (one memo, one table).
+        # Canonicalise every subtree by its structural ``key()``,
+        # routed through the shared `transform` machinery so sharing
+        # spans every expression of every state (one memo, one table).
         stats = PassStats(self.name)
         table = {}
         memo = {}

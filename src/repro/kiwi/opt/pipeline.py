@@ -89,17 +89,6 @@ class PipelineSchedule:
         self.stream_memories = tuple(stream_memories)
         self.reason = reason
 
-    def stage_occupancy(self):
-        """states resident per pipeline slot: ``residue -> count`` of
-        states whose (latest) stage lands on that issue residue — the
-        steady-state occupancy picture of the II-cycle loop."""
-        if not self.feasible:
-            return {}
-        occupancy = {r: 0 for r in range(self.initiation_interval)}
-        for _, (_, latest) in sorted(self.stages.items()):
-            occupancy[latest % self.initiation_interval] += 1
-        return occupancy
-
     def speedup(self):
         """Steady-state throughput multiplier over sequential issue."""
         if not self.feasible:

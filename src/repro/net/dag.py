@@ -8,6 +8,7 @@ is measured first and deducted from all subsequent measurements."
 import math
 
 from repro.errors import HostModelError
+from repro.obs.metrics import interpolate_percentile
 
 
 class LatencyCapture:
@@ -69,11 +70,4 @@ def _percentile(sorted_values, pct):
     """Linear-interpolation percentile over pre-sorted data."""
     if not sorted_values:
         raise HostModelError("empty sample set")
-    if len(sorted_values) == 1:
-        return sorted_values[0]
-    rank = (pct / 100.0) * (len(sorted_values) - 1)
-    low = int(math.floor(rank))
-    high = min(low + 1, len(sorted_values) - 1)
-    fraction = rank - low
-    return sorted_values[low] * (1 - fraction) + \
-        sorted_values[high] * fraction
+    return interpolate_percentile(sorted_values, pct / 100.0)

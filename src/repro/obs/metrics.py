@@ -247,9 +247,6 @@ class MetricsRegistry:
     def __len__(self):
         return len(self._instruments)
 
-    def __contains__(self, name):
-        return any(key[0] == name for key in self._instruments)
-
     def snapshot(self):
         """``{rendered-name: value-or-histogram-dict}``, sorted keys —
         a deterministic, JSON-able dump of every instrument."""

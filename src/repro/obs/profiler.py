@@ -92,15 +92,6 @@ class KernelProfile:
         sum to ``total_cycles + invocations``."""
         return sum(state.cycles for state in self.states)
 
-    def cycles_per_request(self):
-        if not self.invocations:
-            return None
-        return (self.total_cycles + self.invocations) / self.invocations
-
-    def per_state(self):
-        """``{state index: cycles}`` (the assert-friendly view)."""
-        return {state.index: state.cycles for state in self.states}
-
     def hotspots(self, top=None):
         """States by descending cycles (ties broken by index, so the
         order is deterministic)."""

@@ -35,6 +35,8 @@ the fault-injector instants that caused them.
 """
 
 import json
+from collections import deque
+from itertools import islice
 
 from repro.errors import ObsError
 from repro.harness.report import render_table
@@ -190,15 +192,6 @@ class SloSpec:
             [BurnRule(*args) for args in DEFAULT_RULES]
         return sorted(rules, key=lambda rule: rule.rank)
 
-    def describe(self):
-        rows = [[objective.key, "budget %.2f%%"
-                 % (100 * objective.budget_fraction)]
-                for objective in self.objectives]
-        rows += [["rule:%s" % rule.severity, rule.describe()]
-                 for rule in self.rules]
-        return render_table(["Objective / rule", "Detail"], rows,
-                            title="SLO spec: %s" % self.name)
-
     def __repr__(self):
         return "SloSpec(%s: %d objective(s), %d rule(s))" % (
             self.name, len(self.objectives), len(self.rules))
@@ -282,13 +275,14 @@ class AlertLog:
 
 
 class _ObjectiveState:
-    """Streaming state for one objective: per-window samples plus the
-    cumulative error-budget ledger."""
+    """Streaming state for one objective: the last *depth* windows'
+    samples (the longest lookback any rule reads) plus the cumulative
+    error-budget ledger."""
 
-    def __init__(self, objective):
+    def __init__(self, objective, depth):
         self.objective = objective
-        self.bad_samples = []        # one of each per closed window
-        self.total_samples = []
+        self.bad_samples = deque(maxlen=depth)   # one of each per window
+        self.total_samples = deque(maxlen=depth)
         self.bad = 0
         self.total = 0
 
@@ -302,10 +296,11 @@ class _ObjectiveState:
         """Burn rate over the trailing min(lookback, seen) windows:
         weighted bad fraction / budget fraction (0.0 when the lookback
         saw no events)."""
-        total = sum(self.total_samples[-lookback:])
+        skip = max(0, len(self.total_samples) - lookback)
+        total = sum(islice(self.total_samples, skip, None))
         if not total:
             return 0.0
-        bad = sum(self.bad_samples[-lookback:])
+        bad = sum(islice(self.bad_samples, skip, None))
         return (bad / total) / self.objective.budget_fraction
 
     def budget_spent(self):
@@ -335,7 +330,8 @@ class SloMonitor:
         self.tracer = tracer
         self.alert_log = AlertLog(spec.name)
         self.windows_seen = 0
-        self._states = [_ObjectiveState(objective)
+        depth = max(rule.slow for rule in self.rules)
+        self._states = [_ObjectiveState(objective, depth)
                         for objective in spec.objectives]
         self._active = {}      # (objective.key, severity) -> fire event
 

@@ -40,9 +40,6 @@ class Key:
         return (isinstance(other, Key) and self._hash == other._hash
                 and self.parts == other.parts)
 
-    def __ne__(self, other):
-        return not self.__eq__(other)
-
     def __repr__(self):
         return "Key%r" % (self.parts,)
 
@@ -79,9 +76,6 @@ class Expr:
     def __lshift__(self, other):
         return self._bin("<<", other)
 
-    def __rshift__(self, other):
-        return self._bin(">>", other)
-
     def __invert__(self):
         return UnOp("~", self)
 
@@ -93,12 +87,6 @@ class Expr:
 
     def lt(self, other):
         return self._bin("<", other, result_width=1)
-
-    def le(self, other):
-        return self._bin("<=", other, result_width=1)
-
-    def gt(self, other):
-        return self._bin(">", other, result_width=1)
 
     def ge(self, other):
         return self._bin(">=", other, result_width=1)
@@ -119,8 +107,7 @@ class Expr:
         they compute the same function of the same leaves at the same
         width.  Widths are part of the key (an 8-bit and a 16-bit add of
         the same operands are different hardware).  The optimizer's CSE
-        pass uses keys to share structurally-equal subtrees; see
-        :func:`intern_expr`.
+        pass uses keys to share structurally-equal subtrees.
         """
         cached = getattr(self, "_key_cache", None)
         if cached is None:
@@ -147,19 +134,6 @@ class Expr:
                 continue
             seen.add(id(node))
             if isinstance(node, Signal):
-                yield node
-            stack.extend(node.children())
-
-    def mem_reads(self):
-        """Yield every MemRead node in this DAG (each node once)."""
-        seen = set()
-        stack = [self]
-        while stack:
-            node = stack.pop()
-            if id(node) in seen:
-                continue
-            seen.add(id(node))
-            if isinstance(node, MemRead):
                 yield node
             stack.extend(node.children())
 
@@ -434,33 +408,6 @@ def eval_unop(op, value, operand_width, width):
     if op == "!":
         return int(value == 0)
     raise WidthError("unknown unary operator %r" % op)
-
-
-def intern_expr(expr, table, memo=None):
-    """Canonicalise *expr* through *table* (a dict keyed by ``key()``).
-
-    Rebuilds the tree bottom-up; every subtree structurally equal to one
-    seen before is replaced by the first instance, so the result is a
-    maximally-shared DAG.  Sharing matters because the simulator, the
-    resource estimator and the Verilog emitter all treat expressions by
-    identity — a shared node is one wire, not two copies.
-
-    *memo* (id → canonical node) carries identity-sharing across several
-    calls so repeated subtrees are only walked once.
-    """
-    if memo is None:
-        memo = {}
-    cached = memo.get(id(expr))
-    if cached is not None:
-        return cached
-    children = expr.children()
-    new_children = tuple(intern_expr(c, table, memo) for c in children)
-    node = expr
-    if any(a is not b for a, b in zip(children, new_children)):
-        node = clone_with_children(expr, new_children)
-    canonical = table.setdefault(node.key(), node)
-    memo[id(expr)] = canonical
-    return canonical
 
 
 def clone_with_children(expr, children):

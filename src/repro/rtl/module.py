@@ -107,12 +107,6 @@ class Module:
         self.outputs.append(sig)
         return sig
 
-    def output_reg(self, name, width, init=0):
-        """Declare an output port backed by a register."""
-        sig = self._add_signal(name, width, "reg", init)
-        self.outputs.append(sig)
-        return sig
-
     def wire(self, name, width):
         return self._add_signal(name, width, "wire")
 
@@ -179,12 +173,6 @@ class Module:
         return inst
 
     # -- introspection ----------------------------------------------------
-
-    def all_regs(self):
-        return [s for s in self.signals.values() if s.kind == "reg"]
-
-    def all_wires(self):
-        return [s for s in self.signals.values() if s.kind == "wire"]
 
     def __repr__(self):
         return "Module(%s: %d signals, %d instances)" % (

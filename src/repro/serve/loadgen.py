@@ -37,6 +37,8 @@ import sys
 import time
 from collections import deque
 
+from repro.obs.metrics import interpolate_percentile
+
 FAILURE_EXIT_CODE = 7            # could not reach the server at all
 LOSS_EXIT_CODE = 13              # replies went missing
 INTERCEPTION_EXIT_CODE = 17      # replies failed verification
@@ -200,16 +202,8 @@ class LoadGenResult:
 
 
 def _percentile_us(sorted_ns, fraction):
-    if not sorted_ns:
-        return None
-    if len(sorted_ns) == 1:
-        return sorted_ns[0] / 1e3
-    rank = fraction * (len(sorted_ns) - 1)
-    low = int(rank)
-    high = min(low + 1, len(sorted_ns) - 1)
-    value = sorted_ns[low] + (sorted_ns[high] - sorted_ns[low]) * \
-        (rank - low)
-    return value / 1e3
+    value = interpolate_percentile(sorted_ns, fraction)
+    return None if value is None else value / 1e3
 
 
 def _fmt_us(value):

@@ -116,14 +116,6 @@ class ServeSpec:
     def transports(self):
         return tuple(binding.transport for binding in self.bindings)
 
-    @property
-    def frame_decoder(self):
-        """The first stream binding's decoder factory, if any."""
-        for binding in self.bindings:
-            if binding.frame_decoder is not None:
-                return binding.frame_decoder
-        return None
-
     def binding(self, transport=None):
         if transport is None:
             return self.bindings[0]

@@ -245,7 +245,6 @@ def _build_specs():
             workload=memcached_workload,
             is_write=memcached_is_write,
             host_wrapper=host_memcached,
-            has_kernel=True,
             backends=_KEYED_BACKENDS,
             serve=_serve_memcached(),
             description="Memcached server (§4.3, §5.4)"),
@@ -255,7 +254,6 @@ def _build_specs():
             workload=nat_workload,
             trace=nat_trace,
             host_wrapper=host_nat,
-            has_kernel=True,
             backends=_PORT_BACKENDS,
             serve=None,  # two-sided gateway: needs real port spaces
             description="UDP/TCP NAT gateway (§4.4)"),
@@ -270,7 +268,6 @@ def _build_specs():
             "filter", make_filter,
             client=_client_from_workload("filter", filter_workload),
             workload=filter_workload,
-            has_kernel=True,
             backends=_PORT_BACKENDS,
             serve=None,  # port-semantics filter; netsim only
             description="L3/L4 filter + learning switch (§4.1)"),

@@ -45,9 +45,6 @@ class DnsServerService(EmuService):
                 % (name, self.max_name_bytes))
         self.table[name.lower().rstrip(".")] = address
 
-    def remove_record(self, name):
-        self.table.pop(name.lower().rstrip("."), None)
-
     def on_frame(self, dataplane):
         request = UDPRequest.parse(dataplane.tdata)
         if request is None or \

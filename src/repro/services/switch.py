@@ -57,11 +57,6 @@ class LearningSwitch(EmuService):
         if not srcmac_lut_exist:
             self.lut.write(src_mac, dataplane.src_port)
 
-    def learned_port(self, mac):
-        """The port learned for *mac*, or ``None``."""
-        port = self.lut.lookup(mac)
-        return port if self.lut.matched else None
-
     def reset(self):
         self.lut.clear()
 

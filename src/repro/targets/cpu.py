@@ -7,7 +7,6 @@ develop/test/debug environment — functional, not timing-accurate.
 """
 
 from repro.core.dataplane import NetFPGAData
-from repro.errors import TargetError
 from repro.net.interfaces import VirtualInterface
 
 
@@ -28,11 +27,6 @@ class CpuTarget:
                            for port in range(num_ports)]
         self.frames_processed = 0
 
-    def interface(self, port):
-        if not 0 <= port < len(self.interfaces):
-            raise TargetError("no interface %d" % port)
-        return self.interfaces[port]
-
     def send(self, frame):
         """Inject one frame; returns the list of (port, frame) emitted."""
         dataplane = NetFPGAData(frame)
@@ -44,14 +38,4 @@ class CpuTarget:
                 out = dataplane.to_frame()
                 interface.transmit(out)
                 emitted.append((port, out))
-        return emitted
-
-    def poll(self):
-        """Drain any frames queued on the interfaces' RX sides and
-        process them (the main loop of the x86 runtime)."""
-        emitted = []
-        for port, interface in enumerate(self.interfaces):
-            for frame in interface.drain_rx():
-                frame.src_port = port
-                emitted.extend(self.send(frame))
         return emitted

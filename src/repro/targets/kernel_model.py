@@ -50,10 +50,6 @@ class KernelCycleModel:
         self.total_cycles = 0
 
     @property
-    def opt_level(self):
-        return self.design.opt_level
-
-    @property
     def initiation_interval(self):
         """Steady-state issue interval (cycles) from the ``-O3``
         pipelining schedule, or None when the machine does not pipeline
@@ -78,9 +74,6 @@ class KernelCycleModel:
         (:meth:`repro.engine.compiler.CompiledKernel.enable_profiling`)."""
         self._runner.enable_profiling()
         return self
-
-    def disable_profiling(self):
-        self._runner.disable_profiling()
 
     def profile(self):
         """The accumulated :class:`~repro.obs.profiler.KernelProfile`
@@ -111,6 +104,3 @@ class KernelCycleModel:
         self.requests += len(latencies)
         self.total_cycles += sum(latencies)
         return latencies
-
-    def average_cycles(self):
-        return self.total_cycles / self.requests if self.requests else 0.0

@@ -1,16 +1,13 @@
-"""General-purpose utilities: bit manipulation and wide machine words.
+"""General-purpose utilities: ``BitUtil`` (paper Fig. 4), typed
+getters/setters over byte buffers so protocol fields "take on names
+and types" without unsafe casts.
 
-These mirror the two lowest-level pieces of the Emu standard library:
-
-* ``BitUtil`` (paper Fig. 4) — typed getters/setters over byte buffers so
-  protocol fields "take on names and types" without unsafe casts.
-* Wide words (paper §3.2 (iv)) — C#'s largest primitive is the 64-bit
-  word, so Emu defines user types for wider I/O buses and overloads all
-  arithmetic operators.  :class:`~repro.utils.words.WideWord` and its
-  fixed-width subclasses (``U128`` … ``U512``) provide the same thing.
+The paper's other low-level piece, user types for words wider than
+C#'s 64 bits (§3.2 (iv)), has no counterpart: Python ints are
+unbounded, and the Kiwi frontend reads a signal's width from its
+annotation.
 """
 
 from repro.utils.bitutil import BitUtil
-from repro.utils.words import WideWord, U128, U256, U512, make_width
 
-__all__ = ["BitUtil", "WideWord", "U128", "U256", "U512", "make_width"]
+__all__ = ["BitUtil"]

@@ -41,7 +41,7 @@ class TestStar:
         """A key SET through the fabric is then GETtable through it."""
         cluster = build_star(factory, num_shards=4)
         cluster.run_requests(mix(400))
-        services = list(cluster.shard_services().values())
+        services = [node.service for node in cluster.shards.values()]
         hits = sum(s.hits for s in services)
         assert hits > 0
 

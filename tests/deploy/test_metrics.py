@@ -1,7 +1,10 @@
 """The uniform Metrics object: accounting, percentiles, snapshots."""
 
+from collections import deque
+
 import pytest
 
+from repro.deploy import deploy
 from repro.deploy.metrics import Metrics
 from repro.net.packet import Frame
 from repro.obs.metrics import MetricsRegistry
@@ -34,6 +37,24 @@ class TestRecording:
         for cycles in (5, 5, 7, 11):
             metrics.record([(0, _frame())], 100.0, core_cycles=cycles)
         assert metrics.average_core_cycles() == 7.0
+
+    def test_cycles_are_a_total_not_a_per_request_list(self):
+        """A served device's cycles are only ever averaged: 10 000
+        requests leave a sum and a count, no container that grew with
+        them."""
+        dep = deploy("memcached").on("fpga").with_opt(2).with_seed(7) \
+            .start()
+        frames = list(dep.spec.workload(10_000, 3))
+        for base in range(0, len(frames), 500):
+            dep.send_batch(frames[base:base + 500])
+        metrics = dep.metrics
+        assert metrics.cycle_samples == metrics.requests == 10_000
+        assert metrics.average_core_cycles() == \
+            metrics.core_cycles / 10_000
+        containers = [value for value in vars(metrics).values()
+                      if isinstance(value, (list, tuple, dict, set, deque))]
+        assert all(len(value) < 10_000 for value in containers)
+        dep.stop()
 
     def test_qps_is_serial_replay_rate(self):
         metrics = Metrics()

@@ -269,7 +269,7 @@ class TestDeploymentProfile:
         profile = dep.kernel_profile()
         assert profile.invocations == 8
         assert profile.total_cycles + profile.invocations == \
-            sum(dep.metrics.core_cycles)
+            dep.metrics.core_cycles
         dep.stop()
 
     def test_multicore_profiles_merge_across_cores(self):

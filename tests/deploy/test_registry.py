@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.deploy import deploy
 from repro.deploy.spec import ALL_BACKENDS, ProtocolClient, ServiceSpec
 from repro.errors import TargetError
 from repro.services import registry as lazy_registry
@@ -45,6 +46,15 @@ class TestRegistryContents:
             assert specs[name].has_kernel
             assert hasattr(specs[name].build(), "kernel_cycle_model")
         assert not specs["icmp"].has_kernel
+
+    def test_has_kernel_is_what_the_fpga_backend_honours(self):
+        for name, spec in sorted(registry().items()):
+            if not spec.supports("fpga"):
+                continue
+            dep = deploy(name).on("fpga").with_opt(2).start()
+            assert spec.has_kernel == \
+                (dep.backend.effective_opt is not None), name
+            dep.stop()
 
 
 class TestWorkloadsAndClients:

@@ -46,7 +46,6 @@ class TestStages:
     def test_model_sums_stages(self):
         model = KernelPathModel([Stage("a", 2.0), Stage("b", 3.0)])
         assert model.sample_latency_us() == 5.0
-        assert model.breakdown_us() == {"a": 2.0, "b": 3.0}
 
 
 class TestHostServices:

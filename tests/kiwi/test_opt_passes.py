@@ -293,18 +293,3 @@ class TestPipeline:
         assert report.ok
         assert report.runs > 0
 
-
-class TestDump:
-    def test_fsm_dump_shows_states_and_transitions(self):
-        design = compile_function(two_pause, opt_level=0)
-        text = design.fsm.dump()
-        assert "state #0" in text
-        assert "(pinned)" in text
-        assert "->" in text
-
-    def test_design_dump_shows_level_and_stats(self):
-        design = compile_function(chain, opt_level=2)
-        text = design.dump()
-        assert "-O2" in text
-        assert "state-fusion" in text
-        assert "state #" in text

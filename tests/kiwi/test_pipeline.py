@@ -110,11 +110,8 @@ class TestServiceKernelSchedules:
             assert ii < schedule.latency_cycles, case.name
             # TimingReport carries the latency-vs-throughput split.
             assert design.timing.achieved_ii == ii
-            assert design.timing.throughput_cycles == ii
             assert design.timing.achieved_ii <= \
                 design.timing.latency_cycles
-            occupancy = design.timing.stage_occupancy()
-            assert sum(occupancy.values()) == len(schedule.stages)
 
     def test_infeasibility_reasons_name_the_gate(self):
         reasons = {}
@@ -147,13 +144,6 @@ class TestHazardKernels:
             assert schedule.recurrence_ii == expected_ii
             assert schedule.stream_memories == ("frame",)
             assert schedule.speedup() > 1.0
-
-    def test_stage_occupancy_covers_all_states(self):
-        _, schedule = _schedule(hazard_raw3)
-        occupancy = schedule.stage_occupancy()
-        assert sorted(occupancy) == \
-            list(range(schedule.initiation_interval))
-        assert sum(occupancy.values()) == len(schedule.stages)
 
 
 class TestRandomKernels:

@@ -5,8 +5,10 @@ import random
 import pytest
 
 from repro.errors import ObsError
+from repro.net.dag import LatencyCapture
 from repro.obs.metrics import (Counter, Gauge, Histogram,
                                MetricsRegistry, interpolate_percentile)
+from repro.serve.loadgen import _percentile_us
 
 SEED = "obs-metrics-1"
 
@@ -32,6 +34,22 @@ class TestInterpolatePercentile:
         for fraction in (0.25, 0.5, 0.9, 0.99):
             assert interpolate_percentile(samples, fraction) == \
                 pytest.approx(fraction * 100)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_every_percentile_reader_is_this_one(self, seed):
+        """The DAG capture and the load generator read their
+        percentiles through this function, bit for bit."""
+        rng = random.Random(seed)
+        samples_ns = [rng.randrange(1, 10 ** 6)
+                      for _ in range(rng.randrange(1, 300))]
+        ordered = sorted(samples_ns)
+        capture = LatencyCapture()
+        for sample in samples_ns:
+            capture.record(sample)
+        for pct in (0.0, 1.0, 50.0, 90.0, 99.0, 99.9, 100.0):
+            expected = interpolate_percentile(ordered, pct / 100.0)
+            assert capture.percentile_us(pct) == expected / 1000.0
+            assert _percentile_us(ordered, pct / 100.0) == expected / 1e3
 
 
 class TestCounterAndGauge:

@@ -75,10 +75,6 @@ class TestKernelProfile:
         assert "Kernel profile" in table
         assert "Share" in table
 
-    def test_cycles_per_request_empty_is_none(self):
-        profile = KernelProfile("k", 0, [], invocations=0)
-        assert profile.cycles_per_request() is None
-
 
 class TestMerge:
     def test_merge_sums_states_and_invocations(self):
@@ -97,9 +93,9 @@ class TestMerge:
         kernel = _profiled_kernel()
         kernel.run(x=1)
         profile = KernelProfile.from_kernel(kernel)
-        before = profile.per_state()
+        before = [state.cycles for state in profile.states]
         merge_profiles([profile, profile])
-        assert profile.per_state() == before
+        assert [state.cycles for state in profile.states] == before
 
     def test_shape_mismatch_raises(self):
         a = KernelProfile("k", 0, [StateCycles(1, "a", 1)], 1)
@@ -127,13 +123,3 @@ class TestOptimizerCrossCheck:
         assert len(p2.states) < len(p0.states)
         assert p0.total_cycles + 1 == r0[1]   # latency cross-check
         assert p2.total_cycles + 1 == r2[1]
-
-    def test_deployment_profile_matches_measured_cycles(self):
-        """End-to-end via the harness: per-state attribution equals
-        the metrics layer's measured core cycles at both levels."""
-        from repro.harness.optimization import run_hotspot_comparison
-        profiles, text = run_hotspot_comparison(count=16, seed=9)
-        assert profiles[0].cycles_per_request() > \
-            profiles[2].cycles_per_request()
-        assert "memcached_kernel at -O0" in text
-        assert "memcached_kernel at -O2" in text

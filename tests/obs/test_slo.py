@@ -161,6 +161,16 @@ class TestBurnRateProperties:
         assert monitor.alert_log.find(kind="fire",
                                       severity="page")
 
+    def test_state_keeps_only_the_longest_lookback(self):
+        spec = (SloSpec("bounded").error_ratio(0.01).latency_p99(100.0)
+                .rule("ticket", 2.0, 3, 12)
+                .rule("page", 10.0, 2, 8))
+        monitor = SloMonitor(spec)
+        drive(monitor, [1, 0, 3] * 40, offered=100)     # 10x the 12
+        for state in monitor._states:
+            assert len(state.bad_samples) <= 12
+            assert len(state.total_samples) <= 12
+
 
 class TestAlertSequencing:
     def two_rule_monitor(self, tracer=None):

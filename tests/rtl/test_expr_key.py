@@ -8,7 +8,7 @@ tuple would re-expand the DAG exponentially).
 
 from repro.kiwi.builder import MemReadRef, VarRef
 from repro.rtl.expr import (
-    BinOp, Concat, Const, Mux, Slice, UnOp, intern_expr,
+    BinOp, Concat, Const, Mux, Slice, UnOp,
 )
 from repro.rtl.signal import Signal
 
@@ -87,23 +87,6 @@ class TestKeyEquality:
 
 
 class TestInterning:
-    def test_duplicate_subtrees_share(self):
-        x = VarRef("v", 8)
-        left = BinOp("+", x, Const(1, 8))
-        right = BinOp("+", VarRef("v", 8), Const(1, 8))
-        top = BinOp("*", left, right)
-        table = {}
-        shared = intern_expr(top, table)
-        assert shared.lhs is shared.rhs
-
-    def test_interning_preserves_width_and_shape(self):
-        expr = Mux(Const(1, 1), BinOp("+", Const(1, 8), Const(2, 8)),
-                   Const(0, 8))
-        table = {}
-        out = intern_expr(expr, table)
-        assert out.width == expr.width
-        assert out.key() == expr.key()
-
     def test_shared_dag_keys_are_cheap(self):
         # A deep DAG with exponential tree expansion: key() must finish
         # (cached hashes; the naive nested-tuple encoding would hang).

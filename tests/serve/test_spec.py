@@ -43,21 +43,19 @@ def test_every_registry_service_declares_serve_capability():
 def test_servable_set_is_exactly_the_request_reply_services():
     specs = registry()
     assert {name for name, spec in specs.items()
-            if spec.transports} == SERVABLE
+            if spec.serve} == SERVABLE
     for name in UNSERVABLE:
         assert specs[name].serve is None
-        assert specs[name].transports == ()
-        assert specs[name].transport is None
-        assert specs[name].frame_decoder is None
 
 
 def test_declared_transports():
     specs = registry()
-    assert specs["memcached"].transports == ("udp", "tcp")
-    assert specs["dns"].transports == ("udp", "tcp")
-    assert specs["icmp"].transports == ("udp",)
-    assert specs["memcached"].transport == "udp"
-    assert specs["memcached"].frame_decoder is not None
+    assert specs["memcached"].serve.transports == ("udp", "tcp")
+    assert specs["dns"].serve.transports == ("udp", "tcp")
+    assert specs["icmp"].serve.transports == ("udp",)
+    assert specs["memcached"].serve.binding().transport == "udp"
+    assert specs["memcached"].serve.binding("tcp").frame_decoder \
+        is not None
 
 
 def test_resolve_binding_rejects_unservable_with_clear_error():
@@ -89,7 +87,7 @@ def test_probe_oracle_matches_deployment_byte_for_byte(service):
     spec = registry()[service]
     dep = deploy(service).on("cpu").start()
     try:
-        for transport in spec.transports:
+        for transport in spec.serve.transports:
             binding = resolve_binding(spec, transport)
             for seq in range(24):
                 payload, expected = binding.probe(SEED, seq)

@@ -50,12 +50,6 @@ class TestLearningSwitch:
         dp = sw.process(frame_between(MAC_A, MAC_B, src_port=0))
         assert dp.dst_ports == 0b0100
 
-    def test_learned_port_inspection(self):
-        sw = LearningSwitch()
-        sw.process(frame_between(MAC_B, MAC_A, src_port=1))
-        assert sw.learned_port(MAC_A) == 1
-        assert sw.learned_port(MAC_B) is None
-
     def test_language_cam_variant_equivalent(self):
         for use_ip_cam in (True, False):
             sw = LearningSwitch(use_ip_cam=use_ip_cam)

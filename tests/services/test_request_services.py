@@ -152,9 +152,6 @@ class TestDnsServer:
         svc.add_record("new.example", 5)
         _, response = self.query(svc, "new.example")
         assert response.first_a_record() == 5
-        svc.remove_record("new.example")
-        _, response = self.query(svc, "new.example")
-        assert response.header.rcode == RCode.NAME_ERROR
 
     def test_wrong_port_ignored(self):
         svc = self.make()
