@@ -15,74 +15,47 @@ has nothing to report.
 """
 
 from repro.net.dag import LatencyCapture
-from repro.obs.metrics import MetricsRegistry
 
 
 class Metrics:
-    """Request/reply/drop counters, latency samples, and the core
-    cycles as a running total over ``cycle_samples`` requests (only
-    ever averaged, so no per-request list).
+    """Request/reply/drop/batch counts, the latency samples, and the
+    core cycles as a running total over ``cycle_samples`` requests
+    (only ever averaged, so no per-request list).
 
-    Since the observability layer landed, this class is a *view* over a
-    :class:`~repro.obs.metrics.MetricsRegistry`: the counters live as
-    labelled registry instruments and each recorded latency also feeds
-    a registry histogram, so ``metrics.registry.snapshot()`` shows the
-    same numbers as :meth:`snapshot` in Prometheus-ish text form and
-    deployment metrics can be aggregated with any other registry user.
-    The raw-sample :class:`~repro.net.dag.LatencyCapture` stays — exact
-    percentiles beat bucketed ones when all samples fit in memory.
+    Each count is a plain int kept here and nowhere else; the raw
+    :class:`~repro.net.dag.LatencyCapture` is the one latency store
+    (exact percentiles over every sample, as the paper's DAG capture
+    measures them).
     """
 
-    def __init__(self, registry=None):
-        self.registry = registry if registry is not None \
-            else MetricsRegistry()
-        self._requests = self.registry.counter("requests")
-        self._replies = self.registry.counter("replies")
-        self._drops = self.registry.counter("drops")
-        self._batches = self.registry.counter("batches")
-        self._latency_us = self.registry.histogram("latency_us")
+    def __init__(self):
+        self.requests = 0
+        self.replies = 0
+        self.drops = 0
+        self.batches = 0
         self.latency = LatencyCapture()
         self.core_cycles = 0           # sum over cycle_samples requests
         self.cycle_samples = 0
         self.elapsed_ns = 0.0          # sum of recorded latencies
 
-    # -- counter views (read like the plain ints they once were) ------------
-
-    @property
-    def requests(self):
-        return self._requests.value
-
-    @property
-    def replies(self):
-        return self._replies.value
-
-    @property
-    def drops(self):
-        return self._drops.value
-
-    @property
-    def batches(self):
-        return self._batches.value
-
     # -- recording (one path for every backend) -----------------------------
 
     def record(self, emitted, latency_ns, core_cycles=None):
         """Account one request's outcome (called by the deployment)."""
-        self._requests.inc()
+        self.requests += 1
         if emitted:
-            self._replies.inc(len(emitted))
+            self.replies += len(emitted)
         else:
-            self._drops.inc()
+            self.drops += 1
         if latency_ns is not None:
             self.latency.record(latency_ns)
-            self._latency_us.observe(latency_ns / 1000.0)
             self.elapsed_ns += latency_ns
         if core_cycles is not None:
             self.core_cycles += core_cycles
             self.cycle_samples += 1
 
     def record_batch(self):
-        self._batches.inc()
+        self.batches += 1
 
     # -- derived ------------------------------------------------------------
 

@@ -175,8 +175,8 @@ class OpenLoopReport:
 
     def _percentile_ns(self, fraction):
         # Linear interpolation between neighbouring order statistics —
-        # no nearest-rank snapping (see obs.metrics; the Histogram
-        # instrument applies the same rule between bucket bounds).
+        # no nearest-rank snapping (obs.metrics.interpolate_percentile,
+        # the rule every latency reader shares).
         # The sort is cached: snapshot()/text() ask for four-plus
         # percentiles per report, and latencies_ns is append-only, so
         # a length check is a sufficient invalidation.

@@ -6,11 +6,10 @@ Three instruments over one clock (the engine scheduler's ``now_ns``):
   request (its span family is derived at export) and instant events
   (faults, detector transitions, tail-drops), exported as Chrome
   trace-event JSON (Perfetto-loadable) and TSV;
-* :class:`~repro.obs.metrics.MetricsRegistry` — labelled counters /
-  gauges / histograms that :class:`~repro.deploy.metrics.Metrics` is a
-  view over, plus :class:`~repro.obs.series.TimeSeries`, the windowed
-  sampler that turns an open-loop run into qps/p99/queue-depth/drop
-  time-series (window latencies are slices of the run report's list);
+* :class:`~repro.obs.series.TimeSeries` — the windowed sampler that
+  turns an open-loop run into qps/p99/queue-depth/drop time-series
+  (window latencies are slices of the run report's list; every
+  percentile is :func:`~repro.obs.metrics.interpolate_percentile`);
 * :class:`~repro.obs.profiler.KernelProfile` — cycles per FSM state on
   the compiled engine, the hotspot table behind the optimizer's wins.
 
@@ -34,8 +33,7 @@ None`` check, gated by ``benchmarks/test_obs_overhead.py``.
 
 from repro.obs.analyze import (RequestRecord, TraceAnalysis,
                                analyze_trace, requests_from_trace)
-from repro.obs.metrics import (Counter, Gauge, Histogram,
-                               MetricsRegistry, interpolate_percentile)
+from repro.obs.metrics import interpolate_percentile
 from repro.obs.profiler import KernelProfile, merge_profiles
 from repro.obs.series import TimeSeries, Window
 from repro.obs.slo import (AlertLog, BurnRule, Objective, SloMonitor,
@@ -43,7 +41,6 @@ from repro.obs.slo import (AlertLog, BurnRule, Objective, SloMonitor,
 from repro.obs.trace import TraceRecorder
 
 __all__ = [
-    "Counter", "Gauge", "Histogram", "MetricsRegistry",
     "interpolate_percentile", "KernelProfile", "merge_profiles",
     "TimeSeries", "Window", "TraceRecorder",
     "SloSpec", "SloMonitor", "AlertLog", "BurnRule", "Objective",

@@ -16,19 +16,23 @@ engine measures in one dispatch — at most ``batch`` payloads per group
 (default: the engine's lane count).
 
 Robustness contract (regression-tested by the garbage-flood suite): a
-malformed, oversized, or unparseable payload is counted — as
-``service_drops`` on the deployment's metrics registry and in the
-serve report, an :class:`~repro.engine.openloop.OpenLoopReport` fed
-through the same ``complete()`` as a simulated run's — and dropped.  It never raises out of the event loop and never wedges
-the server; a stream peer that overflows its reassembly buffer loses
-its connection, nothing more.  Hostile input and the server's own bugs
-are told apart: a payload the codecs reject (a
-:class:`~repro.errors.ReproError`) is a ``malformed`` drop (the
-reason on its trace row), any other exception out of the bridge also
-counts under the registry's ``internal_error`` — still a counted drop,
-never a crash — and the first such traceback is kept on
+malformed, oversized, or unparseable payload is counted — as one of
+the ``service_drops`` of the serve report, an
+:class:`~repro.engine.openloop.OpenLoopReport` fed through the same
+``complete()`` as a simulated run's, the served process's one account
+— and dropped.  It never raises out of the event loop and never wedges
+the server; a stream peer that overflows its reassembly buffer is one
+``malformed`` drop and loses its connection, nothing more.  Hostile
+input and the server's own bugs are told apart: a payload the codecs
+reject (a :class:`~repro.errors.ReproError`) is a ``malformed`` drop
+and a reply they reject an ``undecodable_reply`` one (the reason on
+its trace row); any other exception out of the bridge is an
+``internal_error`` drop and also counts on
+:attr:`SocketServer.internal_errors` — still a counted drop, never a
+crash — and the first such traceback is kept on
 :attr:`SocketServer.first_internal_error`.  A reply or a stream close
-that fails because the peer went away is counted under ``peer_gone``.
+that fails because the peer went away is counted on
+:attr:`SocketServer.peer_gone`.
 
 Observability mirrors the in-process open-loop path: with
 ``.with_trace()`` every served request — a refused payload included —
@@ -83,11 +87,10 @@ class SocketServer:
         self.capacity = int(capacity)
         self.batch = max(1, int(batch))
         self.series = series
-        registry = deployment.metrics.registry
-        self._service_drops = registry.counter("service_drops")
-        self._queue_drops = registry.counter("queue_drops")
-        self._internal_errors = registry.counter("internal_error")
-        self._peer_gone = registry.counter("peer_gone")
+        #: Exceptions out of the bridge that were not a ``ReproError``.
+        self.internal_errors = 0
+        #: Replies and stream closes lost because the peer went away.
+        self.peer_gone = 0
         #: Traceback text of the first exception out of the bridge that
         #: was not a ``ReproError`` (``None``: there was none).
         self.first_internal_error = None
@@ -234,7 +237,6 @@ class SocketServer:
         depth = len(self._pending)
         if depth >= self.capacity:
             report.queue_drops += 1
-            self._queue_drops.inc()
             return
         report.admitted += 1
         self._pending.append((payload, reply, depth, self._now_ns()))
@@ -293,20 +295,20 @@ class SocketServer:
                     wire = self.binding.wrap_reply(
                         self.binding.decap(emitted[0][1]))
                 except ReproError:
-                    pass             # undecodable reply: a plain drop
+                    detail = dict(detail or (), reason="undecodable_reply")
                 except Exception:
                     self._internal_error()
+                    detail = dict(detail or (), reason="internal_error")
             # Accounted before it is sent: a client holding its reply
             # finds it in the report.
             report.complete(index, t_arr, t_disp, t_done, busy_share,
                             0 if wire is None else 1, detail=detail)
             if wire is None:
-                self._service_drops.inc()
                 continue
             try:
                 reply(wire)
             except Exception:
-                self._peer_gone.inc()            # the reply is lost
+                self.peer_gone += 1              # the reply is lost
 
     def _send_group(self, frames):
         """The batched fast path, with a per-frame fallback so one
@@ -325,7 +327,7 @@ class SocketServer:
 
     def _internal_error(self):
         """The bridge itself raised (call from the ``except``)."""
-        self._internal_errors.inc()
+        self.internal_errors += 1
         if self.first_internal_error is None:
             self.first_internal_error = traceback.format_exc()
 
@@ -335,7 +337,6 @@ class SocketServer:
         now = self._now_ns()
         self._report.complete(0, t_arr, now, now, 0, 0,
                               detail={"reason": reason})
-        self._service_drops.inc()
 
     # -- transports ----------------------------------------------------------
 
@@ -369,11 +370,10 @@ class SocketServer:
                 try:
                     payloads = decoder.feed(data)
                 except ReproError:
-                    # Poisoned stream: account it, drop the peer.
+                    # Poisoned stream: a refused payload; drop the peer.
                     self._report.offered += 1
-                    self._report.completed += 1
-                    self._report.service_drops += 1
-                    self._service_drops.inc()
+                    self._report.admitted += 1
+                    self._drop(self._now_ns(), "malformed")
                     break
                 for payload in payloads:
                     self._enqueue(payload, reply)
@@ -386,7 +386,7 @@ class SocketServer:
                 await writer.drain()
                 writer.close()
             except Exception:
-                self._peer_gone.inc()
+                self.peer_gone += 1
 
     async def _sampler(self):
         series = self.series

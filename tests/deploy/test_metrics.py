@@ -7,7 +7,6 @@ import pytest
 from repro.deploy import deploy
 from repro.deploy.metrics import Metrics
 from repro.net.packet import Frame
-from repro.obs.metrics import MetricsRegistry
 
 
 def _frame():
@@ -83,35 +82,6 @@ class TestPercentiles:
     def test_empty_percentiles_are_none(self):
         metrics = Metrics()
         assert metrics.p999_latency_us() is None
-
-
-class TestRegistryView:
-    def test_counters_live_in_the_registry(self):
-        metrics = Metrics()
-        metrics.record([(0, _frame())], 1000.0)
-        metrics.record([], None)
-        metrics.record_batch()
-        snapshot = metrics.registry.snapshot()
-        assert snapshot["requests"] == 2
-        assert snapshot["replies"] == 1
-        assert snapshot["drops"] == 1
-        assert snapshot["batches"] == 1
-        assert snapshot["latency_us"]["count"] == 1
-
-    def test_view_reads_match_registry_counters(self):
-        metrics = Metrics()
-        metrics.record([(0, _frame())], 1000.0)
-        assert metrics.requests == \
-            metrics.registry.counter("requests").value
-
-    def test_shared_registry_aggregates_deployments(self):
-        registry = MetricsRegistry()
-        a = Metrics(registry=registry)
-        b = Metrics(registry=registry)
-        a.record([(0, _frame())], 1000.0)
-        b.record([(0, _frame())], 2000.0)
-        assert registry.snapshot()["requests"] == 2
-        assert a.requests == 2                     # shared namespace
 
 
 class TestEmptyShapes:

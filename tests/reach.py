@@ -158,10 +158,9 @@ RULES = [
     ("direction/controller.py", "VariableAccessor.write", "protocol"),
     ("direction/controller.py", "Controller._write_var", "protocol"),
     ("rtl/*.py", "*._key", "protocol"),
-    # Open ROADMAP items: 4(b) phase spans, 4(c) the live metrics
-    # exposition, 4(d) the trace summary's envelope.
+    # Open ROADMAP items: 4(b) phase spans, 4(d) the trace summary's
+    # envelope.
     ("obs/trace.py", "TraceRecorder.span", "roadmap"),
-    ("obs/metrics.py", "*", "roadmap"),
     ("obs/analyze.py", "TraceAnalysis.to_dict", "roadmap"),
 ]
 

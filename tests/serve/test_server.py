@@ -150,8 +150,6 @@ def test_garbage_datagram_flood_counts_drops_and_never_wedges(
     assert snapshot["completed"] == 201
     assert snapshot["replies"] + snapshot["service_drops"] == 201
     assert snapshot["service_drops"] >= short
-    assert dep.metrics.registry.counter("service_drops").value \
-        == snapshot["service_drops"]
 
 
 def test_oversized_datagram_is_a_counted_drop(served_memcached):
@@ -165,13 +163,12 @@ def test_oversized_datagram_is_a_counted_drop(served_memcached):
 
 def test_bridge_fault_is_an_internal_error_not_a_malformed_drop():
     """An exception that is not a ReproError is the server's own bug:
-    told apart from hostile input (the drop's reason, the registry's
-    ``internal_error``), traceback kept, request still accounted as a
+    told apart from hostile input (the drop's reason, the server's
+    ``internal_errors``), traceback kept, request still accounted as a
     drop, and the next request is served."""
     dep = deploy("memcached").on("cpu").with_trace().start()
     server = dep.serve()
     binding = resolve_binding(dep.spec, "udp")
-    counter = dep.metrics.registry.counter
     encap = server.binding.encap
 
     def faulty_encap(payload, seq):
@@ -186,7 +183,7 @@ def test_bridge_fault_is_an_internal_error_not_a_malformed_drop():
             while server.report.completed < 1:
                 assert time.monotonic() < deadline
                 time.sleep(0.005)
-            assert counter("internal_error").value == 1
+            assert server.internal_errors == 1
             assert "injected codec fault" in server.first_internal_error
             server.binding.encap = encap
             roundtrip(sock, binding, SEED, 1)
@@ -201,8 +198,44 @@ def test_bridge_fault_is_an_internal_error_not_a_malformed_drop():
     assert snapshot["offered"] == snapshot["completed"] == 2
     assert snapshot["replies"] == 1
     assert snapshot["service_drops"] == 1
-    assert counter("service_drops").value == 1
-    assert counter("internal_error").value == 1
+    assert server.internal_errors == 1
+
+
+@pytest.mark.parametrize("fault, reason, internal", [
+    (ParseError("injected reply rejection"), "undecodable_reply", 0),
+    (RuntimeError("injected reply fault"), "internal_error", 1),
+], ids=["undecodable_reply", "internal_error"])
+def test_a_rejected_reply_is_a_drop_that_names_its_reason(
+        fault, reason, internal):
+    """A reply the service emitted but the codecs cannot turn back
+    into wire bytes is a counted drop whose trace row names why; only
+    an exception that is not a ReproError is the server's own bug."""
+    dep = deploy("memcached").on("cpu").with_trace().start()
+    server = dep.serve()
+    binding = resolve_binding(dep.spec, "udp")
+    decap = server.binding.decap
+
+    def faulty_decap(frame):
+        raise fault
+
+    server.binding.decap = faulty_decap
+    payload, _ = binding.probe(SEED, 0)
+    try:
+        with udp_client(server) as sock:
+            sock.send(binding.wrap(payload))
+            deadline = time.monotonic() + 5.0
+            while server.report.completed < 1:
+                assert time.monotonic() < deadline
+                time.sleep(0.005)
+            server.binding.decap = decap
+            roundtrip(sock, binding, SEED, 1)
+    finally:
+        server.stop()
+        dep.stop()
+    assert [event["args"].get("reason")
+            for event in dep.tracer.find("request")] == [reason, None]
+    assert server.report.snapshot()["service_drops"] == 1
+    assert server.internal_errors == internal
 
 
 def test_a_refused_payload_is_traced_as_a_whole_family():
@@ -253,7 +286,6 @@ def test_a_vanished_peer_is_counted_not_swallowed():
     dep = deploy("memcached").on("cpu").start()
     server = dep.serve()
     binding = resolve_binding(dep.spec, "udp")
-    counter = dep.metrics.registry.counter
     answered = []
 
     def gone(wire):
@@ -276,12 +308,15 @@ def test_a_vanished_peer_is_counted_not_swallowed():
     snapshot = server.report.snapshot()
     assert snapshot["completed"] == snapshot["replies"] == 2
     assert snapshot["service_drops"] == 0
-    assert counter("peer_gone").value == 1
-    assert counter("internal_error").value == 0
+    assert server.peer_gone == 1
+    assert server.internal_errors == 0
 
 
 def test_tcp_garbage_stream_drops_peer_but_serves_next_connection():
-    dep = deploy("memcached").on("cpu").start()
+    """A poisoned stream is one refused payload like any other:
+    offered, admitted, and completed as a traced ``malformed`` drop,
+    so the report's identities hold; the next connection is served."""
+    dep = deploy("memcached").on("cpu").with_trace().start()
     server = dep.serve(transport="tcp")
     binding = resolve_binding(dep.spec, "tcp")
     rng = rng_for("tcp-garbage")
@@ -306,6 +341,14 @@ def test_tcp_garbage_stream_drops_peer_but_serves_next_connection():
     finally:
         server.stop()
         dep.stop()
+    snapshot = server.report.snapshot()
+    assert snapshot["offered"] == \
+        snapshot["admitted"] + snapshot["queue_drops"]
+    assert snapshot["completed"] == \
+        snapshot["replies"] + snapshot["service_drops"]
+    reasons = [event["args"].get("reason")
+               for event in dep.tracer.find("request")]
+    assert reasons.count("malformed") == 1
 
 
 # -- capability errors (fail fast, never hang) -------------------------------
