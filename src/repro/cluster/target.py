@@ -9,9 +9,9 @@ where writes are additionally applied.
 
 The API matches the existing targets — ``send(frame)`` returns the
 request's outcome and ``max_qps`` gives sustainable throughput
-— plus ``send_batch(frames)``, which groups a frame list by owning
-shard before dispatching so the per-frame Python overhead (ring lookup
-machinery, attribute chasing) is amortized across each shard's run.
+— plus ``send_batch(frames)``, which routes each frame once and hands
+each owning shard its group as one burst (``send_to``, which a caller
+that has already routed the frames calls directly).
 """
 
 from repro.cluster.balancer import flow_key
@@ -351,16 +351,7 @@ class ClusterTarget:
         owner = self._owner(frame)
         if owner in self._down:
             return self._send_timed_out(frame, owner)
-        self.requests += 1
-        self.shard_loads[owner] += 1
-        local = frame.copy()
-        local.src_port = 0
-        result = self.shards[owner].send(local)
-        self.detectors[owner].record_ok()
-        if self._is_write(frame):
-            self.writes += 1
-            self._apply_replicas(frame, owner)
-        return result
+        return self.send_to(owner, [frame])[0]
 
     def _send_timed_out(self, frame, owner):
         """A request hit a crashed shard: count the timeout, feed the
@@ -379,50 +370,52 @@ class ClusterTarget:
         return [], None, None, REQUEST_TIMEOUT_NS
 
     def send_batch(self, frames):
-        """Dispatch a frame list, grouped by shard, preserving order.
-
-        Grouping turns N interleaved shard switches into one pass per
-        shard: the shard target, its ``send`` bound method, and the
-        stat counters are resolved once per run instead of once per
-        frame.  Results come back in input order.  Replies are
-        identical to sequential ``send()`` — a key's reads and writes
-        land in one shard's batch, so their relative order (the only
-        order replies depend on) is preserved.
+        """Dispatch a frame list: route each frame once, then run each
+        shard's group through :meth:`send_to`.  Results come back in
+        input order and are identical to sequential ``send()`` — a
+        key's reads and writes land in one shard's group, so their
+        relative order (the only order replies depend on) is
+        preserved.
         """
         frames = list(frames)
         by_shard = {}
         for position, frame in enumerate(frames):
-            by_shard.setdefault(self._owner(frame), []).append(
-                (position, frame))
+            by_shard.setdefault(self._owner(frame), []).append(position)
         results = [None] * len(frames)
-        is_write = self._is_write
-        for owner, batch in by_shard.items():
-            if owner in self._down or owner not in self.shards:
-                # Fault path: per-frame dispatch, so the failure
-                # detector sees the same miss sequence as sequential
-                # send() and re-routes the rest after failover.
-                # (Consistent hashing keeps every *other* group's
-                # owner valid: eviction only moves the dead shard's
-                # keys.)
-                for position, frame in batch:
-                    results[position] = self.send(frame)
-                continue
-            shard_send = self.shards[owner].send
-            detector = self.detectors[owner]
-            writes = []
-            for position, frame in batch:
-                local = frame.copy()
-                local.src_port = 0
-                results[position] = shard_send(local)
-                detector.record_ok()
-                if is_write(frame):
-                    writes.append(frame)
-            self.requests += len(batch)
-            self.shard_loads[owner] += len(batch)
-            self.writes += len(writes)
-            for frame in writes:
-                self._apply_replicas(frame, owner)
+        for owner, positions in by_shard.items():
+            outcomes = self.send_to(owner, [frames[position]
+                                            for position in positions])
+            for position, outcome in zip(positions, outcomes):
+                results[position] = outcome
         self.batches += 1
+        return results
+
+    def send_to(self, owner, frames):
+        """Run *frames*, every one routed to shard *owner*, in order;
+        one outcome each.  The shard takes the group as one burst, and
+        its target, detector and counters are resolved once."""
+        if owner in self._down or owner not in self.shards:
+            # Fault path: per-frame dispatch, so the failure detector
+            # sees the same miss sequence as sequential send() and
+            # re-routes the rest after failover.  (Consistent hashing
+            # keeps every *other* group's owner valid: eviction only
+            # moves the dead shard's keys.)
+            return [self.send(frame) for frame in frames]
+        burst = [frame.copy() for frame in frames]
+        for local in burst:
+            local.src_port = 0
+        results = self.shards[owner].send_batch(burst)
+        detector = self.detectors[owner]
+        writes = []
+        for frame in frames:
+            detector.record_ok()
+            if self._is_write(frame):
+                writes.append(frame)
+        self.requests += len(frames)
+        self.shard_loads[owner] += len(frames)
+        self.writes += len(writes)
+        for frame in writes:
+            self._apply_replicas(frame, owner)
         return results
 
     def flush_replication(self):

@@ -78,12 +78,6 @@ class Backend:
     """Adapter base: common config handling + default loops."""
 
     name = "?"
-    #: A promise ``run_open_loop`` checks (one server) and relies on
-    #: (arrival order, no fault surface — ``attach_faults`` refuses):
-    #: outcomes depend on the admitted sequence alone, so the server may
-    #: execute ahead of their dequeue what waits and, with d waiting,
-    #: the next capacity - d arrivals, none of which can be refused.
-    burst_native = False
 
     def __init__(self, spec, config):
         self.spec = spec
@@ -183,13 +177,22 @@ class Backend:
 
     def open_loop_servers(self):
         """``(count, route)``: how many parallel service engines this
-        backend runs and which one a frame occupies.  Default: one
-        server, everything routes to it."""
+        backend runs and which one a frame occupies (``None``: no
+        server owns it).  Default: one server, everything routes to
+        it."""
         return 1, (lambda frame: 0)
 
-    def open_loop_profile(self, frame):
-        """Process one admitted arrival; returns ``(emitted,
-        service_ns, overhead_ns)``.
+    def open_loop_independent(self):
+        """Whether, as things stand, each server's outcomes depend on
+        the requests routed to it alone, in their order: no server
+        writes another and no route can change.  Default: no."""
+        return False
+
+    def open_loop_profile_batch(self, frames, server=None):
+        """One ``(emitted, service_ns, overhead_ns)`` per frame of a
+        burst, in order — the only profile call ``run_open_loop``
+        makes; *server* is the index every frame was routed to
+        (``None``: route each one here).
 
         *service_ns* is the time the request occupies its server (the
         queueing resource); *overhead_ns* is the constant wire/PHY time
@@ -198,15 +201,7 @@ class Backend:
         Backends without a timing model report zero service time (no
         queueing) and their measured latency, if any, as overhead.
         """
-        return _profile(self.send(frame))
-
-    def open_loop_profile_batch(self, frames):
-        """One ``(emitted, service_ns, overhead_ns)`` per frame of a
-        burst, in order — the only profile call ``run_open_loop``
-        makes.  Default: :meth:`open_loop_profile` on each frame; a
-        :attr:`burst_native` backend (fpga) overrides this method
-        alone and hands its target the whole burst."""
-        return [self.open_loop_profile(frame) for frame in frames]
+        return [_profile(outcome) for outcome in self.send_batch(frames)]
 
     # -- models / faults ----------------------------------------------------
 
@@ -272,7 +267,6 @@ class FpgaBackend(Backend):
     """One NetFPGA SUME device (cycle/latency/throughput model)."""
 
     name = "fpga"
-    burst_native = True
 
     def start(self):
         service = self.spec.build()
@@ -285,13 +279,15 @@ class FpgaBackend(Backend):
         return self
 
     def send_batch(self, frames):
-        return self.target.send_batch(frames)
-
-    def open_loop_profile_batch(self, frames):
         """The target measures the whole burst's core cycles in one
         lockstep run; per-frame statistics do not depend on how the
         stream is cut (see FpgaTarget.send_batch)."""
-        return [_profile(outcome) for outcome in self.send_batch(frames)]
+        return self.target.send_batch(frames)
+
+    def open_loop_independent(self):
+        """One server, and no fault surface (``attach_faults``
+        refuses)."""
+        return True
 
     def _fpga_targets(self):
         return [self.target] if self.target else []
@@ -383,20 +379,36 @@ class ClusterBackend(Backend):
 
     def open_loop_servers(self):
         target = self.target
-        count = max(1, target.num_shards)
-        # Pin shard -> queue index for the whole run.  The live
-        # _shard_index re-sorts on membership changes, so reading it
-        # from the route closure would silently remap a surviving
-        # shard onto the *evicted* shard's queue (and trace track)
-        # mid-run — rerouted keys must land on their new owner's own
-        # queue instead.
+        # Pin shard -> queue index for the whole run.  The live shard
+        # order re-sorts on membership changes, so reading it from the
+        # route closure would silently remap a surviving shard onto
+        # the *evicted* shard's queue (and trace track) mid-run —
+        # rerouted keys must land on their new owner's own queue
+        # instead.
         index_of = {shard_id: index for index, shard_id
                     in enumerate(target.shard_ids)}
 
         def route(frame):
-            index = index_of.get(target.owner_of(frame))
-            return 0 if index is None else index % count
-        return count, route
+            owner = target.owner_of(frame)
+            return None if owner is None else index_of.get(owner, 0)
+        return target.num_shards, route
+
+    def open_loop_independent(self):
+        """No write reaches a second shard, no shard is down (a down
+        shard's misses evict it, which moves its keys) and no trace
+        hook stamps what a shard does with the time it does it."""
+        target = self.target
+        return target.event_hook is None and \
+            target.policy.replicas_per_write(target.num_shards) == 0 \
+            and len(target.live_shards) == target.num_shards
+
+    def open_loop_profile_batch(self, frames, server=None):
+        """With *server*, the burst runs on that shard unrouted."""
+        if server is None:
+            return super().open_loop_profile_batch(frames)
+        target = self.target
+        return [_profile(outcome) for outcome in
+                target.send_to(target.shard_ids[server], frames)]
 
     def open_loop_server_names(self):
         return self.target.shard_ids
@@ -410,14 +422,6 @@ class ClusterBackend(Backend):
         replica applies, timeouts) become instant events on track 0."""
         self.target.event_hook = tracer.hook(cat="cluster")
         return tracer
-
-    def open_loop_profile(self, frame):
-        if self.target.owner_of(frame) is None:
-            # No routable key: the balancer has nowhere to send it —
-            # no reply, no shard occupied (closed-loop send() raises
-            # here; an open-loop run records a drop and moves on).
-            return [], 0.0, 0.0
-        return _profile(self.send(frame))
 
     def _fpga_targets(self):
         if not self.target:

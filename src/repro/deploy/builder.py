@@ -131,12 +131,12 @@ class Deployment:
 
     def with_batch(self, batch):
         """Upper bound on how many requests one dispatch hands the
-        backend: :meth:`run_open_loop`'s burst (burst-native backends
-        only: what waits, then arrivals that cannot be refused) and
-        :meth:`serve`'s drain group.  Default: the engine's lane
-        count.  It selects no code path and changes no observable —
-        replies, cycle counts, admission, drops and every latency are
-        the same at any width."""
+        backend: :meth:`run_open_loop`'s burst (only where routing is
+        fixed for the run: what waits, then arrivals that cannot be
+        refused) and :meth:`serve`'s drain group.  Default: the
+        engine's lane count.  It selects no code path and changes no
+        observable — replies, cycle counts, admission, drops and every
+        latency are the same at any width."""
         self._require_not_started()
         if not isinstance(batch, int) or batch < 1:
             raise TargetError("batch must be an integer >= 1")

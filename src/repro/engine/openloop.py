@@ -13,15 +13,16 @@ The backend contract (see :class:`repro.deploy.backends.Backend`):
 
 * ``open_loop_servers()`` → ``(count, route)`` — how many parallel
   service engines the backend has (cores, shards) and which one a
-  frame occupies;
-* ``open_loop_profile_batch(frames)`` → one ``(emitted, service_ns,
-  overhead_ns)`` per frame — the functional outcome plus the split of
-  the closed-form latency into *occupancy* (serialises on the server)
-  and *constant overhead* (wire/PHY time that pipelines perfectly);
-* ``burst_native`` (optional) — one server, arrival order, no fault
-  surface; it may then execute ahead of their dequeue the requests
-  waiting and the arrivals that cannot be refused: with *d* waiting,
-  the next ``capacity - d`` find fewer than ``capacity`` queued;
+  frame occupies (``None``: none owns it — it waits on server 0 and
+  is a service drop at its dequeue, executed nowhere);
+* ``open_loop_independent()`` — whether, as things stand, each
+  server's outcomes depend on its own admitted sequence alone;
+* ``open_loop_profile_batch(frames[, server])`` → one ``(emitted,
+  service_ns, overhead_ns)`` per frame — the functional outcome plus
+  the split of the closed-form latency into *occupancy* (serialises
+  on the server) and *constant overhead* (wire/PHY time that
+  pipelines perfectly); *server*, when given, is the index every
+  frame was routed to, and without it the backend routes them;
 * ``route`` and ``open_loop_trace_detail`` must not write the frame
   they are shown (the caller's: the backend executes copies);
 * with a tracer, ``open_loop_server_names()`` (a track name each) and
@@ -55,6 +56,8 @@ ARRIVAL_PROCESSES = ("poisson", "uniform")
 #: (``repro.targets.pipeline.INPUT_QUEUE_DEPTH`` — the engine cannot
 #: import the target layer, which sits above it).
 DEFAULT_QUEUE_CAPACITY = 64
+#: The outcome of a request no server owns: no reply, no occupancy.
+_UNROUTABLE = ([], 0.0, 0.0)
 
 
 class ArrivalSpec:
@@ -286,17 +289,21 @@ def run_open_loop(backend, spec, frames, duration_ns, seed=1,
     time + the backend's constant overhead.  Returns an
     :class:`OpenLoopReport`.
 
-    On a backend that declares ``burst_native`` a server about to
-    execute a request fills the same ``open_loop_profile_batch`` call,
-    up to *batch* frames, with the requests waiting behind it and then
-    with arrivals still to come, and keeps their outcomes for their
-    own dequeues.  Invisible: with *d* waiting, each of the next
-    ``capacity - d`` arrivals finds fewer than ``capacity`` queued
-    whatever the service times turn out to be, so it is admitted and
-    served in arrival order behind the *d* — and on one fault-free
-    FIFO server outcomes depend on that order alone.  Every event stays
-    at its nanosecond, as on the other backends, which execute each
-    request at its dequeue whatever *batch* says.
+    Routing is fixed for the run when no fault event is pending and
+    the backend reports its servers independent; each frame is then
+    routed once, before the first arrival, and a server about to
+    execute a request fills the same ``open_loop_profile_batch`` call
+    (with its index, when there are several), up to *batch* frames,
+    with the requests waiting behind it and then with arrivals still
+    to come that are routed to it, and keeps their outcomes for their
+    own dequeues.  Invisible: with *d* waiting, each of that queue's
+    next ``capacity - d`` arrivals finds fewer than ``capacity``
+    queued whatever the service times turn out to be, so it is
+    admitted and served in arrival order behind the *d* — and an
+    independent FIFO server's outcomes depend on that order alone.
+    Every event stays at its nanosecond, as on every other run, which
+    routes each arrival as it comes and executes each request at its
+    dequeue whatever *batch* says.
 
     Observability (all optional, zero-cost when ``None``):
 
@@ -318,17 +325,12 @@ def run_open_loop(backend, spec, frames, duration_ns, seed=1,
     scheduler = Scheduler()
     schedule = scheduler.schedule
     num_servers, route = backend.open_loop_servers()
-    lookahead = 0
-    if getattr(backend, "burst_native", False):
-        if num_servers != 1:
-            raise EngineError("a burst_native backend has one server; "
-                              "%r reports %d" % (backend, num_servers))
-        lookahead = batch - 1
     report = OpenLoopReport(spec, duration_ns, num_servers, tracer)
     capacity = spec.capacity
-    # Per server: the (arrival_ns, frame, detail) items waiting for it,
-    # whether it is occupied, and the outcomes of requests it executed
-    # ahead of their dequeue (in the queue's own FIFO order).
+    # Per server: the (arrival_ns, frame, detail) items waiting for it
+    # (frame None: no server owns it), whether it is occupied, and the
+    # outcomes of requests it executed ahead of their dequeue (in the
+    # queue's own FIFO order).
     waiting = [deque() for _ in range(num_servers)]
     busy = [False] * num_servers
     ahead = [deque() for _ in range(num_servers)]
@@ -336,14 +338,28 @@ def run_open_loop(backend, spec, frames, duration_ns, seed=1,
     detail_of = None
     if tracer is not None:
         detail_of = bind_tracer(tracer, lambda: scheduler.now_ns, backend)
-    if injector is not None and injector.pending:
+    faulty = injector is not None and injector.pending
+    if faulty:
         if tracer is not None:
             injector.tracer = tracer
         injector.arm(scheduler)
+    # Routing is fixed when nothing can move a key or couple two
+    # servers mid-run; each frame is then routed once, up front.
+    fixed = not faulty and backend.open_loop_independent()
+    lookahead = batch - 1 if fixed else 0
+    # A burst carries its server's index where that says something: the
+    # routing is fixed and there is more than one server.
+    profile = backend.open_loop_profile_batch
+    if not fixed or num_servers == 1:
+        profile = lambda frames, _: backend.open_loop_profile_batch(frames)
 
-    def arrive(frame):
+    def arrive(position):
+        frame = frames[position]
         report.offered += 1
-        index = route(frame)
+        index = routes[position] if fixed else route(frame)
+        job = frame
+        if index is None:           # waits on server 0, runs nowhere
+            index, job = 0, None
         queue = waiting[index]
         depth = len(queue)
         report.servers[index].sample(depth)
@@ -358,7 +374,7 @@ def run_open_loop(backend, spec, frames, duration_ns, seed=1,
         if tracer is not None:
             detail = dict(detail_of(frame), seq=report.offered - 1)
         report.admitted += 1
-        item = (scheduler.now_ns, frame, detail)
+        item = (scheduler.now_ns, job, detail)
         if busy[index]:
             queue.append(item)
         else:
@@ -371,14 +387,20 @@ def run_open_loop(backend, spec, frames, duration_ns, seed=1,
             queue = waiting[index]
             burst = [item[1]]
             burst.extend(frame for _, frame, _ in islice(queue, lookahead))
-            # frames[report.offered:] are still to arrive; the first
-            # capacity - len(queue) of them cannot be refused.
+            # The server's arrivals from seen on are still to come; the
+            # first capacity - len(queue) of them cannot be refused.
             room = lookahead + 1 - len(burst)
             if capacity is not None:
                 room = min(room, capacity - len(queue))
-            burst.extend(frames[report.offered:report.offered + room])
-            outcomes.extend(backend.open_loop_profile_batch(
-                [frame.copy() for frame in burst]))
+            if room > 0:
+                seen = report.servers[index].arrivals
+                burst.extend(map(runnable.__getitem__,
+                                 arrivals_of[index][seen:seen + room]))
+            # A frame no server owns (None) runs nowhere.
+            run = [frame.copy() for frame in burst if frame is not None]
+            done = iter(profile(run, index) if run else ())
+            outcomes.extend([_UNROUTABLE if frame is None else next(done)
+                             for frame in burst])
         outcome = outcomes.popleft()
         dispatch_ns = scheduler.now_ns
         service_ns = outcome[1]
@@ -414,8 +436,15 @@ def run_open_loop(backend, spec, frames, duration_ns, seed=1,
     if len(frames) < len(times):
         times = times[:len(frames)]
     del frames[len(times):]         # what never arrives is never run
-    for when, frame in zip(times, frames):
-        schedule(when, lambda f=frame: arrive(f))
+    if fixed:
+        routes = [route(frame) for frame in frames]
+        runnable = [None if index is None else frame
+                    for frame, index in zip(frames, routes)]
+        arrivals_of = [[] for _ in range(num_servers)]
+        for position, index in enumerate(routes):
+            arrivals_of[index or 0].append(position)
+    for position, when in enumerate(times):
+        schedule(when, lambda p=position: arrive(p))
 
     if series is not None:
         end_ns = int(duration_ns)

@@ -40,13 +40,23 @@ def pearson_hash_wide(data, width=16):
     """Multi-lane Pearson hash producing a *width*-bit digest.
 
     Standard construction: lane *i* hashes the data with seed *i* and
-    contributes one byte of the digest.
+    contributes one byte of the digest.  Up to four lanes walk the
+    data once, each digest held in its own local.
     """
     lanes = (width + 7) // 8
-    digest = 0
-    for lane in range(lanes):
-        digest = (digest << 8) | pearson_hash(data, seed=lane)
-    return digest & ((1 << width) - 1)
+    mask = (1 << width) - 1
+    if lanes > 4:
+        return int.from_bytes(bytes(pearson_hash(data, seed=lane)
+                                    for lane in range(lanes)), "big") & mask
+    table = PEARSON_TABLE
+    lane0, lane1, lane2, lane3 = 0, 1, 2, 3
+    for byte in bytes(data):
+        lane0 = table[lane0 ^ byte]
+        lane1 = table[lane1 ^ byte]
+        lane2 = table[lane2 ^ byte]
+        lane3 = table[lane3 ^ byte]
+    digest = lane0 << 24 | lane1 << 16 | lane2 << 8 | lane3
+    return (digest >> (32 - 8 * lanes)) & mask
 
 
 class PearsonHash:

@@ -24,9 +24,10 @@ the ``service_drops`` of the serve report, an
 the server; a stream peer that overflows its reassembly buffer is one
 ``malformed`` drop and loses its connection, nothing more.  Hostile
 input and the server's own bugs are told apart: a payload the codecs
-reject (a :class:`~repro.errors.ReproError`) is a ``malformed`` drop
-and a reply they reject an ``undecodable_reply`` one (the reason on
-its trace row); any other exception out of the bridge is an
+reject (a :class:`~repro.errors.ReproError`) is a ``malformed`` drop,
+one no server owns (a cluster frame without a key) an ``unroutable``
+one and a reply the codecs reject an ``undecodable_reply`` one (the
+reason on its trace row); any other exception out of the bridge is an
 ``internal_error`` drop and also counts on
 :attr:`SocketServer.internal_errors` — still a counted drop, never a
 crash — and the first such traceback is kept on
@@ -273,6 +274,9 @@ class SocketServer:
             except Exception:
                 self._internal_error()
                 self._drop(t_arr, "internal_error")
+                continue
+            if index is None:                  # no server owns it
+                self._drop(t_arr, "unroutable")
                 continue
             report.servers[index].sample(depth)
             jobs.append((frame, reply, index, t_arr, seq))

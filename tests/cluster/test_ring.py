@@ -1,9 +1,14 @@
 """The consistent-hash ring: stability, spread, and remap cost."""
 
-import pytest
+import hashlib
 
-from repro.cluster.ring import HashRing, ring_position
+import pytest
+from hypothesis import given, strategies as st
+
+import strategies
+from repro.cluster.ring import HashRing, _mix32, ring_position
 from repro.errors import ClusterError
+from repro.ip.pearson import pearson_hash
 
 KEYS = [("k%05d" % index).encode() for index in range(1024)]
 
@@ -46,6 +51,22 @@ class TestRingBasics:
 
     def test_position_accepts_str_and_bytes(self):
         assert ring_position("key") == ring_position(b"key")
+
+    @strategies.SETTINGS
+    @given(data=st.binary(max_size=64))
+    def test_position_is_the_mix_of_four_pearson_lanes(self, data):
+        lanes = [pearson_hash(data, seed=lane) for lane in range(4)]
+        digest = lanes[0] << 24 | lanes[1] << 16 | lanes[2] << 8 | lanes[3]
+        assert ring_position(data) == _mix32(digest)
+
+    def test_vnode_positions_are_the_recorded_ones(self):
+        """Every vnode label of a 4-shard ring hashes to the positions
+        recorded before the lanes were walked in one pass."""
+        labels = ["shard%d#%d" % (shard, vnode)
+                  for shard in range(4) for vnode in range(192)]
+        positions = " ".join(str(ring_position(label)) for label in labels)
+        assert hashlib.sha256(positions.encode()).hexdigest() == \
+            "79e4eb7357b8297b3f0047f48605436ebf662dd8bb8e9ff58c04845dd6d4899c"
 
 
 class TestRingQuality:

@@ -12,7 +12,9 @@ from hypothesis import given, settings, strategies as st
 import openloop_sweep as sweep
 import strategies
 from repro.deploy import deploy
-from repro.deploy.backends import BACKENDS, Backend
+from repro.cluster.balancer import flow_key
+from repro.cluster.replication import PrimaryReplica, ReadOneWriteAll
+from repro.deploy.backends import BACKENDS
 from repro.engine.openloop import ArrivalSpec, run_open_loop
 from repro.errors import EngineError, TargetError
 from repro.netsim.faults import FaultPlan
@@ -137,16 +139,43 @@ class TestOpenLoopRuns:
     def test_cluster_unroutable_frame_is_dropped_not_fatal(self):
         """Regression: a frame with no routable key must record a
         service drop instead of aborting the run with ClusterError
-        (closed-loop send() raises; open loop moves on)."""
-        from repro.net.packet import Frame
-        dep = (deploy("memcached").on("cluster", shards=2)
+        (closed-loop send() raises; open loop moves on).  It waits on
+        server 0 and runs on no shard — alone, and mixed into routable
+        traffic at any burst width."""
+        dep = (deploy("memcached")
+               .on("cluster", shards=2, key_fn=lambda data: None)
                .with_seed(11).with_arrivals("uniform", qps=1_000_000.0)
                .start())
-        garbage = [Frame(bytes(40), src_port=0) for _ in range(5)]
-        report = dep.run_open_loop(duration_ms=0.01, frames=garbage)
+        report = dep.run_open_loop(duration_ms=0.01)
         assert report.completed == report.offered > 0
+        assert report.servers[0].arrivals == report.offered
         assert report.service_drops == report.completed
         assert report.replies == 0
+        assert dep.target.requests == 0
+        assert set(dep.target.shard_loads.values()) == {0}
+
+        def some_keys(data):
+            key = flow_key(data)
+            return None if key[-1] % 3 == 0 else key
+
+        frames = list(registry()["memcached"].workload(400, 11))
+        unroutable = [some_keys(frame.data) is None for frame in frames]
+        snapshots = []
+        for width in (64, 1):
+            dep = (deploy("memcached")
+                   .on("cluster", shards=2, key_fn=some_keys)
+                   .with_seed(11).with_batch(width)
+                   .with_arrivals("poisson", qps=2e6, capacity=None)
+                   .start())
+            report = dep.run_open_loop(duration_ms=0.15, frames=frames)
+            dropped = sum(unroutable[:report.offered])
+            assert 0 < dropped < report.offered
+            assert report.service_drops >= dropped
+            assert dep.target.requests == report.offered - dropped
+            assert sum(dep.target.shard_loads.values()) == \
+                report.offered - dropped
+            snapshots.append(report.snapshot())
+        assert snapshots[0] == snapshots[1]
 
     def test_report_text_renders(self):
         report = _fpga_deployment(qps=500_000.0).run_open_loop(
@@ -303,10 +332,12 @@ class TestSameBytesAcrossCommits:
 FPGA_SERVICES = {"memcached": 3, "nat": 2, "dns": None}
 
 
-def _started(service, backend="fpga", seed=11, **scale):
+def _started(service, backend="fpga", seed=11, opt=None, **scale):
     dep = deploy(service).on(backend, **scale).with_seed(seed)
-    if backend != "cpu" and FPGA_SERVICES[service] is not None:
-        dep.with_opt(FPGA_SERVICES[service])
+    if opt is None and backend != "cpu":
+        opt = FPGA_SERVICES[service]
+    if opt is not None:
+        dep.with_opt(opt)
     return dep.start()
 
 
@@ -330,31 +361,38 @@ def _identity(frames):
 
 
 def _engine_run(width, capacity, process, qps, service="memcached",
-                backend="fpga", seed=11, duration_ns=50_000, **scale):
+                backend="fpga", seed=11, duration_ns=50_000, opt=None,
+                plan=None, **scale):
     """The engine's ``run_open_loop`` at burst width *width* over a
-    caller's frame list a fifth longer than the expected arrivals;
-    returns everything a width could leak into, and the frame count of
-    each profile call."""
-    dep = _started(service, backend, seed, **scale)
+    caller's frame list a fifth longer than the expected arrivals
+    (under fault *plan*, when given); returns everything a width could
+    leak into — replies per server, whose order across servers is
+    free — and the frame count of each profile call."""
+    dep = _started(service, backend, seed, opt, **scale)
     frames = list(_workload(
         service, int(1.2 * qps * duration_ns / 1e9) + 8, seed))
     offered, mine = _identity(frames), set(map(id, frames))
-    replies, bursts = [], []
+    replies, bursts = {}, []
     profile = dep.backend.open_loop_profile_batch
 
-    def capture(burst):
+    def capture(burst, server=None):
         assert mine.isdisjoint(map(id, burst))     # copies only
-        outcomes = profile(burst)
+        outcomes = profile(burst, server)
         bursts.append(len(burst))
         for emitted, _, _ in outcomes:
-            replies.extend(bytes(reply.data) for _, reply in emitted)
+            replies.setdefault(server, []).extend(
+                bytes(reply.data) for _, reply in emitted)
         return outcomes
 
     dep.backend.open_loop_profile_batch = capture
+    injector = None if plan is None else dep.backend.attach_faults(plan)
     report = run_open_loop(dep.backend,
                            ArrivalSpec(process, qps, capacity), frames,
-                           duration_ns, seed=seed, batch=width)
+                           duration_ns, seed=seed, injector=injector,
+                           batch=width)
     stats = dep.stats()
+    if backend == "cluster":
+        assert dep.target.requests == report.admitted
     dep.stop()
     # The list outlasts the arrivals; nothing past them was executed
     # and the caller's frames come back as they were.
@@ -368,10 +406,18 @@ def _engine_run(width, capacity, process, qps, service="memcached",
     return observed, bursts
 
 
+#: (service, backend, opt, scale) the width-vs-reference test runs:
+#: one server, and four with routing fixed for the run.
+WIDTH_LEGS = (("memcached", "fpga", None, {}),
+              ("memcached", "cluster", 2, {"shards": 4}),
+              ("dns", "cluster", None, {"shards": 4}))
+
+
 class TestExecuteAhead:
-    """On a ``burst_native`` backend a server executes, with the
-    request it starts, what waits behind it and the arrivals that
-    cannot be refused; width 1 is the execute-at-dequeue reference."""
+    """Where routing is fixed for the run a server executes, with the
+    request it starts, what waits behind it and the arrivals routed to
+    it that cannot be refused; width 1 is the execute-at-dequeue
+    reference."""
 
     @pytest.mark.parametrize("process", ["poisson", "uniform"])
     @pytest.mark.parametrize("qps", [2.5e6, 20e6],
@@ -379,18 +425,22 @@ class TestExecuteAhead:
     @pytest.mark.parametrize("capacity", [1, 2, 3, 16, None])
     def test_every_width_is_the_dequeue_reference(self, capacity, qps,
                                                   process):
-        reference, bursts = _engine_run(1, capacity, process, qps)
-        assert set(bursts) == {1} and reference[2]
-        if capacity is None:
-            assert not reference[0]["queue_drops"]
-        elif qps > 5e6:
-            assert reference[0]["queue_drops"]
-        for width in (2, 8, 64):
-            observed, bursts = _engine_run(width, capacity, process, qps)
-            assert observed == reference, width
-            assert 1 < max(bursts) <= width
-            if capacity is not None:
-                assert max(bursts) <= capacity + 1
+        for service, backend, opt, scale in WIDTH_LEGS:
+            leg = dict(scale, service=service, backend=backend, opt=opt)
+            reference, bursts = _engine_run(1, capacity, process, qps,
+                                            **leg)
+            assert set(bursts) == {1} and reference[2], backend
+            if capacity is None:
+                assert not reference[0]["queue_drops"]
+            elif qps > 5e6:
+                assert reference[0]["queue_drops"]
+            for width in (2, 8, 64):
+                observed, bursts = _engine_run(width, capacity, process,
+                                               qps, **leg)
+                assert observed == reference, (backend, width)
+                assert 1 < max(bursts) <= width
+                if capacity is not None:
+                    assert max(bursts) <= capacity + 1
 
     @settings(strategies.SETTINGS, max_examples=20)
     @given(service=st.sampled_from(sorted(FPGA_SERVICES)),
@@ -406,10 +456,11 @@ class TestExecuteAhead:
                 for each in (1, width)]
         assert runs[0][0] == runs[1][0]
 
-    def test_half_load_fills_the_lanes_on_fpga_only(self):
+    def test_half_load_fills_the_lanes_where_routing_is_fixed(self):
         """Half the modeled maximum, default capacity: almost nothing
         ever waits, so without execute-ahead a profile call carries
-        1.15 frames."""
+        1.15 frames.  Routing is fixed on ``fpga`` and on a cluster
+        that neither replicates nor faces a fault plan."""
         qps = 0.5 * _modeled_max_qps("memcached")
 
         def frames_per_call(backend, width, **scale):
@@ -420,26 +471,58 @@ class TestExecuteAhead:
 
         assert frames_per_call("fpga", 64) >= 32
         assert frames_per_call("fpga", 1) == 1
-        for backend, scale in (("cluster", {"shards": 4}),
-                               ("multicore", {"cores": 4}), ("cpu", {})):
-            assert frames_per_call(backend, 64, **scale) == 1, backend
+        assert frames_per_call("cluster", 64, shards=4) >= 32
+        assert frames_per_call("cluster", 1, shards=4) == 1
+        pending = FaultPlan().kill_shard(10 ** 9, "shard1")
+        for backend, scale in (
+                ("multicore", {"cores": 4}), ("cpu", {}),
+                ("cluster", {"shards": 4, "policy": ReadOneWriteAll()}),
+                ("cluster", {"shards": 4, "plan": pending})):
+            assert frames_per_call(backend, 64, **scale) == 1, scale
 
-    def test_burst_native_is_a_checked_promise(self):
-        """One server (refused at the start of a run otherwise) and no
-        fault surface — what execute-ahead rests on."""
-        class TwoServers(Backend):
-            burst_native = True
+    def test_independence_is_derived_from_live_state(self):
+        """Execute-ahead rests on each server's outcomes depending on
+        its own admitted sequence alone: ``fpga`` always (one server,
+        no fault surface), an untraced cluster while no write reaches
+        a second shard and no shard is down, nothing else."""
+        fpga = _started("memcached")
+        assert fpga.backend.open_loop_independent()
+        with pytest.raises(TargetError, match="no fault surface"):
+            fpga.backend.attach_faults(FaultPlan())
+        cluster = _started("memcached", "cluster", shards=4)
+        assert cluster.backend.open_loop_independent()
+        assert not (deploy("memcached").on("cluster", shards=4)
+                    .with_trace().start().backend.open_loop_independent())
+        cluster.target.kill_shard("shard1")
+        assert not cluster.backend.open_loop_independent()
+        cluster.target.restore_shard("shard1")
+        assert cluster.backend.open_loop_independent()
+        for policy in (ReadOneWriteAll(), PrimaryReplica()):
+            assert not _started("memcached", "cluster", shards=4,
+                                policy=policy
+                                ).backend.open_loop_independent()
+        for backend, scale in (("multicore", {"cores": 4}), ("cpu", {}),
+                               ("netsim", {})):
+            assert not _started("memcached", backend, **scale
+                                ).backend.open_loop_independent()
+        assert not any(hasattr(cls, "burst_native")
+                       for cls in BACKENDS.values())
 
-            def open_loop_servers(self):
-                return 2, (lambda frame: 0)
+    def test_a_cluster_request_is_routed_once(self):
+        """Untraced, with routing fixed, ``owner_of`` runs once per
+        arrival: the route the run computes up front is the one the
+        shard executes under (3.00 before)."""
+        dep = (deploy("dns").on("cluster", shards=4).with_opt(2)
+               .with_seed(11).with_arrivals("poisson", qps=2.4e6)
+               .start())
+        calls = []
+        owner_of = dep.target.owner_of
 
-        with pytest.raises(EngineError, match="one server"):
-            run_open_loop(TwoServers(None, None),
-                          ArrivalSpec("uniform", qps=1e6), [], 10_000)
-        native = [name for name, cls in BACKENDS.items()
-                  if cls.burst_native]
-        assert "fpga" in native
-        for name in native:
-            with pytest.raises(TargetError, match="no fault surface"):
-                _started("memcached", name).backend.attach_faults(
-                    FaultPlan())
+        def counted(frame):
+            calls.append(1)
+            return owner_of(frame)
+
+        dep.target.owner_of = counted
+        report = dep.run_open_loop(duration_ms=1.0)
+        assert report.offered > 2000 and report.replies
+        assert len(calls) == report.offered

@@ -161,6 +161,35 @@ def test_oversized_datagram_is_a_counted_drop(served_memcached):
     assert server.report.snapshot()["service_drops"] == 1
 
 
+def test_an_unroutable_payload_is_a_typed_drop():
+    """A cluster frame without a key has no server: its trace row
+    names ``unroutable`` and no shard ran it."""
+    dep = (deploy("memcached")
+           .on("cluster", shards=2, key_fn=lambda data: None)
+           .with_trace().start())
+    server = dep.serve()
+    binding = resolve_binding(dep.spec, "udp")
+    try:
+        with udp_client(server) as sock:
+            for seq in range(3):
+                sock.send(binding.wrap(binding.probe(SEED, seq)[0]))
+            deadline = time.monotonic() + 5.0
+            while server.report.completed < 3:
+                assert time.monotonic() < deadline
+                time.sleep(0.005)
+        assert dep.target.requests == 0
+    finally:
+        server.stop()
+        dep.stop()
+    assert [event["args"].get("reason")
+            for event in dep.tracer.find("request")] == ["unroutable"] * 3
+    snapshot = server.report.snapshot()
+    assert snapshot["offered"] == \
+        snapshot["admitted"] + snapshot["queue_drops"] == 3
+    assert snapshot["service_drops"] == 3
+    assert server.internal_errors == 0
+
+
 def test_bridge_fault_is_an_internal_error_not_a_malformed_drop():
     """An exception that is not a ReproError is the server's own bug:
     told apart from hostile input (the drop's reason, the server's
