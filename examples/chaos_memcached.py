@@ -1,38 +1,20 @@
 """Chaos-testing the memcached cluster: kill a shard, watch it heal.
 
-Two layers of the same story:
-
-1. device level — a cluster deployment (`deploy("memcached")
-   .on("cluster", shards=8).with_faults(plan)`) under the memaslap mix
-   loses one of 8 shards mid-workload; the miss-count detector evicts
-   it, replicas are promoted, queued writes replay (hinted handoff),
-   and the shard later rejoins with a bounded key remap — the run's
-   report opens with the deployment's own describe() table;
-2. network level — the same failure inside the simulator: the shard's
-   uplink goes dark on a lossy fabric, the balancer's φ-accrual
-   detector notices the silence and routes around it, and the link's
-   restoration brings the shard back.
+A cluster deployment (`deploy("memcached").on("cluster", shards=8)
+.with_faults(plan)`) under the memaslap mix loses one of 8 shards
+mid-workload; the miss-count detector evicts it, replicas are
+promoted, queued writes replay (hinted handoff), and the shard later
+rejoins with a bounded key remap — the run's report opens with the
+deployment's own describe() table.
 
 Run:  python examples/chaos_memcached.py
 """
 
-from repro.cluster import build_star
 from repro.harness.availability import run_availability
-from repro.net.packet import ip_to_int
-from repro.net.workloads import memaslap_mix
-from repro.netsim import FaultInjector, FaultPlan
-from repro.services import MemcachedService
-
-IP_SVC = ip_to_int("10.0.0.1")
-IP_CLI = ip_to_int("10.0.0.2")
-
-
-def factory():
-    return MemcachedService(my_ip=IP_SVC)
 
 
 def main():
-    # 1. Device-level chaos run (deterministic, seeded).
+    # Device-level chaos run (deterministic, seeded).
     report = run_availability()
     print(report.text)
     print("pre-fault %.2f Mq/s, dip to %.2f, recovered to %.2f "
@@ -45,37 +27,6 @@ def main():
           % (report.acked_writes, report.lost_acked,
              report.duplicate_replies, report.handoff_replays,
              report.rejoin_remap))
-
-    # 2. The same failure on the simulated fabric, with 0.2% packet
-    #    loss on every shard wire for good measure.
-    cluster = build_star(factory, num_shards=4, phi_threshold=4.0,
-                         shard_faults={"loss_rate": 0.002})
-    cluster.enable_health_checks(every_ns=20_000, until_ns=8_000_000)
-    plan = (FaultPlan()
-            .kill_shard(1_500_000, "shard2")      # t = 1.5 ms
-            .restore_shard(4_000_000, "shard2"))  # t = 4.0 ms
-    injector = FaultInjector(plan, cluster)
-    injector.arm(cluster.net.loop)
-
-    frames = list(memaslap_mix(IP_SVC, IP_CLI, count=1500, seed=3))
-    replies = cluster.run_paced(frames, gap_ns=3000)
-    balancer = cluster.balancer
-    victim_link = cluster.shard_links["shard2"]
-    print("netsim: %d/%d replies; balancer evicted %d shard(s), "
-          "restored %d" % (len(replies), len(frames),
-                           balancer.evictions, balancer.restores))
-    print("victim link dropped %d frame(s) while dark; fabric loss "
-          "dropped %d more across the other wires"
-          % (victim_link.frames_lost,
-             sum(link.frames_lost
-                 for shard, link in cluster.shard_links.items()
-                 if shard != "shard2")))
-    counts = cluster.dispatch_counts()
-    print("per-shard requests: %s"
-          % " ".join("%s=%d" % (shard, counts[shard])
-                     for shard in sorted(counts)))
-    for at_ns, label in injector.fired:
-        print("  t=%.1f ms  %s" % (at_ns / 1e6, label))
 
 
 if __name__ == "__main__":

@@ -5,28 +5,21 @@ Three views of the same cluster layer:
 1. the scale-out throughput table (cluster deployment, batched
    dispatch);
 2. rebalance cost when a shard leaves (consistent hashing at work);
-3. a latency-realistic leaf-spine run in the network simulator, with
-   the load balancer itself running as an Emu service on the spine.
+3. a functional spot check through the full deployment API.
 
 Run:  python examples/cluster_memcached.py
 """
 
-from repro.cluster import build_leaf_spine
 from repro.deploy import deploy
 from repro.harness.cluster_scaling import (
     run_cluster_scaling, run_rebalance_cost,
 )
 from repro.net.packet import ip_to_int
 from repro.net.workloads import memaslap_mix
-from repro.services import MemcachedService
 
 IP_SVC = ip_to_int("10.0.0.1")
 IP_CLI = ip_to_int("10.0.0.2")
 COUNT = 4000
-
-
-def factory():
-    return MemcachedService(my_ip=IP_SVC)
 
 
 def main():
@@ -43,19 +36,7 @@ def main():
           "naive mod-N hashing would remap ~87%%)\n"
           % (stats.moved, stats.total, 100 * stats.fraction))
 
-    # 3. The same cluster on a simulated leaf-spine fabric.
-    cluster = build_leaf_spine(factory, num_shards=8, shards_per_leaf=4)
-    frames = memaslap_mix(IP_SVC, IP_CLI, count=COUNT)
-    replies = cluster.run_requests(frames)
-    finish_ns = max(reply.timestamp_ns for reply in replies)
-    counts = cluster.dispatch_counts()
-    print("leaf-spine netsim: %d/%d replies in %.1f us simulated time"
-          % (len(replies), COUNT, finish_ns / 1e3))
-    print("per-shard requests: %s"
-          % " ".join("%s=%d" % (shard, counts[shard])
-                     for shard in sorted(counts)))
-
-    # Functional spot check through the full deployment API.
+    # 3. Functional spot check through the full deployment API.
     dep = deploy("memcached").on("cluster", shards=8).with_seed(1) \
         .start()
     dep.send_batch(memaslap_mix(IP_SVC, IP_CLI, count=COUNT))

@@ -1,21 +1,19 @@
-"""Scale-out clustering: shards, replication, and in-dataplane balancing.
+"""Scale-out clustering: shards, replication, and key-hash routing.
 
 §5.4 scales one Emu device to four cores; this package scales the same
 services across *many* devices.  The pieces:
 
 * :mod:`repro.cluster.ring`        — consistent-hash ring (virtual
   nodes, shard add/remove, remap statistics).
-* :mod:`repro.cluster.health`      — failure detectors (φ-accrual and
-  miss-count) behind the self-healing paths.
+* :mod:`repro.cluster.health`      — the miss-count failure detector
+  behind the self-healing path.
 * :mod:`repro.cluster.replication` — pluggable write-replication
   policies plus per-service write classifiers.
-* :mod:`repro.cluster.balancer`    — the L4 load balancer, itself an
-  :class:`~repro.services.base.EmuService`.
+* :mod:`repro.cluster.balancer`    — the flow keys a request is routed
+  by (memcached key, else the 5-tuple).
 * :mod:`repro.cluster.target`      — :class:`ClusterTarget`, the
   many-device analogue of ``MultiCoreTarget`` (batched dispatch,
-  aggregate throughput model).
-* :mod:`repro.cluster.topology`    — star and leaf-spine builders over
-  :mod:`repro.netsim` for latency-realistic runs.
+  aggregate throughput model) and the ``cluster`` deploy backend.
 
 Any existing :class:`~repro.services.base.EmuService` (memcached,
 kvcache, DNS, NAT) drops in unchanged: the cluster layer only needs a
@@ -23,27 +21,18 @@ service factory, a flow-key extractor, and optionally an ``is_write``
 classifier.
 """
 
-from repro.cluster.balancer import (
-    ShardBalancerService, five_tuple_key, flow_key, memcached_key,
-)
-from repro.cluster.health import (
-    MissCountDetector, PhiAccrualDetector,
-)
+from repro.cluster.balancer import five_tuple_key, flow_key, memcached_key
+from repro.cluster.health import MissCountDetector
 from repro.cluster.replication import (
     NoReplication, PrimaryReplica, ReadOneWriteAll, ReplicationPolicy,
     memcached_is_write,
 )
 from repro.cluster.ring import HashRing, RemapStats, ring_position
 from repro.cluster.target import REQUEST_TIMEOUT_NS, ClusterTarget
-from repro.cluster.topology import (
-    ClusterNetwork, build_leaf_spine, build_star,
-)
 
 __all__ = [
-    "ClusterNetwork", "ClusterTarget", "HashRing", "MissCountDetector",
-    "NoReplication", "PhiAccrualDetector", "PrimaryReplica",
-    "REQUEST_TIMEOUT_NS", "ReadOneWriteAll", "RemapStats",
-    "ReplicationPolicy", "ShardBalancerService", "build_leaf_spine",
-    "build_star", "five_tuple_key", "flow_key", "memcached_is_write",
-    "memcached_key", "ring_position",
+    "ClusterTarget", "HashRing", "MissCountDetector", "NoReplication",
+    "PrimaryReplica", "REQUEST_TIMEOUT_NS", "ReadOneWriteAll",
+    "RemapStats", "ReplicationPolicy", "five_tuple_key", "flow_key",
+    "memcached_is_write", "memcached_key", "ring_position",
 ]

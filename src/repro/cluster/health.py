@@ -1,100 +1,17 @@
 """Failure detection for the self-healing cluster layer.
 
-Two detectors, matched to the two ways the cluster observes a shard:
+:class:`MissCountDetector` is the cluster's one detector: a
+timeout-style detector for request/response probing without a clock,
+where *k* consecutive unanswered requests mark the peer dead.  The
+:class:`~repro.cluster.target.ClusterTarget` uses one per shard, so a
+crashed shard is evicted after a bounded number of timed-out requests,
+never on a single loss.
 
-* :class:`PhiAccrualDetector` — the φ-accrual detector (Hayashibara et
-  al.) over heartbeat inter-arrival times, used where there *is* a
-  clock: the :class:`~repro.cluster.balancer.ShardBalancerService`
-  treats every reply a shard sends as a heartbeat and computes, at each
-  health check, how implausible the current silence is.
-* :class:`MissCountDetector` — a timeout-style detector for
-  request/response probing without a clock: *k* consecutive unanswered
-  requests mark the peer dead.  The
-  :class:`~repro.cluster.target.ClusterTarget` uses one per shard, so a
-  crashed shard is evicted after a bounded number of timed-out
-  requests, never on a single loss.
-
-Both are deterministic: fed the same observation sequence they make the
+It is deterministic: fed the same observation sequence it makes the
 same call, which is what lets chaos runs assert exact behaviour.
 """
 
-import math
-from collections import deque
-
 from repro.errors import ClusterError
-
-#: φ above which a silent peer is declared dead.  φ = 8 means the
-#: observed silence had odds of about 10^-8 under the heartbeat
-#: history — the classic production setting.
-DEFAULT_PHI_THRESHOLD = 8.0
-
-
-class PhiAccrualDetector:
-    """φ-accrual failure detection over heartbeat arrivals.
-
-    Inter-arrival times are modelled exponentially with the windowed
-    mean interval; then ``φ(now) = -log10 P(silence >= now - last)``
-    grows linearly with silence, scaled by how chatty the peer
-    normally is.  No heartbeat history → φ stays 0 (never suspect a
-    peer that was never alive to begin with).
-    """
-
-    def __init__(self, threshold=DEFAULT_PHI_THRESHOLD, window=32,
-                 min_interval_ns=1.0, bootstrap_interval_ns=1_000_000.0):
-        if threshold <= 0:
-            raise ClusterError("phi threshold must be positive")
-        if window < 1:
-            raise ClusterError("need a positive heartbeat window")
-        if bootstrap_interval_ns <= 0:
-            raise ClusterError("bootstrap interval must be positive")
-        self.threshold = threshold
-        self.min_interval_ns = min_interval_ns
-        #: Assumed mean interval until two heartbeats have been seen —
-        #: the classic φ-accrual bootstrap.  Without it a peer that
-        #: spoke exactly once and died could never be suspected (no
-        #: interval history → no model → φ pinned to 0).
-        self.bootstrap_interval_ns = bootstrap_interval_ns
-        self._intervals = deque(maxlen=window)
-        self._last_ns = None
-
-    def heartbeat(self, now_ns):
-        """Record a sign of life at *now_ns*."""
-        if self._last_ns is not None and now_ns > self._last_ns:
-            self._intervals.append(now_ns - self._last_ns)
-        self._last_ns = now_ns
-
-    @property
-    def heartbeats_seen(self):
-        return self._last_ns is not None
-
-    @property
-    def last_heartbeat_ns(self):
-        return self._last_ns
-
-    def mean_interval_ns(self):
-        if self._last_ns is None:
-            return None
-        if not self._intervals:
-            return self.bootstrap_interval_ns
-        return max(sum(self._intervals) / len(self._intervals),
-                   self.min_interval_ns)
-
-    def phi(self, now_ns):
-        """Suspicion level at *now_ns* (0 = just heard from it)."""
-        mean = self.mean_interval_ns()
-        if mean is None:
-            return 0.0
-        elapsed = max(0.0, now_ns - self._last_ns)
-        # -log10(exp(-t/mean)) = (t/mean) * log10(e)
-        return (elapsed / mean) * math.log10(math.e)
-
-    def is_suspect(self, now_ns):
-        return self.phi(now_ns) >= self.threshold
-
-    def reset(self):
-        """Forget history (a peer that rejoined starts fresh)."""
-        self._intervals.clear()
-        self._last_ns = None
 
 
 class MissCountDetector:

@@ -9,8 +9,8 @@ Removing a shard only reassigns the keys it owned (~1/N of the space);
 every other key keeps its shard, which is what makes live rebalancing
 cheap.
 
-Positions come from the same Pearson construction the balancer uses in
-the dataplane (:mod:`repro.ip.pearson`), finished with a 32-bit
+Positions come from the Pearson construction of Fig. 5's hash core
+(:mod:`repro.ip.pearson`), finished with a 32-bit
 avalanche mix: the raw multi-lane Pearson digest correlates across
 inputs that differ in one byte (exactly what ``shard3#41`` vs
 ``shard3#42`` labels do), and the mix restores uniform vnode spread.
@@ -51,8 +51,7 @@ def ring_position(data):
 def max_over_mean(counts):
     """Max/mean load imbalance over per-shard *counts* (1.0 = even).
 
-    The shared imbalance metric for the ring, the cluster target, and
-    the balancer's dispatch counters.
+    The shared imbalance metric for the ring and the cluster target.
     """
     counts = list(counts)
     if not counts:
@@ -122,9 +121,6 @@ class HashRing:
     @property
     def shards(self):
         return sorted(self._shards, key=str)
-
-    def __len__(self):
-        return len(self._shards)
 
     # -- lookup -------------------------------------------------------------
 

@@ -517,8 +517,7 @@ class NetsimBackend(Backend):
         """Arm *plan* on the simulator's event loop (times are loop
         nanoseconds).  The injector's target is this backend: plans use
         its :meth:`partition` / :meth:`heal` port verbs (there are no
-        shards here — shard-verb plans belong on the cluster backend
-        or the :mod:`repro.cluster.topology` builders)."""
+        shards here — shard-verb plans belong on the cluster backend)."""
         injector = FaultInjector(plan, self)
         injector.arm(self.net.loop)
         return injector

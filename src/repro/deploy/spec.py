@@ -21,8 +21,8 @@ bundles them:
   causally-related frames to one shard (defaults to ``workload``);
 * ``is_write``    — classifier for write replication (multicore and
   cluster backends); ``None`` means no frame is a write;
-* ``key_fn``      — cluster routing key extractor (defaults to the
-  balancer's flow key);
+* ``key_fn``      — cluster routing key extractor (defaults to
+  :func:`repro.cluster.flow_key`);
 * ``host_wrapper``— the Table 4 host-stack baseline, if one exists;
 * ``backends``    — which deploy backends can faithfully run the
   service (port-semantics services like the learning switch flood to

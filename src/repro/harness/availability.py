@@ -4,8 +4,8 @@ The scaling harnesses ask "how fast is the cluster"; this one asks
 "what happens when a shard dies under load".  The run drives the
 memaslap mix against a :class:`~repro.cluster.target.ClusterTarget` in
 fixed-size windows, crashes one of N shards at a scripted window
-(:class:`~repro.netsim.faults.FaultPlan` — the same plan vocabulary as
-the netsim chaos runs), lets the miss-count failure detector evict and
+(:class:`~repro.netsim.faults.FaultPlan` — the plan vocabulary of
+``with_faults``), lets the miss-count failure detector evict and
 fail it over, and optionally rejoins it later.  Measured per run:
 
 * per-window effective throughput — the dip while the detector is

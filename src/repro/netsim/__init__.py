@@ -10,18 +10,15 @@ frames hosts exchange.
 * :mod:`repro.netsim.node`     — hosts and service nodes.
 * :mod:`repro.netsim.link`     — links with latency + bandwidth.
 * :mod:`repro.netsim.faults`   — fault injection: lossy links, timed
-  kill/partition/restore scripts.
+  kill/partition/restore scripts (shared with the ``cluster`` backend).
 * :mod:`repro.netsim.topology` — the network builder.
 """
 
 from repro.netsim.sim import EventLoop
 from repro.netsim.node import Host, ServiceNode
 from repro.netsim.link import Link
-from repro.netsim.faults import (
-    FaultInjector, FaultPlan, FaultyLink, schedule_health_checks,
-)
+from repro.netsim.faults import FaultInjector, FaultPlan, FaultyLink
 from repro.netsim.topology import Network
 
 __all__ = ["EventLoop", "FaultInjector", "FaultPlan", "FaultyLink",
-           "Host", "Link", "Network", "ServiceNode",
-           "schedule_health_checks"]
+           "Host", "Link", "Network", "ServiceNode"]

@@ -1,4 +1,4 @@
-"""Fault injection for :mod:`repro.netsim` and the cluster layer.
+"""Fault injection for the ``netsim`` and ``cluster`` backends.
 
 Every netsim link is lossless and every shard immortal until this
 module says otherwise.  Three pieces:
@@ -7,11 +7,10 @@ module says otherwise.  Three pieces:
   deterministic impairments: packet loss, single-bit corruption,
   latency jitter, and an up/down state (partitions).
 * :class:`FaultPlan` — a script of timed fault events (kill shard at t,
-  partition a leaf at t, restore at t').  Events are plain callables
-  against a *target* (a :class:`~repro.cluster.topology.ClusterNetwork`,
-  a :class:`~repro.cluster.target.ClusterTarget`, or anything exposing
-  the same verbs), so one plan drives both the device-level and the
-  netsim-level cluster models.
+  partition a port at t, restore at t').  Events are plain callables
+  against a *target* (a :class:`~repro.cluster.target.ClusterTarget`
+  for shard verbs, the ``netsim`` backend for port verbs, or anything
+  exposing the same verbs).
 * :class:`FaultInjector` — applies a plan, either armed on an event
   loop (netsim: fires at simulated nanoseconds) or pumped manually with
   :meth:`FaultInjector.advance_to` (harness chaos runs: "time" is the
@@ -133,7 +132,7 @@ class FaultPlan:
                        "restore %s" % shard_id)
 
     def partition(self, when, name):
-        """Cut the named node's uplink (shard or leaf)."""
+        """Cut the named port's link (the ``netsim`` backend's verb)."""
         return self.at(when, lambda target: target.partition(name),
                        "partition %s" % name)
 
@@ -187,17 +186,3 @@ class FaultInjector:
         for event in due:
             delay = max(0, event.at - loop.now_ns)
             loop.schedule(delay, lambda event=event: self._fire(event))
-
-
-def schedule_health_checks(loop, balancer, every_ns, until_ns):
-    """Run ``balancer.check_health(now)`` every *every_ns* until
-    *until_ns* — the control-plane probe ticker for netsim runs."""
-    if every_ns <= 0:
-        raise NetSimError("health-check period must be positive")
-    balancer.clock = lambda: loop.now_ns
-
-    def tick():
-        balancer.check_health(loop.now_ns)
-        if loop.now_ns + every_ns <= until_ns:
-            loop.schedule(every_ns, tick)
-    loop.schedule(every_ns, tick)

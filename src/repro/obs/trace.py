@@ -40,7 +40,7 @@ def decompose(row):
     queue, service, reply, kind, where)``: its phases in the whole
     nanoseconds its spans export (*reply* is ``None`` for a drop or a
     reply without wire overhead) and the engine that served it —
-    ``("hop", <shard>)`` behind a cluster balancer, ``("kernel",
+    ``("hop", <shard>)`` on a cluster shard, ``("kernel",
     "core<n>")`` on a multicore device, else ``("kernel", None)``."""
     _, _, arrival_ns, dispatch_ns, done_ns, overhead_ns, detail, dropped \
         = row
@@ -148,7 +148,7 @@ class TraceRecorder:
 
     def hook(self, cat="cluster", track=0):
         """A ``callable(label, args=None)`` emitting instant events —
-        handed to layers (cluster target, balancer, fault injector)
+        handed to layers (cluster target, fault injector)
         that expose a generic ``event_hook`` and must not import the
         observability package."""
         def emit(label, args=None):

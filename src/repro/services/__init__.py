@@ -36,7 +36,7 @@ def registry():
 
     Imported lazily: the registry pulls in the deploy layer, which
     pulls in every backend — a cycle if resolved at package init
-    (``cluster.balancer`` is itself an Emu service).
+    (the deploy layer builds every service it deploys from here).
     """
     from repro.services.catalog import registry as _registry
     return _registry()

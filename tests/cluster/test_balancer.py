@@ -1,25 +1,18 @@
-"""The shard balancer as an Emu program, plus key extraction."""
+"""Flow-key extraction: the keys the cluster routes by."""
 
-import pytest
-
-from repro.cluster.balancer import (
-    LOOKUP_CYCLES, PARSE_CYCLES, ShardBalancerService, five_tuple_key,
-    flow_key, memcached_key,
-)
-from repro.cluster.ring import HashRing, max_over_mean
-from repro.core.dataplane import NetFPGAData, TData
+from repro.cluster.balancer import five_tuple_key, flow_key, memcached_key
+from repro.core.dataplane import TData
 from repro.core.protocols.ipv4 import IPProtocols, IPv4Wrapper
 from repro.core.protocols.memcached import (
-    BinaryMagic, MemcachedBinaryWrapper, build_ascii_get,
-    build_udp_frame_header, parse_ascii_command, split_udp_frame,
+    BinaryMagic, MemcachedBinaryWrapper, build_udp_frame_header,
+    parse_ascii_command, split_udp_frame,
 )
 from repro.core.protocols.udp import UDPWrapper, build_udp
-from repro.errors import ClusterError, ParseError
+from repro.errors import ParseError
 from repro.net.packet import Frame, ip_to_int
 from repro.net.workloads import (
     dns_query_stream, memaslap_mix, ping_flood, tcp_syn_stream,
 )
-from repro.targets.fpga import FpgaTarget
 
 SERVICE_IP = ip_to_int("10.0.0.1")
 CLIENT_IP = ip_to_int("10.0.0.2")
@@ -140,123 +133,3 @@ class TestKeysUnchangedByTheOneParse:
             data = bytes(frame.data)
             assert flow_key(data) == flow_key(bytearray(data)) == \
                 flow_key(TData(data))
-
-
-class TestBalancerService:
-    def build(self, num_shards=4):
-        return ShardBalancerService(
-            {"shard%d" % i: 1 + i for i in range(num_shards)},
-            uplink_port=0)
-
-    def test_request_goes_to_exactly_one_shard_port(self):
-        balancer = self.build()
-        frame = mix(1)[0]
-        dataplane = balancer.process(NetFPGAData(frame))
-        ports = [p for p in range(5) if dataplane.dst_ports & (1 << p)]
-        assert len(ports) == 1
-        assert ports[0] in (1, 2, 3, 4)
-
-    def test_same_key_always_same_port(self):
-        balancer = self.build()
-        frames = mix(200)
-        port_by_key = {}
-        for frame in frames:
-            dataplane = balancer.process(NetFPGAData(frame))
-            key = memcached_key(frame.data)
-            port_by_key.setdefault(key, set()).add(dataplane.dst_ports)
-        assert all(len(ports) == 1 for ports in port_by_key.values())
-
-    def test_reply_path_forwards_to_uplink(self):
-        balancer = self.build()
-        reply = mix(1)[0]
-        reply.src_port = 2                      # arrived from a shard
-        dataplane = balancer.process(NetFPGAData(reply))
-        assert dataplane.dst_ports == 1         # uplink port 0
-        assert balancer.replies_forwarded == 1
-
-    def test_dispatch_counters_spread(self):
-        balancer = self.build(num_shards=8)
-        for frame in mix(1000):
-            balancer.process(NetFPGAData(frame))
-        assert sum(balancer.dispatched.values()) == 1000
-        assert max_over_mean(balancer.dispatched.values()) <= 1.35
-
-    def test_unparseable_frame_dropped(self):
-        balancer = ShardBalancerService({"s0": 1})
-        dataplane = balancer.process(NetFPGAData(Frame(b"")))
-        assert dataplane.dropped
-        assert balancer.unroutable == 1
-
-    def test_uplink_port_collision_rejected(self):
-        with pytest.raises(ClusterError):
-            ShardBalancerService({"s0": 0}, uplink_port=0)
-
-    def test_runs_on_fpga_target(self):
-        """The balancer is a service like any other: it runs as the
-        main logical core with a measurable cycle count."""
-        balancer = self.build()
-        target = FpgaTarget(balancer, num_ports=5)
-        emitted, latency_ns, cycles, _ = target.send(mix(1)[0])
-        assert len(emitted) == 1
-        assert emitted[0][0] in (1, 2, 3, 4)
-        assert latency_ns > 0
-        assert cycles > 0
-
-    def test_external_ring_is_honoured(self):
-        ring = HashRing(["a", "b"])
-        balancer = ShardBalancerService({"a": 1, "b": 2}, ring=ring)
-        frame = mix(1)[0]
-        expected = ring.lookup(memcached_key(frame.data))
-        dataplane = balancer.process(NetFPGAData(frame))
-        assert dataplane.dst_ports == \
-            1 << balancer.shard_ports[expected]
-
-
-class TestDatapathCycleModel:
-    """Regression for the ISSUE-2 fix: the byte-serial Pearson walk
-    must scale with the flow-key length, not return a constant."""
-
-    def build(self):
-        return ShardBalancerService({"s0": 1, "s1": 2})
-
-    def memcached_frame(self, key):
-        payload = build_udp_frame_header(0) + build_ascii_get(key)
-        return Frame(build_udp(0x02, 0x01, ip_to_int("10.0.0.2"),
-                               ip_to_int("10.0.0.1"), 40000, 11211,
-                               payload)).pad()
-
-    def test_pins_the_cycle_model_for_memcached_keys(self):
-        balancer = self.build()
-        for key_len in (1, 6, 32, 64, 128):
-            frame = self.memcached_frame(b"k" * key_len)
-            assert balancer.datapath_extra_cycles(frame) == \
-                PARSE_CYCLES + key_len + LOOKUP_CYCLES
-
-    def test_monotone_in_key_length(self):
-        balancer = self.build()
-        cycles = [balancer.datapath_extra_cycles(
-            self.memcached_frame(b"k" * key_len))
-            for key_len in range(1, 100, 7)]
-        assert cycles == sorted(cycles)
-        assert cycles[0] < cycles[-1]
-
-    def test_five_tuple_fallback_pays_thirteen_bytes(self):
-        balancer = self.build()
-        frame = next(iter(tcp_syn_stream(SERVICE_IP, CLIENT_IP,
-                                         count=1)))
-        assert balancer.datapath_extra_cycles(frame) == \
-            PARSE_CYCLES + 13 + LOOKUP_CYCLES
-
-    def test_unroutable_frame_pays_the_parse_only(self):
-        balancer = self.build()
-        assert balancer.datapath_extra_cycles(Frame(b"")) == \
-            PARSE_CYCLES + LOOKUP_CYCLES
-
-    def test_key_length_shows_up_in_fpga_latency(self):
-        """The model change is visible end to end: a longer key costs
-        measurably more cycles through the FPGA target."""
-        short_target = FpgaTarget(self.build(), num_ports=3, seed=1)
-        long_target = FpgaTarget(self.build(), num_ports=3, seed=1)
-        short_ns = short_target.send(self.memcached_frame(b"k"))[1]
-        long_ns = long_target.send(self.memcached_frame(b"k" * 120))[1]
-        assert long_ns > short_ns

@@ -4,7 +4,7 @@ import pytest
 
 from repro.cluster import (
     ClusterTarget, NoReplication, PrimaryReplica, ReadOneWriteAll,
-    memcached_is_write,
+    memcached_is_write, memcached_key,
 )
 from repro.errors import ClusterError
 from repro.net.packet import ip_to_int
@@ -107,6 +107,23 @@ class TestReplicationPolicies:
                      for s in cluster.shards.values())
         assert stored == 3
         assert cluster.pending_replication == 0
+
+    def test_primary_replica_copies_to_the_next_shard(self):
+        """A key's replica lives on the shard after its owner in
+        ``shard_ids`` order (clockwise), never on the one before."""
+        cluster = make_cluster(policy=PrimaryReplica(1))
+        shard_ids = cluster.shard_ids
+        frames = set_frames(40)
+        assert len(frames) == 40
+        for frame in frames:
+            cluster.send(frame)
+            cluster.flush_replication()
+            key = memcached_key(frame.data)
+            index = shard_ids.index(cluster.owner_of(frame))
+            after = shard_ids[(index + 1) % len(shard_ids)]
+            before = shard_ids[(index - 1) % len(shard_ids)]
+            assert key in cluster.shards[after].service._store
+            assert key not in cluster.shards[before].service._store
 
     def test_delete_is_replicated_like_set(self):
         """DELETE is a store mutation: under write-all it must reach

@@ -69,6 +69,28 @@ class TestRingBasics:
             "79e4eb7357b8297b3f0047f48605436ebf662dd8bb8e9ff58c04845dd6d4899c"
 
 
+class TestRingWrap:
+    """A key past the highest vnode wraps to the lowest one: the
+    circle's clockwise successor of the top is its bottom."""
+
+    SHARDS = ["shard%d" % index for index in range(4)]
+
+    def test_keys_above_the_top_vnode_belong_to_the_lowest(self):
+        ring = HashRing(self.SHARDS, vnodes=1)
+        by_position = sorted((ring_position("%s#0" % shard), shard)
+                             for shard in self.SHARDS)
+        # One vnode per shard: the two lowest vnodes are two shards, so
+        # wrapping to the wrong one of them is visible.
+        assert by_position[0][1] != by_position[1][1]
+        top = by_position[-1][0]
+        wrapped = [key for key in
+                   (("w%05d" % index).encode() for index in range(4096))
+                   if ring_position(key) > top]
+        assert wrapped
+        assert {ring.lookup(key) for key in wrapped} == \
+            {by_position[0][1]}
+
+
 class TestRingQuality:
     @pytest.mark.parametrize("num_shards", [4, 8, 16])
     def test_load_imbalance_bounded(self, num_shards):

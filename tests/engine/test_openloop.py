@@ -285,6 +285,9 @@ class TestSameBytesAcrossCommits:
         artefacts, _ = _sweep_run(case)
         assert sweep.digest(artefacts) == sweep.PINNED[case]
 
+    def test_every_case_has_a_recorded_digest(self):
+        assert set(sweep.DIGESTS) == set(sweep.CASES)
+
     def test_pinned_cases_span_the_sweep(self):
         assert len(sweep.CASES) == 90
         pinned = [sweep.CASES[name] for name in sweep.PINNED]

@@ -144,13 +144,12 @@ RULES = [
     # Declarations and overrides of what product code calls.
     ("services/base.py", "EmuService.on_frame", "protocol"),
     ("*", "*.reset", "protocol"),     # ClusterTarget.restore_shard
-    ("cluster/balancer.py", "ShardBalancerService.datapath_extra_cycles",
-     "protocol"),
     ("deploy/backends.py", "Backend.*", "protocol"),
     ("deploy/backends.py", "NetsimBackend.attach_faults", "protocol"),
     ("deploy/backends.py", "NetsimBackend.partition", "protocol"),
     ("deploy/backends.py", "NetsimBackend.heal", "protocol"),
-    ("cluster/topology.py", "ClusterNetwork.partition", "protocol"),
+    ("netsim/faults.py", "FaultyLink.take_down", "protocol"),
+    ("netsim/faults.py", "FaultyLink.bring_up", "protocol"),
     ("netsim/faults.py", "FaultPlan.partition", "protocol"),
     ("netsim/faults.py", "FaultPlan.heal", "protocol"),
     ("kiwi/opt/passes.py", "Pass.run", "protocol"),
