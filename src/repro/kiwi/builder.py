@@ -44,11 +44,14 @@ def zext(expr, width):
 
 
 def match_widths(lhs, rhs):
-    """Make two expressions the same width (constants first, then zext)."""
+    """Make two expressions the same width by zero-extension.  A
+    constant takes the other side's width when its value fits and
+    otherwise keeps its own bit length, widening the other side (C#'s
+    promotion): a constant is never truncated."""
     if isinstance(lhs, Const) and not isinstance(rhs, Const):
-        return Const(lhs.value, rhs.width), rhs
-    if isinstance(rhs, Const) and not isinstance(lhs, Const):
-        return lhs, Const(rhs.value, lhs.width)
+        lhs = Const(lhs.value, max(rhs.width, lhs.value.bit_length()))
+    elif isinstance(rhs, Const) and not isinstance(lhs, Const):
+        rhs = Const(rhs.value, max(lhs.width, rhs.value.bit_length()))
     width = max(lhs.width, rhs.width)
     return zext(lhs, width), zext(rhs, width)
 

@@ -2,70 +2,54 @@
 
 The paper's pipeline ends in Verilog consumed by Xilinx Vivado.  We emit
 equivalent structural Verilog-2001 from the netlist IR so the workflow is
-complete end-to-end; the text is also used by tests to check that
-compiled designs have the expected shape (module ports, always blocks).
+complete end-to-end.  The text is linear in the netlist and every
+part-select applies to a name; ``tests/verilog_reader.py`` reads it back
+under Verilog-2001's width rules, and its ``Verilog`` leg of
+:mod:`repro.verify` runs it against the interpreted netlist.
 """
 
 from repro.rtl.expr import BinOp, Concat, Const, MemRead, Mux, Slice, UnOp
 from repro.rtl.module import flatten
 from repro.rtl.signal import Signal
 
-_BIN_VERILOG = {
-    "+": "+", "-": "-", "*": "*", "&": "&", "|": "|", "^": "^",
-    "<<": "<<", ">>": ">>", "/": "/", "%": "%",
-    "==": "==", "!=": "!=", "<": "<", "<=": "<=", ">": ">", ">=": ">=",
-}
+_UNARY = {"~": "~", "|r": "|", "&r": "&", "^r": "^", "!": "!"}
 
 
 def _vname(name):
     return name.replace(".", "__")
 
 
-def _emit_expr(expr, names=None):
-    if names is not None:
-        name = names.get(id(expr))
-        if name is not None:
-            return name
-    return _emit_node(expr, names)
-
-
-def _emit_node(expr, names=None):
-    """Render one node (children may resolve to shared-wire names)."""
+def _emit(expr, names, define=False):
+    """Render *expr*: a hoisted node is its wire name, except in its
+    own definition (*define*)."""
+    name = names.get(id(expr))
+    if name is not None and not define:
+        return name
     if isinstance(expr, Const):
         return "%d'd%d" % (expr.width, expr.value)
     if isinstance(expr, Signal):
         return _vname(expr.name)
     if isinstance(expr, BinOp):
-        return "(%s %s %s)" % (
-            _emit_expr(expr.lhs, names), _BIN_VERILOG[expr.op],
-            _emit_expr(expr.rhs, names))
+        return "(%s %s %s)" % (_emit(expr.lhs, names), expr.op,
+                               _emit(expr.rhs, names))
     if isinstance(expr, UnOp):
-        inner = _emit_expr(expr.operand, names)
-        if expr.op == "~":
-            return "(~%s)" % inner
-        if expr.op == "|r":
-            return "(|%s)" % inner
-        if expr.op == "&r":
-            return "(&%s)" % inner
-        if expr.op == "^r":
-            return "(^%s)" % inner
-        if expr.op == "!":
-            return "(!%s)" % inner
+        return "(%s%s)" % (_UNARY[expr.op], _emit(expr.operand, names))
     if isinstance(expr, Mux):
         return "(%s ? %s : %s)" % (
-            _emit_expr(expr.sel, names), _emit_expr(expr.if_true, names),
-            _emit_expr(expr.if_false, names))
+            _emit(expr.sel, names), _emit(expr.if_true, names),
+            _emit(expr.if_false, names))
     if isinstance(expr, Slice):
-        if expr.msb == expr.lsb:
-            return "%s[%d]" % (_emit_expr(expr.operand, names), expr.lsb)
-        return "%s[%d:%d]" % (_emit_expr(expr.operand, names), expr.msb,
-                              expr.lsb)
+        if isinstance(expr.operand, Const):
+            return "%d'd%d" % (expr.width, (expr.operand.value >> expr.lsb)
+                               & ((1 << expr.width) - 1))
+        select = ("[%d]" % expr.lsb if expr.msb == expr.lsb
+                  else "[%d:%d]" % (expr.msb, expr.lsb))
+        return _emit(expr.operand, names) + select
     if isinstance(expr, Concat):
-        return "{%s}" % ", ".join(_emit_expr(p, names)
-                                  for p in expr.parts)
+        return "{%s}" % ", ".join(_emit(p, names) for p in expr.parts)
     if isinstance(expr, MemRead):
         return "%s[%s]" % (_vname(expr.memory.name),
-                           _emit_expr(expr.addr, names))
+                           _emit(expr.addr, names))
     raise TypeError("cannot emit %r" % (expr,))
 
 
@@ -79,32 +63,36 @@ def _expr_roots(module):
 
 
 def _shared_wires(module):
-    """(names, defs): a wire name per multiply-referenced subexpression.
+    """(names, defs): a wire name per node that must be named.
 
     Expressions are DAGs (the optimizer's CSE pass makes the sharing
     heavy); inlining a shared node at every reference expands the DAG
     into its tree form, which is exponential in the worst case.  Nodes
     with more than one incoming reference are hoisted into named wires
     instead, so the emitted text is linear in the netlist size — this is
-    CSE made visible: one shared wire per common subexpression.
+    CSE made visible: one shared wire per common subexpression.  The
+    operand of a slice counts twice unless it is a memory word, so every
+    part-select applies to a name, as Verilog-2001 requires.  Signals
+    and constants are names already and never become wires.
 
     *defs* is ``[(name, width, node)]`` in children-first order.
     """
     counts = {}
     order = []          # post-order, children before parents
 
-    def walk(node):
+    def walk(node, weight):
         key = id(node)
         if key in counts:
-            counts[key] += 1
+            counts[key] += weight
             return
-        counts[key] = 1
+        counts[key] = weight
+        sliced = isinstance(node, Slice)
         for child in node.children():
-            walk(child)
+            walk(child, 1 + (sliced and not isinstance(child, MemRead)))
         order.append(node)
 
     for root in _expr_roots(module):
-        walk(root)
+        walk(root, 1)
 
     names = {}
     defs = []
@@ -121,21 +109,16 @@ def _range(width):
     return "" if width == 1 else "[%d:0] " % (width - 1)
 
 
-def emit_verilog(module, share_wires=False):
+def emit_verilog(module):
     """Render *module* (flattened) as a structural Verilog string.
 
-    With *share_wires* every multiply-referenced subexpression is
+    Every multiply-referenced subexpression, and every sliced one, is
     emitted once as a named wire (``_xN``) instead of being inlined at
-    each reference — required for optimized designs, whose CSE'd
-    expression DAGs would otherwise expand exponentially into text.
-    The default (off) keeps the historical inline emission, so ``-O0``
-    output stays byte-identical.
+    each reference, so the text is linear in the netlist at every
+    optimization level.
     """
     flat = flatten(module) if module.instances else module
-    names = None
-    shared_defs = []
-    if share_wires:
-        names, shared_defs = _shared_wires(flat)
+    names, shared_defs = _shared_wires(flat)
     lines = []
     ports = ["clk"]
     ports += [_vname(s.name) for s in flat.inputs]
@@ -163,27 +146,27 @@ def emit_verilog(module, share_wires=False):
 
     if shared_defs:
         lines.append("")
-        lines.append("  // shared subexpressions (CSE)")
+        lines.append("  // shared and sliced subexpressions")
         for name, width, node in shared_defs:
             lines.append("  wire %s%s;" % (_range(width), name))
             lines.append("  assign %s = %s;" % (
-                name, _emit_node(node, names)))
+                name, _emit(node, names, define=True)))
 
     lines.append("")
     for target, expr in flat.comb_assigns.items():
         lines.append("  assign %s = %s;" % (
-            _vname(target.name), _emit_expr(expr, names)))
+            _vname(target.name), _emit(expr, names)))
 
     if flat.sync_assigns or flat.mem_writes:
         lines.append("")
         lines.append("  always @(posedge clk) begin")
         for target, expr in flat.sync_assigns.items():
             lines.append("    %s <= %s;" % (
-                _vname(target.name), _emit_expr(expr, names)))
+                _vname(target.name), _emit(expr, names)))
         for mw in flat.mem_writes:
             lines.append("    if (%s) %s[%s] <= %s;" % (
-                _emit_expr(mw.enable, names), _vname(mw.memory.name),
-                _emit_expr(mw.addr, names), _emit_expr(mw.data, names)))
+                _emit(mw.enable, names), _vname(mw.memory.name),
+                _emit(mw.addr, names), _emit(mw.data, names)))
         lines.append("  end")
 
     lines.append("endmodule")

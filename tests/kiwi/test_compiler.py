@@ -86,6 +86,20 @@ def multi_result(a: "u8") -> ("u8", "u8"):
     return a + 1, a + 2
 
 
+def const_plus_mux(a: "u8") -> "u8":
+    return 0x80 + (5 if a == 1 else 3)
+
+
+def equals_wide_const(a: "u8") -> "u1":
+    if a == 300:
+        return 1
+    return 0
+
+
+def add_wide_const(a: "u4") -> "u8":
+    return a + 0x10
+
+
 class TestSemantics:
     def test_straightline(self):
         (result,), _, _ = compile_function(add_mul).run(a=3, b=4)
@@ -141,6 +155,47 @@ class TestSemantics:
             sim, memories={"buf": [1] * 16}, n=3)
         (second,), _, _ = design.run_on(sim, n=5)
         assert (first, second) == (3, 5)
+
+
+class TestConstantsWiden:
+    """A constant wider than the other operand keeps its bit length and
+    widens that side (C#'s promotion), at every level; a constant that
+    fits takes the other side's width as before."""
+
+    @pytest.mark.parametrize("level", [0, 2])
+    def test_constant_plus_narrow_mux(self, level):
+        design = compile_function(const_plus_mux, opt_level=level)
+        assert design.run(a=1)[0] == (133,)
+        assert design.run(a=2)[0] == (131,)
+
+    @pytest.mark.parametrize("level", [0, 2])
+    def test_compare_against_wider_constant(self, level):
+        design = compile_function(equals_wide_const, opt_level=level)
+        assert [design.run(a=a)[0][0] for a in (44, 255, 0)] == [0, 0, 0]
+
+    @pytest.mark.parametrize("level", [0, 2])
+    def test_add_wider_constant(self, level):
+        design = compile_function(add_wide_const, opt_level=level)
+        assert design.run(a=1)[0] == (17,)
+        assert design.run(a=15)[0] == (31,)
+
+    @pytest.mark.parametrize("level", [0, 2])
+    def test_dns_reply_sets_qr_on_hit_and_miss(self, level):
+        from repro.harness.optimization import SERVICE_KERNELS
+        case = next(c for c in SERVICE_KERNELS if c.name == "DNS")
+        tag = 0                 # the kernel's tag of the query's name
+        for i, c in enumerate(bytes(case.memories["frame"][54:60])):
+            tag ^= c << 8 * (i & 3)
+        design = compile_function(case.kernel, opt_level=level)
+        for hit in (1, 0):
+            tables = {"tags": [tag] * 64, "addrs": [0x0A000063] * 64,
+                      "tvalid": [hit] * 64}
+            (ports,), _, sim = design.run(
+                memories={"frame": case.memories["frame"], **tables},
+                **case.scalars)
+            assert ports == 1
+            assert sim.peek_memory("frame", 44) == (0x80 if hit else 0x83)
+            assert sim.peek_memory("frame", 49) == hit
 
 
 class TestScheduling:

@@ -280,12 +280,14 @@ class TestPipeline:
             assert sim0.peek_memory("buf", addr) == \
                 sim2.peek_memory("buf", addr)
 
-    def test_optimized_verilog_uses_shared_wires(self):
+    def test_cse_shows_in_verilog(self):
+        """``-O0`` builds ``a + b`` three times and emits it three
+        times; CSE leaves one node, emitted once as its ``_xN`` wire."""
         unopt = compile_function(repeated_subexpr, opt_level=0).verilog()
         opt = compile_function(repeated_subexpr, opt_level=1).verilog()
-        assert "// shared subexpressions (CSE)" not in unopt
-        assert "// shared subexpressions (CSE)" in opt
-        assert "_x0" in opt
+        assert unopt.count("(v_a + v_b)") == 3
+        assert opt.count("(v_a + v_b)") == 1
+        assert "assign _x0 = (v_a + v_b);" in opt
 
     def test_verify_flag_runs_cosimulation(self):
         report = check(chain, [Interpreter(0), Interpreter(2)],
