@@ -12,11 +12,10 @@ import ast
 
 from repro.errors import CompileError, ScheduleError
 from repro.kiwi.frontend import (
-    DEFAULT_WIDTH, MemSpec, ScalarSpec, body_contains_barrier,
+    DEFAULT_WIDTH, MemSpec, ScalarSpec, _annotation_text,
+    body_contains_barrier, parse_spec,
 )
 from repro.kiwi.fsm import Branch, Fsm, Goto
-
-
 from repro.rtl.expr import BinOp, Concat, Const, Expr, MemRead, Mux, Slice, \
     UnOp
 
@@ -32,26 +31,36 @@ _COMPARES = {
 }
 
 
+class _Negative(Const):
+    """A negated literal: two's complement at its own width."""
+    __slots__ = ()
+
+
+def _signed(const):
+    """A constant's Python value: negative for a negated literal."""
+    return const.value - (isinstance(const, _Negative) << const.width)
+
+
 def zext(expr, width):
-    """Zero-extend or truncate *expr* to *width*."""
+    """Truncate or zero-extend to *width*; a negative literal sign-extends."""
     if expr.width == width:
         return expr
     if expr.width > width:
         return Slice(expr, width - 1, 0)
     if isinstance(expr, Const):
-        return Const(expr.value, width)
+        return Const(_signed(expr), width)
     return Concat([Const(0, width - expr.width), expr])
 
 
 def match_widths(lhs, rhs):
-    """Make two expressions the same width by zero-extension.  A
-    constant takes the other side's width when its value fits and
-    otherwise keeps its own bit length, widening the other side (C#'s
-    promotion): a constant is never truncated."""
+    """Make two expressions the same width by extension.  A constant
+    takes the other side's width when it fits and otherwise keeps its
+    own bit length, widening the other side (C#'s promotion): it is
+    never truncated, and a negative literal is sign-extended."""
     if isinstance(lhs, Const) and not isinstance(rhs, Const):
-        lhs = Const(lhs.value, max(rhs.width, lhs.value.bit_length()))
+        lhs = Const(_signed(lhs), max(rhs.width, lhs.value.bit_length()))
     elif isinstance(rhs, Const) and not isinstance(lhs, Const):
-        rhs = Const(rhs.value, max(lhs.width, rhs.value.bit_length()))
+        rhs = Const(_signed(rhs), max(lhs.width, rhs.value.bit_length()))
     width = max(lhs.width, rhs.width)
     return zext(lhs, width), zext(rhs, width)
 
@@ -223,7 +232,6 @@ class FsmBuilder:
         if isinstance(stmt, ast.AnnAssign):
             if not isinstance(stmt.target, ast.Name):
                 raise CompileError("annotated assign needs a name", stmt)
-            from repro.kiwi.frontend import parse_spec, _annotation_text
             spec = parse_spec(_annotation_text(stmt.annotation))
             if not isinstance(spec, ScalarSpec):
                 raise CompileError("locals must be scalars", stmt)
@@ -418,10 +426,8 @@ class FsmBuilder:
         if isinstance(node, ast.Constant):
             if isinstance(node.value, bool):
                 return Const(int(node.value), 1)
-            if isinstance(node.value, int):
-                width = max(1, node.value.bit_length()) \
-                    if node.value >= 0 else DEFAULT_WIDTH
-                return Const(node.value, max(width, 1))
+            if isinstance(node.value, int):     # never negative: see USub
+                return Const(node.value, max(1, node.value.bit_length()))
             raise CompileError("unsupported constant %r" % (node.value,),
                                node)
         if isinstance(node, ast.Name):
@@ -450,6 +456,9 @@ class FsmBuilder:
                 raise CompileError("unsupported comparison", node)
             lhs = self._eval(node.left)
             rhs = self._eval(node.comparators[0])
+            if isinstance(lhs, _Negative) or isinstance(rhs, _Negative):
+                raise CompileError("comparison with a negative literal "
+                                   "(kernel values are unsigned)", node)
             lhs, rhs = match_widths(lhs, rhs)
             return BinOp(op, lhs, rhs, result_width=1)
         if isinstance(node, ast.BoolOp):
@@ -465,6 +474,9 @@ class FsmBuilder:
                 return UnOp("~", self._eval(node.operand))
             if isinstance(node.op, ast.USub):
                 operand = self._eval(node.operand)
+                if type(operand) is Const and operand.value:   # a literal
+                    return _Negative(-operand.value,
+                                     (operand.value - 1).bit_length() + 1)
                 return BinOp("-", Const(0, operand.width), operand)
             raise CompileError("unsupported unary operator", node)
         if isinstance(node, ast.IfExp):
@@ -525,7 +537,7 @@ class VarRef(Expr):
     def _key(self):
         return ("var", self.name, self.width)
 
-    def __repr__(self):
+    def _text(self):
         return "var:%s<%d>" % (self.name, self.width)
 
 
@@ -548,8 +560,8 @@ class MemReadRef(Expr):
     def _clone_with(self, children):
         return MemReadRef(self.mem_name, children[0], self.width)
 
-    def __repr__(self):
-        return "mem:%s[%r]" % (self.mem_name, self.addr)
+    def _text(self, addr):
+        return "mem:%s[%s]" % (self.mem_name, addr)
 
 
 def _subscript_index(node):

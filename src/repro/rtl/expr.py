@@ -41,13 +41,23 @@ class Key:
                 and self.parts == other.parts)
 
     def __repr__(self):
-        return "Key%r" % (self.parts,)
+        """One level: a child key shows as its hash, not as its tree."""
+        return "Key(%s)" % ", ".join(
+            "#%08x" % (p._hash & 0xFFFFFFFF) if isinstance(p, Key)
+            else repr(p) for p in self.parts)
 
 
 class Expr:
     """Base class for all combinational expressions."""
 
     width = None  # set by subclasses
+
+    def __repr__(self):
+        """The emitter's text: ``_xN = ...`` lines, then the root."""
+        from repro.rtl.verilog import _emit, _shared_wires  # import cycle
+        names, defs = _shared_wires([self])
+        return "\n".join(["%s = %s" % (name, _emit(node, names, True))
+                          for name, _, node in defs] + [_emit(self, names)])
 
     # -- operator sugar --------------------------------------------------
 
@@ -152,9 +162,6 @@ class Const(Expr):
     def _key(self):
         return ("const", self.width, self.value)
 
-    def __repr__(self):
-        return "%d'd%d" % (self.width, self.value)
-
 
 class BinOp(Expr):
     """Binary operator; comparisons produce 1-bit results."""
@@ -189,9 +196,6 @@ class BinOp(Expr):
     def _key(self):
         return ("bin", self.op, self.width, self.lhs.key(), self.rhs.key())
 
-    def __repr__(self):
-        return "(%r %s %r)" % (self.lhs, self.op, self.rhs)
-
 
 class UnOp(Expr):
     """Unary operator: bitwise not, reductions."""
@@ -210,9 +214,6 @@ class UnOp(Expr):
 
     def _key(self):
         return ("un", self.op, self.width, self.operand.key())
-
-    def __repr__(self):
-        return "(%s %r)" % (self.op, self.operand)
 
 
 class Mux(Expr):
@@ -238,9 +239,6 @@ class Mux(Expr):
         return ("mux", self.width, self.sel.key(), self.if_true.key(),
                 self.if_false.key())
 
-    def __repr__(self):
-        return "(%r ? %r : %r)" % (self.sel, self.if_true, self.if_false)
-
 
 class Slice(Expr):
     """Bit extraction ``expr[msb:lsb]`` (inclusive, Verilog style)."""
@@ -264,9 +262,6 @@ class Slice(Expr):
     def _key(self):
         return ("slice", self.msb, self.lsb, self.operand.key())
 
-    def __repr__(self):
-        return "%r[%d:%d]" % (self.operand, self.msb, self.lsb)
-
 
 class Concat(Expr):
     """Bit concatenation ``{a, b, ...}``; first part is most significant."""
@@ -286,9 +281,6 @@ class Concat(Expr):
     def _key(self):
         return ("cat",) + tuple(p.key() for p in self.parts)
 
-    def __repr__(self):
-        return "{%s}" % ", ".join(repr(p) for p in self.parts)
-
 
 class MemRead(Expr):
     """Asynchronous (combinational) memory read port."""
@@ -307,9 +299,6 @@ class MemRead(Expr):
         # Memories are unique objects (never structurally merged), so
         # identity is the right notion of "same memory".
         return ("memread", self.memory, self.addr.key())
-
-    def __repr__(self):
-        return "%s[%r]" % (self.memory.name, self.addr)
 
 
 # -- convenience constructors ---------------------------------------------

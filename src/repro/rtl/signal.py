@@ -38,6 +38,3 @@ class Signal(Expr):
         # A signal is a physical net: identity, not structure.  Two
         # same-named signals in different modules are different wires.
         return ("sig", self)
-
-    def __repr__(self):
-        return "%s<%d>" % (self.name, self.width)

@@ -2,10 +2,12 @@
 
 The paper's pipeline ends in Verilog consumed by Xilinx Vivado.  We emit
 equivalent structural Verilog-2001 from the netlist IR so the workflow is
-complete end-to-end.  The text is linear in the netlist and every
-part-select applies to a name; ``tests/verilog_reader.py`` reads it back
-under Verilog-2001's width rules, and its ``Verilog`` leg of
-:mod:`repro.verify` runs it against the interpreted netlist.
+complete end-to-end.  The text is linear in the netlist, every
+part-select applies to a name, and an ``initial`` block carries the
+power-on state; ``tests/verilog_reader.py`` reads it back under
+Verilog-2001's width rules, and its ``Verilog`` leg of
+:mod:`repro.verify` runs it against the interpreted netlist.  ``repr``
+of an expression is this printer too.
 """
 
 from repro.rtl.expr import BinOp, Concat, Const, MemRead, Mux, Slice, UnOp
@@ -50,7 +52,8 @@ def _emit(expr, names, define=False):
     if isinstance(expr, MemRead):
         return "%s[%s]" % (_vname(expr.memory.name),
                            _emit(expr.addr, names))
-    raise TypeError("cannot emit %r" % (expr,))
+    # A builder-level node (``VarRef``, ``MemReadRef``) renders itself.
+    return expr._text(*[_emit(child, names) for child in expr.children()])
 
 
 def _expr_roots(module):
@@ -62,8 +65,8 @@ def _expr_roots(module):
     return roots
 
 
-def _shared_wires(module):
-    """(names, defs): a wire name per node that must be named.
+def _shared_wires(roots):
+    """(names, defs): a wire name per node under *roots* that needs one.
 
     Expressions are DAGs (the optimizer's CSE pass makes the sharing
     heavy); inlining a shared node at every reference expands the DAG
@@ -91,7 +94,7 @@ def _shared_wires(module):
             walk(child, 1 + (sliced and not isinstance(child, MemRead)))
         order.append(node)
 
-    for root in _expr_roots(module):
+    for root in roots:
         walk(root, 1)
 
     names = {}
@@ -109,6 +112,20 @@ def _range(width):
     return "" if width == 1 else "[%d:0] " % (width - 1)
 
 
+def _initial(flat):
+    """One ``initial`` block for the power-on state that is not zero:
+    each reg with a non-zero ``init``, and every word of a memory that
+    has a non-zero word."""
+    lines = ["    %s = %d'd%d;" % (_vname(sig.name), sig.width, sig.init)
+             for sig in flat.signals.values()
+             if sig.kind == "reg" and sig.init]
+    for mem in filter(lambda mem: any(mem.init), flat.memories.values()):
+        lines += ["    %s[%d] = %d'd%d;" % (_vname(mem.name), addr,
+                                             mem.width, word)
+                  for addr, word in enumerate(mem.init)]
+    return ["", "  initial begin"] + lines + ["  end"] if lines else []
+
+
 def emit_verilog(module):
     """Render *module* (flattened) as a structural Verilog string.
 
@@ -118,15 +135,10 @@ def emit_verilog(module):
     optimization level.
     """
     flat = flatten(module) if module.instances else module
-    names, shared_defs = _shared_wires(flat)
-    lines = []
-    ports = ["clk"]
-    ports += [_vname(s.name) for s in flat.inputs]
-    ports += [_vname(s.name) for s in flat.outputs]
-    lines.append("module %s (" % _vname(flat.name))
-    lines.append("  " + ",\n  ".join(ports))
-    lines.append(");")
-    lines.append("  input clk;")
+    names, shared_defs = _shared_wires(_expr_roots(flat))
+    ports = ["clk"] + [_vname(s.name) for s in flat.inputs + flat.outputs]
+    lines = ["module %s (" % _vname(flat.name), "  " + ",\n  ".join(ports),
+             ");", "  input clk;"]
 
     output_names = {s.name for s in flat.outputs}
     for sig in flat.inputs:
@@ -143,10 +155,10 @@ def emit_verilog(module):
         addr_bits = max(1, (mem.depth - 1).bit_length())
         lines.append("  reg %s%s [0:%d]; // %d-bit addr" % (
             _range(mem.width), _vname(mem.name), mem.depth - 1, addr_bits))
+    lines += _initial(flat)
 
     if shared_defs:
-        lines.append("")
-        lines.append("  // shared and sliced subexpressions")
+        lines += ["", "  // shared and sliced subexpressions"]
         for name, width, node in shared_defs:
             lines.append("  wire %s%s;" % (_range(width), name))
             lines.append("  assign %s = %s;" % (
@@ -158,8 +170,7 @@ def emit_verilog(module):
             _vname(target.name), _emit(expr, names)))
 
     if flat.sync_assigns or flat.mem_writes:
-        lines.append("")
-        lines.append("  always @(posedge clk) begin")
+        lines += ["", "  always @(posedge clk) begin"]
         for target, expr in flat.sync_assigns.items():
             lines.append("    %s <= %s;" % (
                 _vname(target.name), _emit(expr, names)))

@@ -39,3 +39,56 @@ def echo_request(macs, ips):
     return Frame(build_icmp_echo_request(
         macs["service"], macs["client"], ips["client"], ips["service"]),
         src_port=1).pad()
+
+
+class Lockstep:
+    """``Simulator(netlist)`` and a simulator of ``emit_verilog(netlist)``
+    read back by ``tests/verilog_reader.py``, driven together: every
+    call (``poke``, ``step``, ``peek``, ``peek_memory``, ...) goes to
+    both, and what the two return must agree."""
+
+    def __init__(self, netlist):
+        from repro.rtl import Simulator, verilog
+        from verilog_reader import read_verilog
+        self.sims = (Simulator(netlist),
+                     Simulator(read_verilog(verilog.emit_verilog(netlist))))
+
+    def local(self, sim, item):
+        """*item* (a signal, or a signal or memory name) as *sim* knows
+        it: the text writes a hierarchical ``a.b`` as ``a__b``."""
+        item = getattr(item, "name", item)
+        if isinstance(item, str) and sim is self.sims[1]:
+            return item.replace(".", "__")
+        return item
+
+    def __getattr__(self, method):
+        def both(*args):
+            answers = [getattr(sim, method)(*[self.local(sim, a)
+                                              for a in args])
+                       for sim in self.sims]
+            assert answers[0] == answers[1], (method, args, answers)
+            return answers[0]
+        return both
+
+    @property
+    def _values(self):
+        """The register backdoor: a write lands on both sides."""
+        return _Backdoor(self)
+
+
+class _Backdoor:
+    def __init__(self, lockstep):
+        self.lockstep = lockstep
+
+    def __setitem__(self, signal, value):
+        for sim in self.lockstep.sims:
+            name = self.lockstep.local(sim, signal)
+            sim._values[sim.module.signals[name]] = value
+
+
+@pytest.fixture(scope="session")
+def simulators():
+    """``simulators(netlist)``: the netlist and its Verilog text read
+    back, in :class:`Lockstep`.  Session-scoped, so ``@given`` tests
+    may take it."""
+    return Lockstep

@@ -1,5 +1,7 @@
 """The direction subsystem: commands, CASP, controller, packets."""
 
+import random
+
 import pytest
 
 from repro.direction import (
@@ -12,6 +14,8 @@ from repro.direction.packets import KIND_COMMAND, KIND_REPLY, \
 from repro.errors import DirectionError
 from repro.net.packet import Frame, ip_to_int, mac_to_int
 from repro.services import IcmpEchoService
+
+SEED = "direction-1"
 
 
 class TestCommandParsing:
@@ -188,6 +192,23 @@ class TestController:
         full = estimate_resources(Controller(
             features=("read", "write", "increment")).build_netlist())
         assert full.logic > read_only.logic
+
+    def test_netlist_and_its_verilog_agree_every_cycle(self, simulators):
+        """A seeded ``point_hit``/``var_in`` drive: the netlist and its
+        Verilog text agree on ``var_out`` and ``stopped`` after every
+        edge, and ``var_out`` is the value captured at the last hit."""
+        rng = random.Random("%s/controller" % SEED)
+        sim = simulators(Controller(
+            features=("read", "write", "increment")).build_netlist())
+        captured = 0
+        for _ in range(200):
+            hit, value = rng.random() < 0.3, rng.randrange(1 << 32)
+            sim.poke("point_hit", hit)
+            sim.poke("var_in", value)
+            captured = value if hit else captured
+            sim.step()
+            assert (sim.peek("var_out"), sim.peek("stopped")) == \
+                (captured, 0)
 
 
 class TestDirectionPackets:

@@ -5,7 +5,6 @@ from hypothesis import given, settings, strategies as st
 
 from repro.errors import ProtocolError, WidthError
 from repro.ip.cam import BinaryCAM, CamHandshake, RegisterCAM
-from repro.rtl import Simulator
 
 
 class TestBehavioural:
@@ -57,9 +56,13 @@ class TestBehavioural:
 
 
 class TestNetlist:
+    @pytest.fixture(autouse=True)
+    def bind(self, simulators):
+        self.simulators = simulators
+
     def make_sim(self, depth=8):
         cam = BinaryCAM(16, 8, depth)
-        return Simulator(cam.build_netlist())
+        return self.simulators(cam.build_netlist())
 
     def test_miss_by_default(self):
         sim = self.make_sim()
@@ -107,10 +110,10 @@ class TestNetlist:
 @settings(max_examples=25, deadline=None)
 @given(st.lists(st.tuples(st.integers(0, 255), st.integers(0, 255)),
                 min_size=1, max_size=12))
-def test_property_model_vs_netlist(writes):
+def test_property_model_vs_netlist(simulators, writes):
     """The behavioural model and the netlist stay in lock-step."""
     model = BinaryCAM(8, 8, 8)
-    sim = Simulator(BinaryCAM(8, 8, 8).build_netlist())
+    sim = simulators(BinaryCAM(8, 8, 8).build_netlist())
     for key, value in writes:
         model.write(key, value)
         sim.poke("write_en", 1)
@@ -133,9 +136,9 @@ class TestRegisterCam:
         cam.write(0xFEED, 9)
         assert cam.lookup(0xFEED) == 9
 
-    def test_netlist_lookup(self):
+    def test_netlist_lookup(self, simulators):
         cam = RegisterCAM(16, 8, 4)
-        sim = Simulator(cam.build_netlist())
+        sim = simulators(cam.build_netlist())
         sim.poke("write_en", 1)
         sim.poke("write_slot", 2)
         sim.poke("write_key", 0xBEEF)

@@ -1,4 +1,6 @@
-"""FIFO, BRAM/DRAM and TCAM blocks."""
+"""FIFO, BRAM/DRAM, TCAM and NaughtyQ blocks."""
+
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,7 +10,8 @@ from repro.ip.bram import BlockRAM, DramModel
 from repro.ip.fifo import SyncFIFO
 from repro.ip.naughtyq import NaughtyQ
 from repro.ip.tcam import TernaryCAM
-from repro.rtl import Simulator
+
+SEED = "ip-blocks-1"
 
 
 class TestFifoBehavioural:
@@ -42,8 +45,12 @@ class TestFifoBehavioural:
 
 
 class TestFifoNetlist:
+    @pytest.fixture(autouse=True)
+    def bind(self, simulators):
+        self.simulators = simulators
+
     def run_ops(self, ops, depth=4):
-        sim = Simulator(SyncFIFO(8, depth).build_netlist())
+        sim = self.simulators(SyncFIFO(8, depth).build_netlist())
         popped = []
         for op, value in ops:
             if op == "push":
@@ -78,9 +85,9 @@ class TestFifoNetlist:
     @settings(max_examples=25, deadline=None)
     @given(st.lists(st.sampled_from(["push", "pop"]), max_size=20),
            st.data())
-    def test_property_matches_model(self, ops, data):
+    def test_property_matches_model(self, simulators, ops, data):
         model = SyncFIFO(8, 4)
-        sim = Simulator(SyncFIFO(8, 4).build_netlist())
+        sim = simulators(SyncFIFO(8, 4).build_netlist())
         for op in ops:
             if op == "push":
                 value = data.draw(st.integers(0, 255))
@@ -117,8 +124,8 @@ class TestBram:
         ram.load([1, 2, 3], base=2)
         assert [ram.read(i) for i in range(2, 5)] == [1, 2, 3]
 
-    def test_netlist_read_latency_one_cycle(self):
-        sim = Simulator(BlockRAM(8, 16).build_netlist())
+    def test_netlist_read_latency_one_cycle(self, simulators):
+        sim = simulators(BlockRAM(8, 16).build_netlist())
         sim.poke("write_en", 1)
         sim.poke("write_addr", 3)
         sim.poke("write_data", 0x77)
@@ -169,11 +176,11 @@ class TestTcam:
         tcam.lookup(5)
         assert not tcam.matched
 
-    def test_netlist_matches_model(self):
+    def test_netlist_matches_model(self, simulators):
         tcam = TernaryCAM(16, 4, 4)
         tcam.write(0, 0xAB00, 0xFF00, 3)
         netlist = tcam.build_netlist()
-        sim = Simulator(netlist)
+        sim = simulators(netlist)
         # Program the netlist cells through the backdoor-equivalent regs.
         sim._values[netlist.signals["key_0"]] = 0xAB00
         sim._values[netlist.signals["mask_0"]] = 0xFF00
@@ -210,3 +217,31 @@ class TestNaughtyQ:
         a = q.enlist(1)
         q.enlist(2)
         assert q.lru_slot() == a
+
+    def test_netlist_holds_what_the_model_stores(self, simulators):
+        """The netlist is the queue's storage (its pointer logic is a
+        black box for the resource model): every value the model
+        enlists, updates or releases, written through the memory
+        backdoor, is still there after each clock edge, read back the
+        same from the netlist and from its Verilog text."""
+        rng = random.Random("%s/naughtyq" % SEED)
+        model = NaughtyQ(16, 4)
+        sim = simulators(model.build_netlist())
+        for _ in range(64):
+            op = rng.choice(["enlist", "update", "release", "read"])
+            slot = rng.randrange(model.depth)
+            if op == "enlist":
+                slot = model.enlist(rng.randrange(1 << 16))
+            elif op == "update":
+                model.update(slot, rng.randrange(1 << 16))
+            elif op == "release":
+                model.release(slot)
+            else:
+                assert sim.peek_memory("values", slot) == model.read(slot)
+                continue
+            sim.poke_memory("values", slot, model.read(slot))
+            sim.step()
+        assert [sim.peek_memory("values", i) for i in range(model.depth)] \
+            == [model.read(i) for i in range(model.depth)]
+        assert (sim.peek("head"), sim.peek("tail"), sim.peek("count")) \
+            == (0, 0, 0)

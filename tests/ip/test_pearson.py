@@ -8,7 +8,6 @@ from repro.errors import ProtocolError
 from repro.ip.pearson import (
     PEARSON_TABLE, PearsonHash, pearson_hash, pearson_hash_wide,
 )
-from repro.rtl import Simulator
 
 
 class TestFunction:
@@ -73,9 +72,9 @@ class TestWrapper:
 
 
 class TestNetlist:
-    def test_netlist_digest_matches_reference(self):
+    def test_netlist_digest_matches_reference(self, simulators):
         core = PearsonHash()
-        sim = Simulator(core.build_netlist())
+        sim = simulators(core.build_netlist())
         for byte in b"net":
             sim.poke("data_in", byte)
             sim.poke("init_hash_enable", 1)

@@ -100,6 +100,32 @@ def add_wide_const(a: "u4") -> "u8":
     return a + 0x10
 
 
+def add_minus_one(a: "u8") -> "u8":
+    return a + -1
+
+
+def sub_minus_three(a: "u8") -> "u8":
+    return a - -3
+
+
+def minus_one_and(a: "u8") -> "u8":
+    return (-1) & a
+
+
+def equals_minus_one(a: "u8") -> "u1":
+    if a == -1:
+        return 1
+    return 0
+
+
+def return_minus_one(a: "u8") -> "u16":
+    return -1
+
+
+def negate(a: "u8") -> "u8":
+    return -a
+
+
 class TestSemantics:
     def test_straightline(self):
         (result,), _, _ = compile_function(add_mul).run(a=3, b=4)
@@ -196,6 +222,29 @@ class TestConstantsWiden:
             assert ports == 1
             assert sim.peek_memory("frame", 44) == (0x80 if hit else 0x83)
             assert sim.peek_memory("frame", 49) == hit
+
+
+class TestNegativeLiterals:
+    """A negated literal is a constant in two's complement at the
+    joined width, so stored results are Python's; comparing with one
+    is refused (kernel values are unsigned); ``-x`` keeps ``x``'s
+    width."""
+
+    @pytest.mark.parametrize("level", [0, 2])
+    @pytest.mark.parametrize("kernel, runs", [
+        pytest.param(add_minus_one, {5: 4, 0: 255}, id="a + -1"),
+        pytest.param(sub_minus_three, {5: 8, 254: 1}, id="a - -3"),
+        pytest.param(minus_one_and, {5: 5, 255: 255}, id="(-1) & a"),
+        pytest.param(return_minus_one, {5: 0xFFFF}, id="return -1"),
+        pytest.param(negate, {1: 255, 0: 0}, id="-a"),
+    ])
+    def test_stored_result_is_pythons(self, kernel, runs, level):
+        design = compile_function(kernel, opt_level=level)
+        assert {a: design.run(a=a)[0][0] for a in runs} == runs
+
+    def test_compare_with_negative_literal_is_refused(self):
+        with pytest.raises(CompileError, match="negative literal"):
+            compile_function(equals_minus_one)
 
 
 class TestScheduling:

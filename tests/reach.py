@@ -81,7 +81,7 @@ REASONS = {
     "kernel": "a service kernel: the Kiwi frontend compiles its "
               "source and never calls it",
     "roadmap": "a named open ROADMAP item is its caller",
-    "repr": "a __repr__",
+    "repr": "a __repr__, or a builder-level node's text for one",
 }
 
 #: ``(path glob, qualname glob, reason)``; the first match wins.  Paths
@@ -89,6 +89,7 @@ REASONS = {
 #: product does not run.
 RULES = [
     ("*", "*__repr__", "repr"),
+    ("kiwi/builder.py", "*._text", "repr"),
     ("services/*", "*_kernel", "kernel"),
     ("harness/ablations.py", "pause_density_vs_timing.<locals>.*",
      "kernel"),

@@ -1,4 +1,4 @@
-"""Verilog emission (workflow step B1)."""
+"""Verilog emission (workflow step B1), and ``repr`` as its printer."""
 
 from repro.rtl import Module, const, emit_verilog, mux
 
@@ -61,3 +61,41 @@ class TestEmission:
         text = compile_function(icmp_echo_kernel).verilog()
         assert "module icmp_echo_kernel (" in text
         assert "fsm_state" in text
+
+
+class TestPrinter:
+    """``repr`` of an expression is the emitter's linear text; gated on
+    bytes, not time."""
+
+    def test_repr_is_the_emitters_wire_lines_then_the_root(self):
+        m = Module("dag")
+        a, b = m.input("a", 8), m.input("b", 8)
+        shared = a + b
+        expr = mux(shared[0], shared * shared, shared ^ b)
+        m.comb(m.output("y", 8), expr)
+        lines = emit_verilog(m).splitlines()
+        wires = [line[len("  assign "):-1] for line in lines
+                 if line.startswith("  assign _x")]
+        root = next(line for line in lines if line.startswith("  assign y"))
+        assert wires == ["_x0 = (a + b)"]
+        assert repr(expr).splitlines() == \
+            wires + [root[len("  assign y = "):-1]]
+
+    def test_builder_level_nodes_print_their_own_text(self):
+        from repro.kiwi.builder import MemReadRef, VarRef
+        addr = VarRef("x", 8) + 1
+        read = MemReadRef("frame", addr, 8)
+        assert repr(read ^ addr) == \
+            "_x0 = (var:x<8> + 8'd1)\n(mem:frame[_x0] ^ _x0)"
+
+    def test_dns_o0_next_state_prints_linear(self):
+        """The DNS kernel's ``-O0`` next-state of ``t3`` printed as a
+        tree was 15 MB; a key printed its whole tree too."""
+        from repro.harness.optimization import SERVICE_KERNELS
+        from repro.kiwi import compile_function
+        dns = next(case for case in SERVICE_KERNELS if case.name == "DNS")
+        module = compile_function(dns.kernel, opt_level=0).module
+        expr = next(expr for reg, expr in module.sync_assigns.items()
+                    if reg.name == "v_t3")
+        assert len(repr(expr)) <= 64 * 1024
+        assert len(repr(expr.key())) <= 1024

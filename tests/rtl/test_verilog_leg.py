@@ -3,7 +3,8 @@
 ``tests/verilog_reader.py`` reads the text back under Verilog-2001's
 width rules; its ``Verilog`` leg runs it against the interpreted
 netlist on every service kernel at every level, and catches three
-planted emitter bugs.
+planted emitter bugs; the ``simulators`` fixture catches a fourth, an
+emitter that drops the ``initial`` block.
 """
 
 import re
@@ -11,6 +12,7 @@ import re
 import pytest
 
 from repro.harness.optimization import SERVICE_KERNELS
+from repro.ip.pearson import PearsonHash, pearson_hash
 from repro.kiwi import compile_function
 from repro.rtl import Concat, Const, Mux, Simulator, Slice, verilog
 from repro.verify import Interpreter, check, job_streams
@@ -100,6 +102,42 @@ def test_reader_rejects_what_the_emitter_never_writes(rhs):
         read_verilog(text)
 
 
+INITIAL = """module t (
+  clk,
+  a,
+  y
+);
+  input clk;
+  input [3:0] a;
+  output wire [3:0] y;
+  reg [3:0] r;
+  reg [3:0] t__m [0:1]; // 1-bit addr
+%s
+  assign y = (r + t__m[1'd0]);
+%s
+endmodule
+"""
+
+INIT = "  initial begin\n    r = 4'd3;\n    t__m[0] = 4'd9;\n  end"
+ALWAYS = "  always @(posedge clk) begin\n    r <= a;\n%s  end"
+
+
+def test_reader_reads_one_initial_block_of_constants():
+    sim = Simulator(read_verilog(INITIAL % (INIT, ALWAYS % "")))
+    assert sim.peek("y") == 12
+
+
+@pytest.mark.parametrize("before, after", [
+    (INIT + "\n" + INIT, ALWAYS % ""),                     # a second block
+    ("", ALWAYS % INIT.replace("  initial", "    initial")),  # in always
+    (INIT.replace("4'd3", "a"), ALWAYS % ""),               # not a constant
+    (INIT.replace("t__m[0]", "t__m[2]"), ALWAYS % ""),      # out of range
+])
+def test_reader_rejects_initial_outside_its_subset(before, after):
+    with pytest.raises(VerilogError):
+        read_verilog(INITIAL % (before, after))
+
+
 # -- planted emitter bugs -----------------------------------------------------
 
 def _plant(monkeypatch, rewrite):
@@ -143,3 +181,15 @@ def test_dropped_zero_extension_is_caught(monkeypatch):
            else e)
     for level in LEVELS:
         assert _caught(wrapping_sum, level).what == "result[0]"
+
+
+def test_dropped_initial_block_is_caught(monkeypatch, simulators):
+    """Without ``initial`` the Pearson table reads back all zero."""
+    monkeypatch.setattr(verilog, "_initial", lambda flat: [])
+    sim = simulators(PearsonHash().build_netlist())
+    sim.poke("data_in", 7)
+    sim.poke("init_hash_enable", 1)
+    sim.step()
+    with pytest.raises(AssertionError, match="245, 0"):
+        sim.peek("digest")
+    assert pearson_hash(b"\x07") == 245

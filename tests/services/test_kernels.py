@@ -52,10 +52,9 @@ class TestSwitchKernel:
             src_port=0, dst_hit=1, dst_port=1, src_hit=1)
         assert latency + 2 + 1 == 8
 
-    def test_full_core_with_cam_learns(self):
-        from repro.rtl import Simulator
+    def test_full_core_with_cam_learns(self, simulators):
         design, top = build_emu_switch_core()
-        sim = Simulator(top)
+        sim = simulators(top)
 
         def run_packet(dst_mac, src_mac, src_port):
             # CAM searches dst first; the kernel latches its results.

@@ -2,9 +2,11 @@
 
 The reader accepts exactly the subset the emitter writes — the module
 header, ``input``/``output wire``/``wire``/``reg`` declarations,
-memories, ``assign``, and one ``always @(posedge clk)`` block of
-non-blocking assigns and ``if (en) mem[addr] <= data;`` — and rejects
-anything else, part-selects of expressions or constants included.
+memories, ``assign``, one ``initial begin ... end`` block of constant
+``reg = K;`` and ``mem[N] = K;`` assigns, and one ``always @(posedge
+clk)`` block of non-blocking assigns and ``if (en) mem[addr] <= data;``
+— and rejects anything else, part-selects of expressions or constants
+included.
 
 It applies Verilog-2001's width rules (IEEE 1364-2001 §4.4), not the
 IR's: every value is unsigned; operands of ``+ - * / % & | ^ ~``,
@@ -17,9 +19,8 @@ emitter that relies on a width the text does not state reads back as
 a different circuit.
 
 It runs on ``rtl.Simulator`` and inherits its gaps: a memory read out
-of range and ``/``/``%`` by zero give 0, where Verilog gives x; and
-registers and memories power on at 0 (the text states no initial
-values).  ``Verilog(level)`` is the ``repro.verify`` leg that runs it.
+of range and ``/``/``%`` by zero give 0, where Verilog gives x.
+``Verilog(level)`` is the ``repro.verify`` leg that runs it.
 """
 
 import re
@@ -165,7 +166,8 @@ class _Reader:
         self.take("(")
         ports = self.listed(self.word, ")")
         self.expect(";", "input", "clk", ";")
-        keywords = ["input", "output", "wire", "reg", "assign", "always"]
+        keywords = ["input", "output", "wire", "reg", "assign", "always",
+                    "initial"]
         while not self.accept("endmodule"):
             keyword = self.take(*keywords)
             if keyword == "assign":
@@ -173,9 +175,9 @@ class _Reader:
                 self.take("=")
                 module.comb(target, _fit(self.expr(), target.width))
                 self.take(";")
-            elif keyword == "always":
-                keywords.remove("always")           # one always block
-                self.read_always(module)
+            elif keyword in ("always", "initial"):
+                keywords.remove(keyword)            # one block of each
+                getattr(self, "read_" + keyword)(module)
             else:
                 self.declare(module, keyword)
         declared = ["clk"] + [sig.name for sig in module.inputs +
@@ -208,6 +210,30 @@ class _Reader:
             item = getattr(module, keyword)(name, width)
         self.take(";")
         self.names[name] = item
+
+    def read_initial(self, module):
+        self.take("begin")
+        while not self.accept("end"):
+            if isinstance(self.names.get(self.peek()), Memory):
+                memory = self.declared("memory")
+                self.take("[")
+                addr = self.number()
+                self.expect("]", "=")
+                if addr >= memory.depth:
+                    raise VerilogError("%s[%d] is out of range"
+                                       % (memory.name, addr))
+                memory.init[addr] = self.constant(memory.width)
+            else:
+                reg = self.declared("reg")
+                self.take("=")
+                reg.init = self.constant(reg.width)
+            self.take(";")
+
+    def constant(self, width):
+        node = self.expr()
+        if node[0] != "const":
+            raise VerilogError("an initial value must be a constant")
+        return node[2] & ((1 << width) - 1)
 
     def read_always(self, module):
         self.expect("@", "(", "posedge", "clk", ")", "begin")
