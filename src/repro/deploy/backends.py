@@ -107,6 +107,12 @@ class Backend:
         takes a burst)."""
         return [self.send(frame) for frame in frames]
 
+    def send_routed(self, frames, server):
+        """The outcomes of a burst :meth:`open_loop_servers`' route
+        sent, every frame of it, to *server*.  Default: the target
+        routes them itself."""
+        return self.send_batch(frames)
+
     # -- observability ------------------------------------------------------
 
     def _fpga_targets(self):
@@ -192,7 +198,7 @@ class Backend:
         """One ``(emitted, service_ns, overhead_ns)`` per frame of a
         burst, in order — the only profile call ``run_open_loop``
         makes; *server* is the index every frame was routed to
-        (``None``: route each one here).
+        (``None``: route each one here; see :meth:`send_routed`).
 
         *service_ns* is the time the request occupies its server (the
         queueing resource); *overhead_ns* is the constant wire/PHY time
@@ -201,7 +207,9 @@ class Backend:
         Backends without a timing model report zero service time (no
         queueing) and their measured latency, if any, as overhead.
         """
-        return [_profile(outcome) for outcome in self.send_batch(frames)]
+        outcomes = self.send_batch(frames) if server is None \
+            else self.send_routed(frames, server)
+        return [_profile(outcome) for outcome in outcomes]
 
     # -- models / faults ----------------------------------------------------
 
@@ -379,14 +387,12 @@ class ClusterBackend(Backend):
 
     def open_loop_servers(self):
         target = self.target
-        # Pin shard -> queue index for the whole run.  The live shard
-        # order re-sorts on membership changes, so reading it from the
-        # route closure would silently remap a surviving shard onto
-        # the *evicted* shard's queue (and trace track) mid-run —
-        # rerouted keys must land on their new owner's own queue
-        # instead.
+        # Pin shard -> queue index for the whole run: the live order
+        # re-sorts on membership changes, which would move a surviving
+        # shard onto an evicted one's queue (and trace track) mid-run.
+        self._pinned = target.shard_ids
         index_of = {shard_id: index for index, shard_id
-                    in enumerate(target.shard_ids)}
+                    in enumerate(self._pinned)}
 
         def route(frame):
             owner = target.owner_of(frame)
@@ -402,13 +408,16 @@ class ClusterBackend(Backend):
             target.policy.replicas_per_write(target.num_shards) == 0 \
             and len(target.live_shards) == target.num_shards
 
-    def open_loop_profile_batch(self, frames, server=None):
-        """With *server*, the burst runs on that shard unrouted."""
-        if server is None:
-            return super().open_loop_profile_batch(frames)
+    def send_routed(self, frames, server):
+        """The burst runs unrouted on the shard the route pinned to
+        *server* (a shard that has since crashed or left re-routes
+        each frame, as ``ClusterTarget.send_to`` does).  A shard
+        added since has no queue of its own: its keys were queued on
+        server 0, so every frame is routed again."""
         target = self.target
-        return [_profile(outcome) for outcome in
-                target.send_to(target.shard_ids[server], frames)]
+        if target.shard_ids != self._pinned:
+            return target.send_batch(frames)
+        return target.send_to(self._pinned[server], frames)
 
     def open_loop_server_names(self):
         return self.target.shard_ids

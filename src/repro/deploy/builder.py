@@ -375,21 +375,20 @@ class Deployment:
         free one) and returns the running
         :class:`~repro.serve.server.SocketServer` — drive it with
         ``python -m repro.serve.loadgen`` or any real client, then
-        call ``server.stop()``.  The observability toggles compose
-        exactly as for :meth:`run_open_loop`: :meth:`with_trace`
-        records the same admit→queue→dispatch→reply span families,
+        call ``server.stop()``.  *capacity* bounds each server's
+        queue, as :meth:`with_arrivals`' does in a simulated run.
+        The observability toggles compose exactly as for
+        :meth:`run_open_loop`: :meth:`with_trace` records the same
+        admit→queue→dispatch→reply span families,
         :meth:`with_timeseries` / :meth:`with_slo` run windowed
         metrics and burn-rate alerting over the socket traffic.
         """
         self._require_started()
         from repro.serve.server import SocketServer
-        kwargs = {}
-        if capacity is not None:
-            kwargs["capacity"] = capacity
         server = SocketServer(self, host=host, port=port,
                               transport=transport,
                               series=self._new_series(),
-                              batch=self._batch, **kwargs)
+                              capacity=capacity, batch=self._batch)
         server.start()
         self.server = server
         return server

@@ -28,13 +28,19 @@ The backend contract (see :class:`repro.deploy.backends.Backend`):
 * with a tracer, ``open_loop_server_names()`` (a track name each) and
   ``open_loop_trace_detail(frame)`` (a request's routing detail).
 
-A run is plain events on one :class:`~repro.engine.sched.Scheduler`
-heap — ``arrive`` (sample the depth, tail-drop or admit), ``start``
-(execute the request at its dequeue) and ``finish`` (account the
-completion, hand the server its next request) — next to the fault
-plan's events and the time-series tick.  ``start`` is always its own
-zero-delay event, which fixes the order inside one nanosecond: every
-completion is accounted before any server's next request executes.
+One runtime serves simulated and served time alike: :func:`runtime`
+is the only admission path (``arrive``: sample the depth, tail-drop
+or admit into the server's queue), parameterised by a clock and an
+executor.  A simulated run (:func:`run_open_loop`) is plain events on
+one :class:`~repro.engine.sched.Scheduler` heap next to the fault
+plan's and the time-series tick: ``arrive``, ``start`` (execute the
+request at its dequeue, or ahead of it when routing is fixed) and
+``finish`` (account the completion, hand the server its next
+request).  ``start`` is always its own zero-delay event: every
+completion at one nanosecond is accounted before any server's next
+request executes.  A served run (:class:`repro.serve.SocketServer`)
+stamps from the wall clock and executes at dequeue in :func:`drain`
+ticks.
 
 Determinism: one seeded ``random.Random`` drives the arrival process,
 and the scheduler breaks timestamp ties by insertion order, so a run
@@ -43,9 +49,10 @@ is a pure function of (deployment seed, arrival spec, workload).
 
 import random
 from collections import deque
-from itertools import islice
+from itertools import islice, repeat
+from operator import itemgetter
 
-from repro.errors import EngineError
+from repro.errors import EngineError, ReproError
 from repro.engine.batch import LANES
 from repro.engine.sched import Scheduler
 from repro.obs.metrics import interpolate_percentile
@@ -115,8 +122,10 @@ class ServerStats:
 class OpenLoopReport:
     """What an open-loop run observed — simulated arrivals
     (:func:`run_open_loop`) and served sockets
-    (:class:`repro.serve.SocketServer`) account a completion through
-    the same :meth:`complete`, into *tracer* too when the run has one."""
+    (:class:`repro.serve.SocketServer`, whose report has no *spec*: a
+    socket delivers its arrivals, at no modelled rate) account a
+    completion through the same :meth:`complete`, into *tracer* too
+    when the run has one."""
 
     def __init__(self, spec, duration_ns, num_servers, tracer=None):
         self.spec = spec
@@ -222,7 +231,7 @@ class OpenLoopReport:
         """A dict with a consistent shape on every backend (the
         README's "Open-loop report shape" section documents it)."""
         return {
-            "process": self.spec.process,
+            "process": "socket" if self.spec is None else self.spec.process,
             "offered_qps": self.offered_qps,
             "achieved_qps": self.achieved_qps,
             "offered": self.offered,
@@ -245,17 +254,18 @@ class OpenLoopReport:
         """An aligned table of the run (harness/CLI output)."""
         from repro.harness.report import render_table
         rows = []
-        for key, value in self.snapshot().items():
+        snapshot = self.snapshot()
+        for key, value in snapshot.items():
             if isinstance(value, float):
                 value = "%.3f" % value
             rows.append([key, "n/a" if value is None else str(value)])
-        # Socket arrivals have no modelled rate (qps == 0): the offered
-        # rate is whatever the external client sent, so omit it.
-        rate = " at %.0f qps" % self.spec.qps if self.spec.qps else ""
+        # Socket arrivals have no modelled rate: the offered rate is
+        # whatever the external client sent, so omit it.
+        rate = "" if self.spec is None else " at %.0f qps" % self.spec.qps
         return render_table(
             ["Metric", "Value"], rows,
             title="Open loop: %s arrivals%s for %.3f ms"
-                  % (self.spec.process, rate, self.duration_ns / 1e6))
+                  % (snapshot["process"], rate, self.duration_ns / 1e6))
 
     def __repr__(self):
         return ("OpenLoopReport(offered=%d, completed=%d, drops=%d, "
@@ -265,13 +275,94 @@ class OpenLoopReport:
                                 if self.latencies_ns else "n/a"))
 
 
-def bind_tracer(tracer, clock, backend):
-    """Stamp *tracer* from *clock* and name one track per server;
-    returns the backend's per-request trace-detail hook."""
-    tracer.bind_clock(clock)
-    for index, name in enumerate(backend.open_loop_server_names()):
-        tracer.name_track(index, name)
-    return backend.open_loop_trace_detail
+def runtime(report, capacity, clock, wake, backend):
+    """The one way a request enters an open loop, simulated
+    (:func:`run_open_loop`) or served
+    (:class:`repro.serve.SocketServer`).
+
+    Returns ``(arrive, waiting, busy)``: a queue and a busy flag per
+    server of *report*, and ``arrive(frame, index, extra=None)`` for a
+    frame *backend*'s route sent to server *index* (``None``: no
+    server owns it; it waits on server 0 and runs nowhere).  It
+    samples that queue's depth and tail-drops at *capacity*, or admits
+    ``(arrival_ns, job, detail, extra)`` (*job*: the frame, ``None``
+    when unowned; *detail*: its trace row's routing detail) behind the
+    queue when the server is busy, else to the executor's
+    ``wake(index, item)``.  *clock* has ``now_ns``: the run's
+    scheduler, or a server's wall clock; a tracer on *report* is
+    stamped from it, with one track per server.
+    """
+    tracer = report.tracer
+    if tracer is not None:
+        tracer.bind_clock(lambda: clock.now_ns)
+        for index, name in enumerate(backend.open_loop_server_names()):
+            tracer.name_track(index, name)
+        detail_of = backend.open_loop_trace_detail
+    waiting = [deque() for _ in report.servers]
+    busy = [False] * len(waiting)
+    servers = report.servers
+
+    def arrive(frame, index, extra=None):
+        report.offered += 1
+        job = frame
+        if index is None:           # waits on server 0, runs nowhere
+            index, job = 0, None
+        queue = waiting[index]
+        depth = len(queue)
+        servers[index].sample(depth)
+        if capacity is not None and depth >= capacity:
+            report.queue_drops += 1
+            if tracer is not None:
+                tracer.instant("tail-drop", track=index, cat="queue",
+                               args={"seq": report.offered - 1,
+                                     "depth": depth})
+            return
+        detail = None
+        if tracer is not None:
+            detail = dict(detail_of(frame), seq=report.offered - 1)
+        report.admitted += 1
+        item = (clock.now_ns, job, detail, extra)
+        if busy[index]:
+            queue.append(item)
+        else:
+            busy[index] = True
+            wake(index, item)
+
+    return arrive, waiting, busy
+
+
+def drain(waiting, batch, clock, execute):
+    """The executor of a run whose arrivals are not known ahead (a
+    served one, which refuses a frame no server owns before it is
+    queued): every request in *waiting* runs at its dequeue, at most
+    *batch* per ``execute(index, frames)``, which returns one outcome
+    per frame; a frame that raises a
+    :class:`~repro.errors.ReproError` on its own gets ``None``.
+    Returns ``(item, outcome, (index, dispatch_ns, done_ns,
+    busy_ns))`` per request, server by server: a group's requests
+    share one stamp, its *clock* time split equally among them."""
+    done = []
+    for index, queue in enumerate(waiting):
+        items = list(queue)
+        queue.clear()
+        for base in range(0, len(items), batch):
+            group = items[base:base + batch]
+            frames = list(map(itemgetter(1), group))
+            dispatch_ns = clock.now_ns
+            try:
+                outcomes = execute(index, frames)
+            except ReproError:
+                outcomes = []
+                for frame in frames:
+                    try:
+                        outcomes.extend(execute(index, [frame]))
+                    except ReproError:
+                        outcomes.append(None)
+            done_ns = clock.now_ns
+            done.extend(zip(group, outcomes, repeat((
+                index, dispatch_ns, done_ns,
+                (done_ns - dispatch_ns) / len(group)))))
+    return done
 
 
 def run_open_loop(backend, spec, frames, duration_ns, seed=1,
@@ -327,17 +418,15 @@ def run_open_loop(backend, spec, frames, duration_ns, seed=1,
     num_servers, route = backend.open_loop_servers()
     report = OpenLoopReport(spec, duration_ns, num_servers, tracer)
     capacity = spec.capacity
-    # Per server: the (arrival_ns, frame, detail) items waiting for it
-    # (frame None: no server owns it), whether it is occupied, and the
-    # outcomes of requests it executed ahead of their dequeue (in the
-    # queue's own FIFO order).
-    waiting = [deque() for _ in range(num_servers)]
-    busy = [False] * num_servers
+    # Per server: the requests waiting for it, whether it is occupied,
+    # and the outcomes of requests it executed ahead of their dequeue
+    # (in the queue's own FIFO order).
+    arrive, waiting, busy = runtime(
+        report, capacity, scheduler,
+        lambda index, item: schedule(0, lambda: start(index, item)),
+        backend)
     ahead = [deque() for _ in range(num_servers)]
 
-    detail_of = None
-    if tracer is not None:
-        detail_of = bind_tracer(tracer, lambda: scheduler.now_ns, backend)
     faulty = injector is not None and injector.pending
     if faulty:
         if tracer is not None:
@@ -353,40 +442,13 @@ def run_open_loop(backend, spec, frames, duration_ns, seed=1,
     if not fixed or num_servers == 1:
         profile = lambda frames, _: backend.open_loop_profile_batch(frames)
 
-    def arrive(position):
-        frame = frames[position]
-        report.offered += 1
-        index = routes[position] if fixed else route(frame)
-        job = frame
-        if index is None:           # waits on server 0, runs nowhere
-            index, job = 0, None
-        queue = waiting[index]
-        depth = len(queue)
-        report.servers[index].sample(depth)
-        if capacity is not None and depth >= capacity:
-            report.queue_drops += 1
-            if tracer is not None:
-                tracer.instant("tail-drop", track=index, cat="queue",
-                               args={"seq": report.offered - 1,
-                                     "depth": depth})
-            return
-        detail = None
-        if tracer is not None:
-            detail = dict(detail_of(frame), seq=report.offered - 1)
-        report.admitted += 1
-        item = (scheduler.now_ns, job, detail)
-        if busy[index]:
-            queue.append(item)
-        else:
-            busy[index] = True
-            schedule(0, lambda: start(index, item))
-
     def start(index, item):
         outcomes = ahead[index]
         if not outcomes:
             queue = waiting[index]
             burst = [item[1]]
-            burst.extend(frame for _, frame, _ in islice(queue, lookahead))
+            burst.extend(frame for _, frame, _, _
+                         in islice(queue, lookahead))
             # The server's arrivals from seen on are still to come; the
             # first capacity - len(queue) of them cannot be refused.
             room = lookahead + 1 - len(burst)
@@ -411,7 +473,7 @@ def run_open_loop(backend, spec, frames, duration_ns, seed=1,
             finish(index, item, dispatch_ns, outcome)
 
     def finish(index, item, dispatch_ns, outcome):
-        arrival_ns, _, detail = item
+        arrival_ns, _, detail, _ = item
         emitted, service_ns, overhead_ns = outcome
         report.complete(index, arrival_ns, dispatch_ns, scheduler.now_ns,
                         service_ns, len(emitted), overhead_ns, detail)
@@ -443,8 +505,12 @@ def run_open_loop(backend, spec, frames, duration_ns, seed=1,
         arrivals_of = [[] for _ in range(num_servers)]
         for position, index in enumerate(routes):
             arrivals_of[index or 0].append(position)
-    for position, when in enumerate(times):
-        schedule(when, lambda p=position: arrive(p))
+        for when, frame, index in zip(times, frames, routes):
+            schedule(when, lambda f=frame, i=index: arrive(f, i))
+    else:
+        # Each arrival is routed as it comes, on the live membership.
+        for when, frame in zip(times, frames):
+            schedule(when, lambda f=frame: arrive(f, route(f)))
 
     if series is not None:
         end_ns = int(duration_ns)

@@ -438,6 +438,14 @@ class FsmBuilder:
                 raise CompileError("unsupported operator", node)
             lhs = self._eval(node.left)
             rhs = self._eval(node.right)
+            # Python shifts and divides a negative value with its sign
+            # and refuses a negative shift count; unsigned hardware does
+            # neither.  ``-8 << a`` agrees: it sign-extends below.
+            if (isinstance(rhs, _Negative) and op in ("<<", ">>", "/", "%")
+                    or isinstance(lhs, _Negative) and op in (">>", "/", "%")):
+                raise CompileError("negative literal as an operand of %s "
+                                   "(kernel values are unsigned)"
+                                   % ("//" if op == "/" else op), node)
             if op in ("<<", ">>"):
                 if isinstance(rhs, Const):
                     rhs = Const(rhs.value, max(1, rhs.width))

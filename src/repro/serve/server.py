@@ -8,109 +8,71 @@ real loopback socket.
     server.stop()
     print(server.report.text())
 
-One asyncio event loop runs in a background thread.  Received payloads
-are *not* dispatched one at a time: each loop tick drains everything
-that arrived since the last tick and pushes the whole group through
-``deployment.send_batch`` — the entry point whose bursts the lockstep
-engine measures in one dispatch — at most ``batch`` payloads per group
-(default: the engine's lane count).
+One asyncio event loop runs in a background thread.  Served requests
+enter the simulated open loop's runtime
+(:func:`repro.engine.openloop.runtime`) on the wall clock: a decoded
+payload is encapsulated, routed once and handed to ``arrive``, which
+samples its server's queue and tail-drops or admits it (capacity and
+queue statistics are per server, as in a simulated run).  A drain
+tick runs each server's requests on that route, at most ``batch`` per
+dispatch, and answers them in arrival order: replies on one stream
+keep their order across shards.  A UDP readiness burst is drained in
+the callback that read it.
 
-Robustness contract (regression-tested by the garbage-flood suite): a
-malformed, oversized, or unparseable payload is counted — as one of
-the ``service_drops`` of the serve report, an
-:class:`~repro.engine.openloop.OpenLoopReport` fed through the same
-``complete()`` as a simulated run's, the served process's one account
-— and dropped.  It never raises out of the event loop and never wedges
-the server; a stream peer that overflows its reassembly buffer is one
-``malformed`` drop and loses its connection, nothing more.  Hostile
-input and the server's own bugs are told apart: a payload the codecs
-reject (a :class:`~repro.errors.ReproError`) is a ``malformed`` drop,
-one no server owns (a cluster frame without a key) an ``unroutable``
-one and a reply the codecs reject an ``undecodable_reply`` one (the
-reason on its trace row); any other exception out of the bridge is an
-``internal_error`` drop and also counts on
-:attr:`SocketServer.internal_errors` — still a counted drop, never a
-crash — and the first such traceback is kept on
-:attr:`SocketServer.first_internal_error`.  A reply or a stream close
-that fails because the peer went away is counted on
-:attr:`SocketServer.peer_gone`.
-
-Observability mirrors the in-process open-loop path: with
-``.with_trace()`` every served request — a refused payload included —
-is one trace row on its server's track, exported as the same
-request/queue/kernel span family (wall-clock nanoseconds instead of
-virtual ones — the only difference); with
-``.with_timeseries`` / ``.with_slo`` a sampler task flushes windows to
-the attached :class:`~repro.obs.series.TimeSeries` and the burn-rate
-monitor judges socket traffic exactly as it judges simulated arrivals.
+A payload refused before a queue is a counted service drop naming its
+reason on its trace row: ``oversized``, ``malformed`` (a codec raised
+a :class:`~repro.errors.ReproError`; a stream peer also loses its
+connection) or ``internal_error`` (any other exception, the server's
+own bug, also on :attr:`SocketServer.internal_errors`).  So are a
+request no server owns (``unroutable``) and a reply the codecs reject
+(``undecodable_reply``).  Nothing raises out of the loop or wedges it;
+a reply lost to a vanished peer counts on
+:attr:`SocketServer.peer_gone`.  Traces, time-series windows and SLO
+alerts are the simulated run's, in wall-clock nanoseconds.
 """
 
 import asyncio
+import contextlib
 import socket
 import threading
 import time
 import traceback
 
 from repro.engine.batch import LANES
-from repro.engine.openloop import OpenLoopReport, bind_tracer
+from repro.engine.openloop import OpenLoopReport, drain, runtime
 from repro.errors import ReproError, ServeError
 from repro.serve.spec import resolve_binding
 
-#: Ingest bound on payloads waiting for a drain tick (tail-drop above
-#: it, like the model's bounded ingest queues).
+#: Ingest bound per server (default *capacity*) on requests waiting
+#: for a drain tick: tail-drop above it, like the model's queues.
 DEFAULT_CAPACITY = 4096
-
-
-class _SocketArrivals:
-    """Duck-typed arrival spec for the serve report: socket arrivals
-    have no model process, so the report names them ``socket``."""
-
-    process = "socket"
-
-    def __init__(self, capacity):
-        self.qps = 0.0
-        self.capacity = capacity
 
 
 class SocketServer:
     """Bridge real sockets into a started deployment."""
 
     def __init__(self, deployment, host="127.0.0.1", port=0,
-                 transport=None, series=None, capacity=DEFAULT_CAPACITY,
-                 batch=LANES):
+                 transport=None, series=None, capacity=None, batch=LANES):
         if deployment.backend is None:
             raise ServeError("deployment is not started "
                              "(call .start() before serving)")
         self.deployment = deployment
         self.binding = resolve_binding(deployment.spec, transport)
-        self.host = host
-        self.port = int(port)
-        self.capacity = int(capacity)
+        self.host, self.port = host, int(port)
+        self.capacity = DEFAULT_CAPACITY if capacity is None else int(capacity)
         self.batch = max(1, int(batch))
         self.series = series
-        #: Exceptions out of the bridge that were not a ``ReproError``.
-        self.internal_errors = 0
+        #: Exceptions out of the bridge that were not a ``ReproError``,
+        #: and the first one's traceback (``None``: there was none).
+        self.internal_errors, self.first_internal_error = 0, None
         #: Replies and stream closes lost because the peer went away.
         self.peer_gone = 0
-        #: Traceback text of the first exception out of the bridge that
-        #: was not a ``ReproError`` (``None``: there was none).
-        self.first_internal_error = None
-        num_servers, self._route = \
-            deployment.backend.open_loop_servers()
-        self._report = OpenLoopReport(_SocketArrivals(self.capacity),
-                                      0, num_servers, deployment.tracer)
-        self._detail_of = None
-        self._pending = []           # (payload, reply, depth, t_arr_ns)
-        self._drain_scheduled = False
-        self._seq = 0
-        self._loop = None
-        self._thread = None
-        self._udp_sock = None
-        self._tcp_server = None
-        self._sampler_task = None
-        self._t0_ns = None
-        self._final_ns = 0
-        self._running = False
+        count, self._route = deployment.backend.open_loop_servers()
+        self._report = OpenLoopReport(None, 0, count, deployment.tracer)
+        self._t0_ns = self._arrive = self._loop = self._thread = None
+        self._udp_sock = self._tcp_server = self._sampler_task = None
+        self._waiting, self._seq = [], 0
+        self._tick_due = self._running = False
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -120,10 +82,12 @@ class SocketServer:
         if self._running:
             raise ServeError("server is already running")
         self._t0_ns = time.monotonic_ns()
-        tracer = self.deployment.tracer
-        if tracer is not None:
-            self._detail_of = bind_tracer(tracer, self._now_ns,
-                                          self.deployment.backend)
+        # The server is the runtime's clock, and its executor runs at
+        # dequeue: a woken server's request waits for the next tick.
+        self._arrive, self._waiting, _ = runtime(
+            self._report, self.capacity, self,
+            lambda index, item: self._waiting[index].append(item),
+            self.deployment.backend)
         self._loop = asyncio.new_event_loop()
         self._thread = threading.Thread(
             target=self._loop.run_forever,
@@ -142,20 +106,12 @@ class SocketServer:
     async def _open(self):
         loop = asyncio.get_running_loop()
         if self.binding.transport == "udp":
-            # A raw non-blocking socket on add_reader, not an asyncio
-            # DatagramProtocol: the protocol path delivers exactly one
-            # datagram per loop iteration, which caps ingest at the
-            # epoll wakeup rate.  Reading a bounded burst per wakeup
-            # amortizes that overhead across the batch.
+            # Raw and non-blocking, not a DatagramProtocol (one
+            # datagram per loop iteration); the deep kernel buffer is
+            # the real ingress queue for open-loop bursts.
             sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
-            try:
-                # The kernel buffer is the real ingress queue (the
-                # default ~212KB is a couple hundred datagrams — far
-                # too shallow for open-loop bursts).
-                sock.setsockopt(socket.SOL_SOCKET,
-                                socket.SO_RCVBUF, 1 << 22)
-            except OSError:
-                pass
+            with contextlib.suppress(OSError):
+                sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 1 << 22)
             sock.setblocking(False)
             sock.bind((self.host, self.port))
             self._udp_sock = sock
@@ -165,8 +121,7 @@ class SocketServer:
             server = await asyncio.start_server(
                 self._serve_stream, self.host, self.port)
             self._tcp_server = server
-            self.host, self.port = \
-                server.sockets[0].getsockname()[:2]
+            self.host, self.port = server.sockets[0].getsockname()[:2]
         if self.series is not None:
             self._sampler_task = loop.create_task(self._sampler())
 
@@ -179,11 +134,10 @@ class SocketServer:
         asyncio.run_coroutine_threadsafe(
             self._close(), self._loop).result(timeout=10)
         self._shutdown_loop()
-        self._final_ns = max(1, self._now_ns())
-        self._report.duration_ns = self._final_ns
+        self._report.duration_ns = final_ns = max(1, self.now_ns)
         if self.series is not None:
-            self.series.finish(self._final_ns, self._report,
-                               [len(self._pending)])
+            self.series.finish(final_ns, self._report,
+                               [len(queue) for queue in self._waiting])
         return self.report
 
     async def _close(self):
@@ -200,8 +154,7 @@ class SocketServer:
             self._tcp_server.close()
             await self._tcp_server.wait_closed()
             self._tcp_server = None
-        while self._pending:
-            self._drain()
+        self._drain()
 
     def _shutdown_loop(self):
         if self._loop is None:
@@ -209,8 +162,7 @@ class SocketServer:
         self._loop.call_soon_threadsafe(self._loop.stop)
         self._thread.join(timeout=10)
         self._loop.close()
-        self._loop = None
-        self._thread = None
+        self._loop = self._thread = None
 
     @property
     def address(self):
@@ -219,115 +171,83 @@ class SocketServer:
 
     @property
     def report(self):
-        """The live :class:`~repro.engine.openloop.OpenLoopReport` of
-        socket traffic (same shape as a simulated open-loop run)."""
+        """The live :class:`~repro.engine.openloop.OpenLoopReport`."""
         if self._running:
-            self._report.duration_ns = max(1, self._now_ns())
+            self._report.duration_ns = max(1, self.now_ns)
         return self._report
 
-    def _now_ns(self):
+    @property
+    def now_ns(self):
+        """Monotonic nanoseconds since :meth:`start`."""
         return time.monotonic_ns() - self._t0_ns
 
-    # -- ingest (event-loop thread only) -------------------------------------
+    # -- ingest and drain (event-loop thread only) ---------------------------
+
+    def _ingest(self, payload, reply):
+        """Hand one payload, encapsulated, to ``arrive`` on its route
+        or refuse it; ``reply(wire_bytes)`` sends its answer."""
+        if len(payload) > self.binding.max_payload:
+            return self._refuse(self.now_ns, "oversized")
+        seq = self._seq
+        try:
+            frame = self.binding.encap(payload, seq)
+            self._seq += 1
+            index = self._route(frame)
+        except ReproError:
+            return self._refuse(self.now_ns, "malformed")
+        except Exception:
+            self._internal_error()
+            return self._refuse(self.now_ns, "internal_error")
+        if index is None:                # no server owns it
+            return self._refuse(self.now_ns, "unroutable")
+        self._arrive(frame, index, (seq, reply))
 
     def _enqueue(self, payload, reply):
-        """Admit one received payload; *reply* is
-        ``callable(wire_bytes)`` sending the response back out."""
-        report = self._report
-        report.offered += 1
-        depth = len(self._pending)
-        if depth >= self.capacity:
-            report.queue_drops += 1
-            return
-        report.admitted += 1
-        self._pending.append((payload, reply, depth, self._now_ns()))
-        if not self._drain_scheduled:
-            self._drain_scheduled = True
+        """:meth:`_ingest`, with a drain tick to follow."""
+        self._ingest(payload, reply)
+        if not self._tick_due:
+            self._tick_due = True
             self._loop.call_soon(self._drain)
 
     def _drain(self):
-        """One tick's batch: encap everything pending, push the valid
-        frames through ``send_batch``, decap and send the replies."""
-        self._drain_scheduled = False
-        group, self._pending = self._pending[:self.batch], \
-            self._pending[self.batch:]
-        if self._pending and not self._drain_scheduled:
-            self._drain_scheduled = True
-            self._loop.call_soon(self._drain)
-        if not group:
-            return
-        report = self._report
-        tracer = self.deployment.tracer
-        jobs = []                    # (frame, reply, index, t_arr, ...)
-        for payload, reply, depth, t_arr in group:
-            if len(payload) > self.binding.max_payload:
-                self._drop(t_arr, "oversized")
-                continue
-            seq = self._seq
-            try:
-                frame = self.binding.encap(payload, seq)
-                self._seq += 1
-                index = self._route(frame)
-            except ReproError:
-                self._drop(t_arr, "malformed")
-                continue
-            except Exception:
-                self._internal_error()
-                self._drop(t_arr, "internal_error")
-                continue
-            if index is None:                  # no server owns it
-                self._drop(t_arr, "unroutable")
-                continue
-            report.servers[index].sample(depth)
-            jobs.append((frame, reply, index, t_arr, seq))
-        if not jobs:
-            return
-        t_disp = self._now_ns()
-        details = [None] * len(jobs)
-        if tracer is not None:
-            details = [dict(self._detail_of(frame), seq=seq)
-                       for frame, _, _, _, seq in jobs]
-        results = self._send_group([frame for frame, _, _, _, _ in jobs])
-        t_done = self._now_ns()
-        busy_share = (t_done - t_disp) / len(jobs)
-        for (_, reply, index, t_arr, _), outcome, detail in \
-                zip(jobs, results, details):
-            emitted = outcome[0] if outcome is not None else []
+        """One tick: every waiting request runs on its route, then is
+        accounted (so a client holding its reply finds it in the
+        report) and answered, in arrival order."""
+        self._tick_due = False
+        done = drain(self._waiting, self.batch, self, self._execute)
+        if len(self._waiting) > 1:
+            done.sort(key=lambda entry: entry[0][3][0])
+        binding = self.binding
+        for (arrival_ns, _, detail, (_, reply)), outcome, \
+                (index, t_disp, t_done, busy_ns) in done:
             wire = None
-            if emitted:
+            if outcome is not None and outcome[0]:
                 try:
-                    wire = self.binding.wrap_reply(
-                        self.binding.decap(emitted[0][1]))
+                    wire = binding.wrap_reply(
+                        binding.decap(outcome[0][0][1]))
                 except ReproError:
                     detail = dict(detail or (), reason="undecodable_reply")
                 except Exception:
                     self._internal_error()
                     detail = dict(detail or (), reason="internal_error")
-            # Accounted before it is sent: a client holding its reply
-            # finds it in the report.
-            report.complete(index, t_arr, t_disp, t_done, busy_share,
-                            0 if wire is None else 1, detail=detail)
-            if wire is None:
-                continue
-            try:
-                reply(wire)
-            except Exception:
-                self.peer_gone += 1              # the reply is lost
-
-    def _send_group(self, frames):
-        """The batched fast path, with a per-frame fallback so one
-        poisoned frame can never take a whole batch down."""
-        dep = self.deployment
-        try:
-            return dep.send_batch(frames)
-        except ReproError:
-            results = []
-            for frame in frames:
+            self._report.complete(index, arrival_ns, t_disp, t_done,
+                                  busy_ns, 0 if wire is None else 1,
+                                  detail=detail)
+            if wire is not None:
                 try:
-                    results.append(dep.send(frame))
-                except ReproError:
-                    results.append(None)
-            return results
+                    reply(wire)
+                except Exception:
+                    self.peer_gone += 1          # the reply is lost
+
+    def _execute(self, index, frames):
+        """One server's group on its route; the deployment's metrics
+        count each request and the group."""
+        metrics = self.deployment.metrics
+        outcomes = self.deployment.backend.send_routed(frames, index)
+        for emitted, latency_ns, core_cycles, _ in outcomes:
+            metrics.record(emitted, latency_ns, core_cycles)
+        metrics.record_batch()
+        return outcomes
 
     def _internal_error(self):
         """The bridge itself raised (call from the ``except``)."""
@@ -335,37 +255,34 @@ class SocketServer:
         if self.first_internal_error is None:
             self.first_internal_error = traceback.format_exc()
 
-    def _drop(self, t_arr, reason):
-        """A payload refused before dispatch: it waited, it got no
-        service."""
-        now = self._now_ns()
-        self._report.complete(0, t_arr, now, now, 0, 0,
-                              detail={"reason": reason})
+    def _refuse(self, arrival_ns, reason):
+        """Offered, admitted and completed with no service."""
+        report = self._report
+        report.offered += 1
+        report.admitted += 1
+        now = self.now_ns
+        report.complete(0, arrival_ns, now, now, 0, 0,
+                        detail={"reason": reason})
 
     # -- transports ----------------------------------------------------------
 
     def _udp_ready(self):
-        """Ingest a bounded burst of datagrams per readiness wakeup;
-        one datagram = one request payload."""
+        """Ingest a bounded burst of datagrams (one payload each) per
+        readiness wakeup, and drain it before the loop waits again."""
         sock = self._udp_sock
         if sock is None:
             return
         for _ in range(max(self.batch, 64)):
             try:
                 data, addr = sock.recvfrom(65535)
-            except (BlockingIOError, InterruptedError):
-                break
             except OSError:
-                break                # closing; ICMP from dead clients
-            self._enqueue(data, lambda wire, addr=addr:
-                          sock.sendto(wire, addr))
+                break      # drained (EAGAIN), closing, or ICMP noise
+            self._ingest(data, lambda wire, addr=addr:
+                         sock.sendto(wire, addr))
+        self._drain()
 
     async def _serve_stream(self, reader, writer):
         decoder = self.binding.frame_decoder()
-
-        def reply(wire):
-            writer.write(wire)
-
         try:
             while True:
                 data = await reader.read(65536)
@@ -375,17 +292,14 @@ class SocketServer:
                     payloads = decoder.feed(data)
                 except ReproError:
                     # Poisoned stream: a refused payload; drop the peer.
-                    self._report.offered += 1
-                    self._report.admitted += 1
-                    self._drop(self._now_ns(), "malformed")
+                    self._refuse(self.now_ns, "malformed")
                     break
                 for payload in payloads:
-                    self._enqueue(payload, reply)
+                    self._enqueue(payload, writer.write)
         finally:
             # The peer may half-close after its last request; answer
             # everything already admitted before dropping the writer.
-            while self._pending:
-                self._drain()
+            self._drain()
             try:
                 await writer.drain()
                 writer.close()
@@ -397,12 +311,11 @@ class SocketServer:
         period_s = max(series.window_ns / 1e9, 0.001)
         while True:
             await asyncio.sleep(period_s)
-            series.flush(self._now_ns(), self._report,
-                         [len(self._pending)])
+            series.flush(self.now_ns, self._report,
+                         [len(queue) for queue in self._waiting])
 
     def __repr__(self):
         state = "serving" if self._running else "stopped"
         return "<SocketServer %s/%s on %s:%s, %s>" % (
             self.deployment.spec.name, self.binding.transport,
             self.host, self.port, state)
-

@@ -177,6 +177,18 @@ class TestOpenLoopRuns:
             snapshots.append(report.snapshot())
         assert snapshots[0] == snapshots[1]
 
+    def test_a_queue_admits_exactly_its_capacity(self):
+        """Arrivals 1 ns apart on one server: the first goes into
+        service, the next ``capacity`` fill its queue, and only the
+        one after them is refused."""
+        dep = _fpga_deployment(qps=1e6)
+        frames = dep.spec.workload(6, 11)
+        spec = ArrivalSpec("uniform", qps=1e9, capacity=4)
+        report = run_open_loop(dep.backend, spec, frames, duration_ns=7)
+        assert (report.offered, report.admitted, report.queue_drops,
+                report.completed) == (6, 5, 1, 5)
+        assert report.max_queue_depth() == 4
+
     def test_report_text_renders(self):
         report = _fpga_deployment(qps=500_000.0).run_open_loop(
             duration_ms=0.2)

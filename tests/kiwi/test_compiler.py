@@ -126,6 +126,26 @@ def negate(a: "u8") -> "u8":
     return -a
 
 
+def minus_eight_shl(a: "u8") -> "u8":
+    return -8 << a
+
+
+def minus_eight_shr(a: "u8") -> "u8":
+    return -8 >> a
+
+
+def floordiv_minus_two(a: "u8") -> "u8":
+    return a // -2
+
+
+def mod_minus_three(a: "u8") -> "u8":
+    return a % -3
+
+
+def shl_minus_one(a: "u8") -> "u8":
+    return a << -1
+
+
 class TestSemantics:
     def test_straightline(self):
         (result,), _, _ = compile_function(add_mul).run(a=3, b=4)
@@ -237,6 +257,8 @@ class TestNegativeLiterals:
         pytest.param(minus_one_and, {5: 5, 255: 255}, id="(-1) & a"),
         pytest.param(return_minus_one, {5: 0xFFFF}, id="return -1"),
         pytest.param(negate, {1: 255, 0: 0}, id="-a"),
+        pytest.param(minus_eight_shl, {0: 248, 1: 240, 3: 192, 7: 0},
+                     id="-8 << a"),
     ])
     def test_stored_result_is_pythons(self, kernel, runs, level):
         design = compile_function(kernel, opt_level=level)
@@ -245,6 +267,21 @@ class TestNegativeLiterals:
     def test_compare_with_negative_literal_is_refused(self):
         with pytest.raises(CompileError, match="negative literal"):
             compile_function(equals_minus_one)
+
+    @pytest.mark.parametrize("level", [0, 2])
+    @pytest.mark.parametrize("kernel", [
+        # Python stores 252 at a = 1, 251 at a = 9 and 254 at a = 7
+        # (unsigned hardware gave 4, 0 and 7), and raises ValueError
+        # on a negative shift count.
+        pytest.param(minus_eight_shr, id="-8 >> a"),
+        pytest.param(floordiv_minus_two, id="a // -2"),
+        pytest.param(mod_minus_three, id="a % -3"),
+        pytest.param(shl_minus_one, id="a << -1"),
+    ])
+    def test_signed_shift_division_and_count_are_refused(self, kernel,
+                                                         level):
+        with pytest.raises(CompileError, match="negative literal"):
+            compile_function(kernel, opt_level=level)
 
 
 class TestScheduling:

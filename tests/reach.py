@@ -135,7 +135,7 @@ RULES = [
     ("errors.py", "*", "safety"),
     ("serve/loadgen.py", "_oldest_pending", "safety"),
     ("serve/server.py", "SocketServer._internal_error", "safety"),
-    ("serve/server.py", "SocketServer._drop", "safety"),
+    ("serve/server.py", "SocketServer._refuse", "safety"),
     ("serve/spec.py", "ServeSpec.transports", "safety"),
     ("engine/compiler.py", "CompiledKernel._timeout", "safety"),
     ("kiwi/builder.py", "_is_const_true", "safety"),

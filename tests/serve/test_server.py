@@ -119,6 +119,203 @@ def test_port_zero_binds_ephemeral_and_reports_address(
     assert port > 0
 
 
+def test_replies_on_one_connection_leave_in_request_order():
+    """Pipelined queries on one TCP connection to a four-shard
+    cluster, sent in one write, run on all four shards and come back
+    in the order they were asked."""
+    dep = deploy("dns").on("cluster", shards=4).start()
+    server = dep.serve(transport="tcp")
+    binding = resolve_binding(dep.spec, "tcp")
+    probes = [binding.probe(SEED, seq) for seq in range(256)]
+    owners = {dep.target.owner_of(binding.encap(payload, seq))
+              for seq, (payload, _) in enumerate(probes)}
+    assert owners == set(dep.target.shard_ids)
+    want = b"".join(bytes(binding.wrap_reply(expected))
+                    for _, expected in probes)
+    try:
+        with socket.create_connection(server.address, timeout=5.0) \
+                as sock:
+            sock.sendall(b"".join(bytes(binding.wrap(payload))
+                                  for payload, _ in probes))
+            buffer = b""
+            while len(buffer) < len(want):
+                data = sock.recv(65536)
+                assert data, len(buffer)
+                buffer += data
+        assert buffer == want
+    finally:
+        server.stop()
+        dep.stop()
+
+
+def test_a_served_cluster_request_is_routed_once():
+    """``owner_of`` runs once per served request untraced, as in the
+    open loop (the route the server admits under is the one the shard
+    executes under), and once more for a traced row's detail."""
+    for traced, per_request in ((False, 1), (True, 2)):
+        dep = deploy("dns").on("cluster", shards=4)
+        dep = (dep.with_trace() if traced else dep).start()
+        calls = []
+        owner_of = dep.target.owner_of
+
+        def counted(frame):
+            calls.append(1)
+            return owner_of(frame)
+
+        dep.target.owner_of = counted
+        server = dep.serve()
+        binding = resolve_binding(dep.spec, "udp")
+        try:
+            with udp_client(server) as sock:
+                for seq in range(64):
+                    roundtrip(sock, binding, SEED, seq)
+        finally:
+            server.stop()
+            dep.stop()
+        assert server.report.replies == 64
+        assert len(calls) == per_request * 64, traced
+
+
+def test_a_lone_datagram_costs_one_loop_iteration():
+    """A UDP readiness burst is drained in the callback that read it:
+    over 2 000 ping-pongs the event loop's selector is asked about
+    once per request (twice when the drain was a callback of its
+    own)."""
+    dep = deploy("memcached").on("fpga").with_opt(3).start()
+    server = dep.serve()
+    binding = resolve_binding(dep.spec, "udp")
+    selector = server._loop._selector
+    select = selector.select
+    calls = []
+
+    def counted(timeout=None):
+        calls.append(timeout)
+        return select(timeout)
+
+    try:
+        with udp_client(server) as sock:
+            roundtrip(sock, binding, SEED, 0)
+            selector.select = counted
+            for seq in range(1, 2001):
+                roundtrip(sock, binding, SEED, seq)
+            selector.select = select
+    finally:
+        server.stop()
+        dep.stop()
+    assert len(calls) <= 1.05 * 2000, len(calls) / 2000
+
+
+def test_a_shard_added_while_serving_runs_its_own_keys():
+    """The route pins shard -> queue when serving starts; a request
+    owned by a shard added later waits on server 0 but runs on its
+    owner, not on the shard pinned to server 0."""
+    dep = deploy("memcached").on("cluster", shards=2).start()
+    target = dep.target
+    server = dep.serve()
+    binding = resolve_binding(dep.spec, "udp")
+    try:
+        with udp_client(server) as sock:
+            roundtrip(sock, binding, SEED, 0)
+            added = target.add_shard()
+            owned = 0
+            for seq in range(1, 61):
+                payload, _ = binding.probe(SEED, seq)
+                owned += target.owner_of(binding.encap(payload, seq)) \
+                    == added
+                roundtrip(sock, binding, SEED, seq)
+    finally:
+        server.stop()
+        dep.stop()
+    assert owned > 0
+    assert target.shard_loads[added] == owned
+
+
+# -- admission at its boundary ----------------------------------------------
+
+def _burst(server, payloads, reply):
+    """Hand *payloads* to the server inside one event-loop callback,
+    so no drain tick runs between them; returns once all are
+    accounted."""
+    server._loop.call_soon_threadsafe(
+        lambda: [server._enqueue(payload, reply) for payload in payloads])
+    deadline = time.monotonic() + 5.0
+    report = server.report
+    while report.completed + report.queue_drops < len(payloads):
+        assert time.monotonic() < deadline
+        time.sleep(0.005)
+
+
+def test_a_served_queue_admits_exactly_its_capacity():
+    """Four payloads fill a queue of capacity 4 and are all answered;
+    a fifth in the same tick is refused, one queue drop."""
+    dep = deploy("memcached").on("cpu").start()
+    server = dep.serve(capacity=4)
+    binding = resolve_binding(dep.spec, "udp")
+    answered = []
+    probes = [binding.probe(SEED, seq) for seq in range(5)]
+    try:
+        _burst(server, [binding.wrap(payload) for payload, _ in probes[:4]],
+               answered.append)
+        assert server.report.queue_drops == 0
+        _burst(server, [binding.wrap(payload) for payload, _ in probes],
+               answered.append)
+    finally:
+        server.stop()
+        dep.stop()
+    snapshot = server.report.snapshot()
+    assert (snapshot["offered"], snapshot["admitted"],
+            snapshot["queue_drops"], snapshot["replies"]) == (9, 8, 1, 8)
+    assert answered == [bytes(binding.wrap_reply(expected))
+                        for _, expected in probes[:4]] * 2
+
+
+def test_a_payload_of_exactly_max_payload_is_not_oversized():
+    dep = deploy("memcached").on("cpu").with_trace().start()
+    server = dep.serve()
+    binding = resolve_binding(dep.spec, "udp")
+    try:
+        _burst(server, [b"A" * binding.max_payload,
+                        b"A" * (binding.max_payload + 1)], lambda wire: None)
+    finally:
+        server.stop()
+        dep.stop()
+    reasons = [event["args"].get("reason")
+               for event in dep.tracer.find("request")]
+    assert len(reasons) == 2
+    assert reasons[0] != "oversized"
+    assert reasons[1] == "oversized"
+
+
+def test_a_group_that_raises_runs_frame_by_frame():
+    """A ReproError out of a server's whole group does not take the
+    group down: each frame runs alone, the one that raises again is
+    a service drop, and the others are answered."""
+    dep = deploy("memcached").on("cpu").start()
+    server = dep.serve()
+    binding = resolve_binding(dep.spec, "udp")
+    send_routed = dep.backend.send_routed
+
+    def poisoned(frames, index):
+        if len(frames) > 1 or b"get lg" in bytes(frames[0].data):
+            raise ParseError("injected group fault")
+        return send_routed(frames, index)
+
+    dep.backend.send_routed = poisoned
+    answered = []
+    probes = [binding.probe(SEED, seq) for seq in range(3)]  # set, get, del
+    try:
+        _burst(server, [binding.wrap(payload) for payload, _ in probes],
+               answered.append)
+    finally:
+        server.stop()
+        dep.stop()
+    assert answered == [bytes(binding.wrap_reply(probes[seq][1]))
+                        for seq in (0, 2)]
+    snapshot = server.report.snapshot()
+    assert (snapshot["replies"], snapshot["service_drops"]) == (2, 1)
+    assert server.internal_errors == 0
+
+
 # -- robustness against hostile bytes ----------------------------------------
 
 def test_garbage_datagram_flood_counts_drops_and_never_wedges(
