@@ -12,8 +12,8 @@ allows):
   interpretation on the hot path.  That is the only code generator;
   three drivers execute its blocks on one warm kernel:
   ``CompiledKernel.run`` (one lane),
-  :mod:`repro.engine.batch`'s ``run_batch`` (N lanes in lockstep per
-  dispatch, hazard-gated — what every deployed cycle model runs) and
+  :mod:`repro.engine.batch`'s ``run_batch`` and ``latencies`` (N lanes
+  in lockstep, hazard-gated; every cycle model runs ``latencies``) and
   :mod:`repro.engine.pipelined`'s ``run_stream`` (requests overlap
   *within* one kernel the way the -O3 hardware schedule does — a new
   request issues every II cycles, hazard stalls only on real memory

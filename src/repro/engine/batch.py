@@ -5,9 +5,9 @@ time.  The hardware the repo reproduces has no such limit — Emu cores
 pipeline many independent requests — so :class:`BatchedKernel` adds
 :meth:`~BatchedKernel.run_batch`, which parks *N* lanes on the same
 generated blocks and advances every lane parked at a block in one
-dispatch.  Lanes idle at different cycles; a finished lane simply
-leaves the active-lane lists, so ragged batches cost only the work
-their live lanes do.
+dispatch (:meth:`~BatchedKernel.latencies`: on a latency-only layout).
+Lanes idle at different cycles; a finished lane simply leaves the
+active-lane lists, so ragged batches cost only their live lanes' work.
 
 Lockstep reorders execution across requests, so it is only attempted
 when two static analyses prove the reorder unobservable:
@@ -29,12 +29,12 @@ when two static analyses prove the reorder unobservable:
    still run in lockstep.
 
 When either fails for a batch (or its lanes load different or partial
-memory images), ``run_batch`` is a loop of one-lane :meth:`run` calls —
-always correct, just not accelerated.  ``fallback_batches``/
-``lockstep_batches`` count which path ran.  A call costs its lanes: a
-qualifying batch of one *is* the one-lane loop, and what a wider one
-needs that depends only on the layout (its lane columns, latched
-columns, result columns) is worked out when the layout is compiled.
+memory images), a call is a loop of one-lane runs — always correct,
+just not accelerated.  ``fallback_batches``/``lockstep_batches`` count
+which path ran; both entries share one body.  A call costs its lanes:
+a call of one job *is* the one-lane loop, and what a wider one needs
+that depends only on the layout (its lane columns, latched columns,
+result columns) is worked out when the layout is compiled.
 
 Per-request observables are bit-identical to one-lane execution:
 results, per-lane latency cycles, final memory images, and warm state
@@ -51,6 +51,7 @@ from repro.kiwi.analysis import lockstep_safe
 #: Width the layers above chunk, look ahead and drain by (``run_batch``
 #: itself takes any number of jobs).
 LANES = 64
+_BYTES = frozenset((bytes, bytearray))
 
 
 class BatchedKernel(CompiledKernel):
@@ -80,50 +81,99 @@ class BatchedKernel(CompiledKernel):
             self.fallback_batches += 1
             return [self.run(max_cycles, memories, **scalars)[:2]
                     for scalars, memories in jobs]
-        n = len(jobs)
-        if n == 1:
-            # One lane in lockstep with itself is the one-lane driver:
-            # same layout key, same blocks, nothing to spread or fold.
-            out = [self._run_lane(jobs[0], True, max_cycles)[:2]]
-            self.lockstep_batches += 1
-            return out
-        loaded = jobs[0][1].keys()
+        self._observe(False)
         lane_latch = self._latch(jobs)
         uniform_set = frozenset(
             name for name in self._latch_only
             if len(set(lane_latch[name])) == 1)
-        checked, mode = self._mode(max_cycles)
-        layout = self._layout(frozenset(loaded), uniform_set, mode)
-        # Every lane starts from the warm register file (lane 0) with
-        # its own latched parameters on top.
-        for col in layout.soa_cols:
-            col[:] = col[:1] * n
-        for name, col in layout.latched_cols:
-            col[:] = lane_latch[name]
-        for name in loaded:
-            self._rows[name][:] = self._private_rows(
-                name, [memories[name] for _, memories in jobs])
-        uniform = tuple([lane_latch[name][0]
-                         for name in layout.uniform_names])
-        latencies = self._drive(layout, n, uniform,
-                                max_cycles if checked else None)
-        result_cols = [col if soa else col * n
-                       for col, soa in layout.result_cols]
-        results = zip(*result_cols) if result_cols else [()] * n
-        out = list(zip(results, latencies))
-        # The last lane is the warm state, like sequential execution.
-        for col in layout.soa_cols:
-            col[0] = col[-1]
-        for name in loaded:
-            self._mems[name][:] = self._rows[name][-1]
-        self.invocations += n
-        self.lockstep_batches += 1
-        return out
+        return list(zip(*self._lanes(
+            len(jobs), lane_latch, uniform_set,
+            {name: [memories[name] for _, memories in jobs]
+             for name in jobs[0][1]}, max_cycles, False)))
 
-    def _drive(self, layout, n, uniform, max_cycles):
+    def latencies(self, scalars, memory, images, max_cycles=100000):
+        """Latency cycles of one job per image, in order: each job
+        latches *scalars* and loads its full-depth image into *memory*.
+
+        Cycle counts and the other (warm) memories are those of
+        :meth:`run` per job, but only what decides them is computed (no
+        results).  Validated and latched once per call; the first call
+        after power-on fixes the kernel to latency calls.
+        """
+        if not images:
+            return []
+        depth = self._mem_depths.get(memory)
+        if (set(map(len, images)) != {depth}
+                or not scalars.keys() <= self._scalar_masks.keys()):
+            self._validate(((scalars, {memory: images[0]}),))  # names it
+            raise EngineError("latencies need a full %d-word %r image "
+                              "per job" % (depth, memory))
+        if self._latency_only is not True:
+            self._observe(True)
+        inputs = self._inputs
+        for name, value in scalars.items():     # every lane's latch
+            inputs[name] = value & self._scalar_masks[name]
+        n = len(images)
+        lane_latch = {name: [inputs[name]] * n for name in
+                      self._latch_names} if self._latch_names else {}
+        return self._lanes(n, lane_latch, self._latch_only,
+                           {memory: images}, max_cycles, True)[1]
+
+    def _lanes(self, n, lane_latch, uniform_set, images, max_cycles,
+               latency):
+        """The body both entries share: lane *k* latches
+        ``lane_latch[name][k]`` (one value for *uniform_set*'s names) and
+        loads ``images[name][k]`` (full depth) on the *latency* or full
+        layout; returns the lanes' results (none on a latency layout)
+        and latencies, the last lane left warm.  One lane, or a kernel
+        not lockstep-safe, runs the lanes one after another."""
+        layout, limit = self._layout(frozenset(images), uniform_set,
+                                     max_cycles, latency)
+        uniform = tuple([lane_latch[name][0] for name in
+                         layout.uniform_names]) if layout.uniform_names else ()
+        for name, rows in images.items():
+            # A row the code never writes may be the caller's own image.
+            if (name in layout.row_writes or name not in self._byte_mems
+                    or not _BYTES.issuperset(map(type, rows))):
+                rows = images[name] = self._private_rows(name, rows)
+            self._rows[name][:] = rows
+        results = []
+        if n > 1 and self.lockstep_capable:
+            out = self._drive(layout, n, lane_latch, uniform, limit)
+            if not latency:
+                result_cols = [col if soa else col * n
+                               for col, soa in layout.result_cols]
+                results = (list(zip(*result_cols)) if result_cols
+                           else [()] * n)
+            for col in layout.soa_cols:
+                col[0] = col[-1]
+        else:
+            out = []
+            for lane in range(n):
+                if lane:            # lane 0 runs each row in turn
+                    for name, rows in images.items():
+                        self._rows[name][0] = rows[lane]
+                for name, col in layout.latched_cols:
+                    col[0] = lane_latch[name][lane]
+                out.append(self._one_lane(layout, uniform, limit))
+                if not latency:
+                    results.append(tuple([col[0] for col, _
+                                          in layout.result_cols]))
+        for name, rows in images.items():
+            self._mems[name][:] = rows[-1]
+        if self.lockstep_capable:
+            self.lockstep_batches += 1
+        else:
+            self.fallback_batches += 1
+        self.invocations += n
+        return results, out
+
+    def _drive(self, layout, n, lane_latch, uniform, max_cycles):
         """The lockstep dispatch loop with hazard gating; returns the
-        per-lane latencies.  *max_cycles* is ``None`` when no lane can
-        run out of budget.
+        per-lane latencies.  Every lane starts from lane 0's warm
+        registers under its own *lane_latch* values; the caller folds the
+        last lane back.  *max_cycles* is ``None`` when no lane can run
+        out of budget.
 
         A hazard block normally runs for its *whole* sorted lane group
         in one dispatch: when every unclear lane below the group's top
@@ -134,14 +184,16 @@ class BatchedKernel(CompiledKernel):
         first so the group can re-form; only if nothing else can move
         does the lowest unclear lane go through alone.
         """
+        for col in layout.soa_cols:
+            col[:] = col[:1] * n
+        for name, col in layout.latched_cols:
+            col[:] = lane_latch[name]
         cyc = [1] * n
         nxt = [0] * n
-        latencies = [0] * n
-        if layout.entry == 0:
-            return cyc
+        latencies = [1] * n
         counts = self.state_counts
         blocks = layout.blocks
-        frontier = {layout.entry: list(range(n))}
+        frontier = {layout.entry: list(range(n))} if layout.entry else {}
         lane_pos = [layout.entry] * n    # frontier leader per live lane
         clear = [False] * n
         min_unclear = 0

@@ -24,11 +24,17 @@ per request:
   temps that depend only on constants, uniform latched scalars, or
   shared read-only memories are computed once per dispatch, outside
   the lane loop.
+* **Value bounds** — a node's largest value, from widths and constants,
+  drops redundant masks, identity slices, zero ``Concat`` heads and
+  address guards.
+* **Liveness** — a latency-only layout emits just the effects
+  :func:`~repro.kiwi.analysis.live_effects` finds can reach a branch,
+  a shared memory or a later request; the FSM and its cycle counts stay.
 
 The blocks are the only generated code.  Three drivers run them:
 :meth:`CompiledKernel.run` (one lane, a fifteen-line loop),
-:meth:`repro.engine.batch.BatchedKernel.run_batch` (N lanes in
-lockstep under hazard gating) and
+:meth:`repro.engine.batch.BatchedKernel.run_batch` and ``latencies``
+(N lanes in lockstep under hazard gating) and
 :meth:`repro.engine.pipelined.PipelinedKernel.run_stream` (one lane per
 in-flight request, one state per cycle).  Equivalence with the
 interpreter is not assumed: it is proven per kernel by
@@ -44,8 +50,8 @@ import itertools
 
 from repro.errors import EngineError
 from repro.kiwi.analysis import (
-    mems_read, mems_written, reach_union, stage_intervals, state_roots,
-    vars_read, vars_written, walk,
+    live_effects, mems_read, mems_written, reach_union, stage_intervals,
+    state_roots, vars_written, walk,
 )
 from repro.kiwi.builder import MemReadRef, VarRef
 from repro.kiwi.fsm import Branch, Goto
@@ -64,6 +70,7 @@ MAX_INLINE_DEPTH = 24
 # -- expression emitter ------------------------------------------------------
 
 _ATOM_PREFIXES = ("_t", "_h", "u_", "v_")
+_COMPARE = ("==", "!=", "<", "<=", ">", ">=")
 
 
 def _is_atom(text):
@@ -84,7 +91,7 @@ class _ExprEmitter:
     arms are never evaluated); subtrees invariant across lanes hoist
     into the block preamble, outside the lane loop; memory reads route
     to per-lane rows (``pl_<name>``) or shared lists (``m_<name>``)
-    per the layout.
+    per the layout; value bounds drop redundant masks and guards.
     """
 
     def __init__(self, layout, preamble, hoist_memo, counter,
@@ -140,8 +147,7 @@ class _ExprEmitter:
         if cached is not None:
             return cached
         text = self._compile(expr, depth)
-        key_const = key in self.consts
-        if not key_const and not isinstance(expr, (Const, VarRef)):
+        if not _is_atom(text):
             if self.uniform.get(key):
                 # Lane-invariant compound: compute once per dispatch.
                 text = self.hoist(text)
@@ -153,6 +159,38 @@ class _ExprEmitter:
                 text = "(%s)" % text
         self.memo[key] = text
         return text
+
+    def bound(self, expr):
+        """The largest value *expr* can take (memoised per layout)."""
+        if id(expr) in self.consts:
+            return self.consts[id(expr)]
+        bounds = self.layout.bounds
+        if id(expr) in bounds:
+            return bounds[id(expr)]
+        mask, op = _mask(expr.width), getattr(expr, "op", None)
+        if isinstance(expr, Const):
+            got = expr.value
+        elif isinstance(expr, VarRef):
+            got = self.layout.const_regs.get(expr.name, mask)
+        elif isinstance(expr, Mux):
+            got = max(self.bound(expr.if_true), self.bound(expr.if_false))
+        elif isinstance(expr, Slice):
+            got = min(self.bound(expr.operand) >> expr.lsb, mask)
+        elif isinstance(expr, Concat):
+            got = 0
+            for part in expr.parts:
+                got = (got << part.width) + self.bound(part)
+        elif isinstance(expr, (UnOp, MemReadRef)) or op in ("-",) + _COMPARE:
+            got = mask
+        else:
+            lhs, rhs = self.bound(expr.lhs), self.bound(expr.rhs)
+            got = min(mask, {
+                "+": lhs + rhs, "*": lhs * rhs,
+                "<<": lhs << min(rhs, expr.width), ">>": lhs, "/": lhs,
+                "&": min(lhs, rhs), "%": min(lhs, rhs),
+            }.get(op, (1 << max(lhs, rhs).bit_length()) - 1))   # | ^
+        bounds[id(expr)] = got
+        return got
 
     def _fold(self, expr, value):
         self.consts[id(expr)] = value
@@ -225,8 +263,12 @@ class _ExprEmitter:
                 return self._fold(
                     expr, (value >> expr.lsb) & _mask(expr.width))
             self.uniform[id(expr)] = self._is_uniform(expr.operand)
+            fits = self.bound(expr.operand) >> expr.lsb <= _mask(expr.width)
             if expr.lsb == 0:
-                return "%s & %d" % (operand, _mask(expr.width))
+                return operand if fits else "%s & %d" % (
+                    operand, _mask(expr.width))
+            if fits:
+                return "%s >> %d" % (operand, expr.lsb)
             return "(%s >> %d) & %d" % (operand, expr.lsb,
                                         _mask(expr.width))
         if isinstance(expr, Concat):
@@ -240,8 +282,11 @@ class _ExprEmitter:
                 return self._fold(expr, acc)
             self.uniform[id(expr)] = all(
                 self._is_uniform(p) for p in expr.parts)
-            acc = texts[0]
-            for part, text in zip(expr.parts[1:], texts[1:]):
+            parts = list(zip(expr.parts, texts))
+            while len(parts) > 1 and not self.bound(parts[0][0]):
+                del parts[0]                # a zero head adds nothing
+            acc = parts[0][1]
+            for part, text in parts[1:]:
                 acc = "((%s << %d) | %s)" % (acc, part.width, text)
             return acc
         raise EngineError("cannot compile expression %r" % (expr,))
@@ -271,7 +316,7 @@ class _ExprEmitter:
             expr.mem_name not in layout.perlane
             and expr.mem_name not in layout.hazard_mems
             and self._is_uniform(expr.addr))
-        if (1 << expr.addr.width) <= depth_words:
+        if self.bound(expr.addr) < depth_words:
             # The address cannot express an out-of-range index; skip
             # the guard.
             return "%s[%s]" % (base, addr)
@@ -294,6 +339,8 @@ class _ExprEmitter:
         op = expr.op
         mask = _mask(expr.width)
         if op in ("+", "-", "*", "<<"):
+            if self.bound(expr) < mask:     # cannot wrap
+                return "%s %s %s" % (lhs, op, rhs)
             return "(%s %s %s) & %d" % (lhs, op, rhs, mask)
         if op in ("&", "|", "^"):
             return "%s %s %s" % (lhs, op, rhs)
@@ -306,7 +353,7 @@ class _ExprEmitter:
             pyop = "//" if op == "/" else "%"
             return ("(((%s %s %s) & %d) if %s else 0)"
                     % (lhs, pyop, rhs, mask, rhs))
-        if op in ("==", "!=", "<", "<=", ">", ">="):
+        if op in _COMPARE:
             return "(1 if %s %s %s else 0)" % (lhs, op, rhs)
         raise EngineError("cannot compile operator %r" % op)
 
@@ -420,20 +467,26 @@ def _chain(fsm, leader, mode):
 class _Layout:
     """One compilation of the FSM for a fixed classification: which
     memories are per-lane (fully loaded by every lane), which latched
-    scalars are uniform across lanes, and how states group into
-    blocks.  Layouts are cached per kernel; in practice each call site
-    settles on one.  The generated closures bind the *kernel's* own
-    register columns, memory rows and shared memories, so every layout
-    runs on the same warm state.
+    scalars are uniform across lanes, how states group into blocks and
+    whether only live effects are emitted.  Layouts are cached per
+    kernel.  The generated closures bind the *kernel's* own register
+    columns, memory rows and shared memories, so every layout runs on
+    the same warm state.
     """
 
-    def __init__(self, kernel, perlane, uniform_set, mode):
+    def __init__(self, kernel, perlane, uniform_set, mode, latency):
         fsm = kernel.design.fsm
         self.perlane = perlane
         self.uniform_set = uniform_set
         self.uniform_names = sorted(uniform_set)
         self.mem_depths = kernel._mem_depths
         self.const_regs = kernel._const_regs
+        #: Per state, the updates and writes its code carries out.
+        self.effects = live_effects(
+            fsm, kernel._mem_depths.keys() - perlane, kernel._latch_names,
+            perlane) if latency else [(s.updates, s.writes)
+                                      for s in fsm.states]
+        self.bounds = {}                # id(node) -> largest value
         soa_regs = [name for name in kernel._reg_names
                     if name not in self.const_regs
                     and name not in uniform_set]
@@ -449,6 +502,8 @@ class _Layout:
         self.result_cols = [(col, name in self.soa)
                             for name, col in kernel._results]
         self.hazard_mems = kernel._written_mems - perlane
+        self.row_writes = {write[0] for _, writes in self.effects
+                           for write in writes}     # memories stored to
         entry = fsm.idle.transition.if_true
         self.entry = entry.index
         self.blocks = {}
@@ -510,10 +565,15 @@ class _Layout:
         writes = set()
         mems_used = set()
         for state in block.states:
-            reads |= kernel._vars_read[state.index] & self.soa
-            writes |= set(state.updates) & self.soa
-            mems_used |= kernel._touch[state.index]
-        loads = sorted(reads)
+            updates, state_writes = self.effects[state.index]
+            for node in walk(state_roots(state, (updates, state_writes))):
+                if isinstance(node, VarRef):
+                    reads.add(node.name)
+                elif isinstance(node, MemReadRef):
+                    mems_used.add(node.mem_name)
+            writes |= updates.keys() & self.soa
+            mems_used |= {write[0] for write in state_writes}
+        loads = sorted(reads & self.soa)
         stores = sorted(writes)
         preamble = []
         hoist_memo = {}
@@ -526,21 +586,18 @@ class _Layout:
         assigned = set()              # SoA regs committed so far
         last = len(block.states) - 1
         for i, state in enumerate(block.states):
-            emitter = _ExprEmitter(self, preamble, hoist_memo, counter,
-                               hoist_counter)
-            emitter.count_refs(state_roots(state))
-            # Phase 1: every right-hand side into temps/inline text.
-            commits = []
-            for name in sorted(state.updates):
-                commits.append(
-                    (name, emitter.root(state.updates[name])))
-            mem_writes = []
-            for mem_name, addr, data, enable in state.writes:
-                mem_writes.append(
-                    (mem_name, emitter.root(addr), emitter.root(data),
-                     emitter.root(enable)))
-            cond = None
+            updates, state_writes = self.effects[state.index]
             transition = state.transition
+            emitter = _ExprEmitter(self, preamble, hoist_memo, counter,
+                                   hoist_counter)
+            emitter.count_refs(state_roots(state, (updates, state_writes)))
+            # Phase 1: every right-hand side into temps/inline text.
+            commits = [(name, emitter.root(updates[name]))
+                       for name in sorted(updates)]
+            mem_writes = [(mem_name, emitter.root(addr), emitter.root(data),
+                           emitter.root(enable), emitter.bound(addr))
+                          for mem_name, addr, data, enable in state_writes]
+            cond = None
             if isinstance(transition, Branch):
                 cond = emitter.root(transition.cond)
                 if i == last:
@@ -551,10 +608,9 @@ class _Layout:
             # operands were evaluated in phase 1 — the atomic edge).
             for name, value in commits:
                 emitter.body.append("v_%s = %s" % (name, value))
-            for mem_name, addr, data, enable in mem_writes:
-                emitter.body.extend(self._emit_write(
-                    mem_name, addr, data, enable))
-            assigned |= set(state.updates) & writes
+            for write in mem_writes:
+                emitter.body.extend(self._emit_write(*write))
+            assigned |= updates.keys() & writes
             if isinstance(transition, Branch) and i < last:
                 # Trace side exit: the lane leaves mid-block, banking
                 # the registers committed so far and the cycle count
@@ -607,30 +663,26 @@ class _Layout:
             lines.append("        _next[_ln] = %s" % final_next)
         return lines
 
-    def _emit_write(self, mem_name, addr, data, enable):
+    def _emit_write(self, mem_name, addr, data, enable, addr_bound):
+        """One write's store, under its enable and — unless
+        *addr_bound* is below the memory's depth — an address guard."""
         depth = self.mem_depths.get(mem_name)
         if depth is None:
             raise EngineError("write to unknown memory %r" % mem_name)
         base = ("pl_" + mem_name if mem_name in self.perlane
                 else "m_" + mem_name)
-        en_const = addr_const = None
-        if enable.lstrip("-").isdigit():
-            en_const = int(enable)
-        if addr.lstrip("-").isdigit():
-            addr_const = int(addr)
-        if en_const == 0:
-            return []
-        if addr_const is not None and addr_const >= depth:
-            return []
+        constant = addr.lstrip("-").isdigit()
+        if constant:
+            addr_bound = int(addr)      # a folded address is its own bound
+        if enable == "0" or (constant and addr_bound >= depth):
+            return []           # never enabled, or a constant beyond depth
+        guards = [] if enable.lstrip("-").isdigit() else [enable]
+        if addr_bound >= depth:
+            guards.append("%s < %d" % (addr, depth))
         store = "%s[%s] = %s" % (base, addr, data)
-        if en_const is not None and addr_const is not None:
+        if not guards:
             return [store]
-        if en_const is not None:
-            return ["if %s < %d:" % (addr, depth), "    " + store]
-        if addr_const is not None:
-            return ["if %s:" % enable, "    " + store]
-        return ["if %s and %s < %d:" % (enable, addr, depth),
-                "    " + store]
+        return ["if %s:" % " and ".join(guards), "    " + store]
 
 
 # -- the kernel --------------------------------------------------------------
@@ -685,12 +737,10 @@ class CompiledKernel:
             name: init for name, init in self._reg_inits.items()
             if name not in written and name not in self._latch_only}
         count = len(fsm.states)
-        self._vars_read = [frozenset()] * count
         self._reads = [frozenset()] * count
         self._writes = [frozenset()] * count
         data_widths = {}
         for state in fsm.states[1:]:             # idle is state 0
-            self._vars_read[state.index] = frozenset(vars_read(state))
             self._reads[state.index] = frozenset(mems_read(state))
             self._writes[state.index] = frozenset(mems_written(state))
             for mem_name, _, data, _ in state.writes:
@@ -729,6 +779,7 @@ class CompiledKernel:
             "__result%d" % index
             for index in range(len(design.spec.results)))]
         self._layouts = {}
+        self._latency_only = None       # see _observe
         #: Per-state cycle counters (index-aligned with
         #: ``design.fsm.states``); ``None`` until
         #: :meth:`enable_profiling`.
@@ -745,13 +796,12 @@ class CompiledKernel:
         so far (before the first call, the one a plain :meth:`run`
         would use)."""
         if not self._layouts:
-            self._layout(frozenset(), self._latch_only,
-                         self._mode(float("inf"))[1])
-        return "\n".join("# layout: per-lane %r, uniform %r, %s blocks\n%s"
-                         % (sorted(perlane), sorted(uniform), mode,
-                            layout.source)
-                         for (perlane, uniform, mode), layout
-                         in self._layouts.items())
+            self._layout(frozenset(), self._latch_only, float("inf"))
+        return "\n".join(
+            "# layout: per-lane %r, uniform %r, %s blocks%s\n%s" % (
+                sorted(key[0]), sorted(key[1]), key[2],
+                ", latency only" * key[3], layout.source)
+            for key, layout in self._layouts.items())
 
     # -- state access -------------------------------------------------------
 
@@ -788,6 +838,7 @@ class CompiledKernel:
 
     def reset(self):
         """Back to power-on: registers, latched inputs, memory init."""
+        self._latency_only = None
         for name, init in self._reg_inits.items():
             self._cols[name][:] = [init]
         for name in self._inputs:
@@ -873,26 +924,29 @@ class CompiledKernel:
         return EngineError("design %r did not finish in %d cycles"
                            % (self.name, max_cycles))
 
-    def _mode(self, max_cycles):
-        """``(checked, mode)`` for a call with this cycle budget.
-        *checked*: can a request run out of budget?  An acyclic FSM
-        cannot run longer than its longest path, so above that the
-        per-lane checks are elided entirely.  *mode*: trace
-        superblocks charge a lane the whole block before a side exit
-        and run states a lane may not reach, so they are used only
-        when neither the cycle budget nor the per-state profile can
-        tell."""
-        checked = self.max_path is None or max_cycles <= self.max_path
-        return checked, (CHAIN if checked or self.state_counts is not None
-                         else TRACE)
+    def _observe(self, latency_only):
+        """Fix what the kernel's calls observe from power-on: a
+        latency-only call leaves dead registers stale for a full one."""
+        if self._latency_only not in (None, latency_only):
+            raise EngineError("kernel %r serves %s calls until reset()" % (
+                self.name, "latency-only" if self._latency_only else "full"))
+        self._latency_only = latency_only
 
-    def _layout(self, perlane, uniform_set, mode):
-        key = (perlane, uniform_set, mode)
+    def _layout(self, perlane, uniform_set, max_cycles, latency=False,
+                mode=None):
+        """The layout a call with this cycle budget runs and the budget
+        its lanes are checked against (``None``: no lane can run out);
+        trace blocks only where neither budget nor profile can tell."""
+        checked = self.max_path is None or max_cycles <= self.max_path
+        if mode is None:
+            mode = (CHAIN if checked or self.state_counts is not None
+                    else TRACE)
+        key = (perlane, uniform_set, mode, latency)
         layout = self._layouts.get(key)
         if layout is None:
             layout = self._layouts[key] = _Layout(
-                self, perlane, uniform_set, mode)
-        return layout
+                self, perlane, uniform_set, mode, latency)
+        return layout, max_cycles if checked else None
 
     # -- execution ----------------------------------------------------------
 
@@ -904,13 +958,9 @@ class CompiledKernel:
         lane 0's private rows (committed back afterwards); if any image
         is shorter, all of them prefix-load the shared memories.
         """
-        job = (scalars, memories or {})
-        return self._run_lane(job, self._validate((job,)), max_cycles)
-
-    def _run_lane(self, job, rows, max_cycles):
-        """:meth:`run` on an already validated *job* (*rows*: what
-        :meth:`_validate` returned for it)."""
-        memories = job[1]
+        memories = memories or {}
+        rows = self._validate(((scalars, memories),))
+        self._observe(False)
         if rows:
             perlane = frozenset(memories)
             for name, image in memories.items():
@@ -919,9 +969,18 @@ class CompiledKernel:
             perlane = frozenset()
             for name, image in memories.items():
                 self.load_memory(name, image)
-        checked, mode = self._mode(max_cycles)
-        layout = self._layout(perlane, self._latch_only, mode)
-        uniform = self._latch_lane(job, 0, layout)
+        layout, limit = self._layout(perlane, self._latch_only, max_cycles)
+        uniform = self._latch_lane((scalars, memories), 0, layout)
+        cycles = self._one_lane(layout, uniform, limit)
+        for name in perlane:
+            self._mems[name][:] = self._rows[name][0]
+        self.invocations += 1
+        return (tuple([col[0] for _, col in self._results]), cycles,
+                self)
+
+    def _one_lane(self, layout, uniform, max_cycles):
+        """Lane 0 from the entry state back to idle; returns its cycle
+        count.  *max_cycles* is ``None`` when no budget can run out."""
         counts = self.state_counts
         blocks = layout.blocks
         lanes = (0,)
@@ -930,7 +989,7 @@ class CompiledKernel:
         state = layout.entry
         while state:
             block = blocks[state]
-            if checked and cyc[0] > max_cycles - block.size:
+            if max_cycles is not None and cyc[0] > max_cycles - block.size:
                 raise self._timeout(max_cycles)
             block.fn(lanes, nxt, cyc, uniform)
             if counts is not None:
@@ -939,11 +998,7 @@ class CompiledKernel:
             state = block.next_const
             if state is None:
                 state = nxt[0]
-        for name in perlane:
-            self._mems[name][:] = self._rows[name][0]
-        self.invocations += 1
-        return (tuple([col[0] for _, col in self._results]), cyc[0],
-                self)
+        return cyc[0]
 
 
 def compile_design(design, batch=None):

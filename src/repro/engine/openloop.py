@@ -67,6 +67,13 @@ DEFAULT_QUEUE_CAPACITY = 64
 _UNROUTABLE = ([], 0.0, 0.0)
 
 
+def check_capacity(capacity):
+    """A queue *capacity* (``None``: unbounded), refused below 1."""
+    if capacity is not None and capacity < 1:
+        raise EngineError("queue capacity must be >= 1 (or None)")
+    return capacity
+
+
 class ArrivalSpec:
     """An open-loop arrival process: shape, rate, and ingest capacity."""
 
@@ -77,11 +84,9 @@ class ArrivalSpec:
                               % (process, ", ".join(ARRIVAL_PROCESSES)))
         if qps <= 0:
             raise EngineError("arrival rate must be positive")
-        if capacity is not None and capacity < 1:
-            raise EngineError("queue capacity must be >= 1 (or None)")
         self.process = process
         self.qps = float(qps)
-        self.capacity = capacity
+        self.capacity = check_capacity(capacity)
 
     def times(self, duration_ns, rng):
         """Arrival timestamps (ns) within ``[0, duration_ns)``."""

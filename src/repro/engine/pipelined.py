@@ -135,7 +135,7 @@ class PipelinedKernel(CompiledKernel):
                         "image (got %d words)"
                         % (name, self._mem_depths[name], len(image)))
         layout = self._layout(frozenset(self.stream_memories),
-                              self._latch_only, STEP)
+                              self._latch_only, max_cycles, mode=STEP)[0]
         blocks = layout.blocks
         counts = self.state_counts
         # Lane 0 is the warm register file; in-flight requests take

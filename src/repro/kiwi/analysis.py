@@ -15,11 +15,13 @@ from repro.kiwi.fsm import Branch
 from repro.rtl.expr import BinOp, Concat, Const, Mux, Slice, UnOp
 
 
-def state_roots(state):
-    """Every expression a state evaluates (pre-edge, phase 1)."""
-    for name in sorted(state.updates):
-        yield state.updates[name]
-    for _, addr, data, enable in state.writes:
+def state_roots(state, effects=None):
+    """Every expression a state evaluates (pre-edge, phase 1): of its
+    *effects* ``(updates, writes)`` if given, else of all of them."""
+    updates, writes = effects or (state.updates, state.writes)
+    for name in sorted(updates):
+        yield updates[name]
+    for _, addr, data, enable in writes:
         yield addr
         yield data
         yield enable
@@ -28,8 +30,9 @@ def state_roots(state):
         yield transition.cond
 
 
-def walk(roots):
-    """Each distinct node of the DAGs under *roots*, once."""
+def walk(roots, assume=None):
+    """Each distinct node of the DAGs under *roots*, once; of a ``Mux``
+    whose selector is the node *assume* (known true), only the true arm."""
     seen = set()
     stack = list(roots)
     while stack:
@@ -38,12 +41,10 @@ def walk(roots):
             continue
         seen.add(id(node))
         yield node
-        stack.extend(node.children())
-
-
-def vars_read(state):
-    return {node.name for node in walk(state_roots(state))
-            if isinstance(node, VarRef)}
+        if isinstance(node, Mux) and node.sel is assume:
+            stack.append(node.if_true)
+        else:
+            stack.extend(node.children())
 
 
 def mems_read(state):
@@ -79,6 +80,55 @@ def reach_union(fsm, facts):
                     acc |= out[succ.index]
             changed = changed or len(acc) != before
     return [frozenset(acc) for acc in out]
+
+
+def live_effects(fsm, observed, latched, loaded):
+    """Per state index, the ``(updates, writes)`` (a dict, a list) whose
+    values can reach an observable — a branch condition or a memory in
+    *observed* — by backward liveness over the FSM.  The idle→entry edge
+    counts, less what the next idle cycle overwrites (*latched*
+    registers, *loaded* memories), so a register a later request reads
+    stays live.  A write's address and data matter under its enable."""
+    def reads(root, assume=None):
+        return {("mem", node.mem_name) if isinstance(node, MemReadRef)
+                else node.name for node in walk((root,), assume)
+                if isinstance(node, (MemReadRef, VarRef))}
+
+    states = [s for s in fsm.states if s is not fsm.idle]
+    uses = {state: (                # what each effect reads, walked once
+        reads(state.transition.cond)
+        if isinstance(state.transition, Branch) else set(),
+        {name: reads(expr) for name, expr in state.updates.items()},
+        [reads(addr, enable) | reads(data, enable) | reads(enable)
+         for _, addr, data, enable in state.writes]) for state in states}
+    always = frozenset(("mem", name) for name in observed)
+    killed = frozenset(latched) | {("mem", name) for name in loaded}
+    entry = fsm.idle.transition.if_true
+    live_in = dict.fromkeys(fsm.states, always)
+    effects = [({}, [])] * len(fsm.states)
+    changed = True
+    while changed:                  # the last pass changes nothing
+        changed = False
+        for state in reversed(states):
+            out = set(always)
+            for succ in fsm.successors(state):
+                out |= (live_in[entry] - killed if succ is fsm.idle
+                        else live_in[succ])
+            cond, update_uses, write_uses = uses[state]
+            live = out - state.updates.keys() | cond
+            updates = {}
+            for name in state.updates.keys() & out:
+                updates[name] = state.updates[name]
+                live |= update_uses[name]
+            writes = []
+            for write, used in zip(state.writes, write_uses):
+                if ("mem", write[0]) in out:
+                    writes.append(write)
+                    live |= used
+            effects[state.index] = (updates, writes)
+            changed |= live != live_in[state]
+            live_in[state] = frozenset(live)
+    return effects
 
 
 def stage_intervals(fsm):

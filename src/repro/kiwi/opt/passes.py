@@ -12,6 +12,7 @@ Passes mutate the FSM in place and report what they did through
 them to a fixpoint and renumbers the states afterwards.
 """
 
+from repro.kiwi.analysis import walk
 from repro.kiwi.builder import MemReadRef, VarRef
 from repro.kiwi.fsm import Branch, Goto
 from repro.kiwi.opt.rewrite import fold_expr, fold_node, transform
@@ -170,22 +171,10 @@ class BranchResolvePass(Pass):
         return stats
 
 
-def _vars_read(expr, into, seen=None):
-    """Collect the names of all VarRefs in *expr* into the set *into*.
-
-    Visits each DAG node once (expressions share subtrees heavily; an
-    unmemoised walk is exponential in the sharing depth)."""
-    if seen is None:
-        seen = set()
-    stack = [expr]
-    while stack:
-        node = stack.pop()
-        if id(node) in seen:
-            continue
-        seen.add(id(node))
-        if isinstance(node, VarRef):
-            into.add(node.name)
-        stack.extend(node.children())
+def _vars_read(roots):
+    """The names of all VarRefs under *roots* (each DAG node visited
+    once: an unmemoised walk is exponential in the sharing depth)."""
+    return {node.name for node in walk(roots) if isinstance(node, VarRef)}
 
 
 class DeadRegisterPass(Pass):
@@ -200,23 +189,20 @@ class DeadRegisterPass(Pass):
 
     def run(self, ctx):
         stats = PassStats(self.name)
-        always_live = set(ctx.result_names)
-        always_seen = set()
+        observed = []
         update_reads = {}        # var -> set of vars its updates read
         for state in _each_state(ctx):
             transition = state.transition
             if isinstance(transition, Branch) and \
                     isinstance(transition.cond, Expr):
-                _vars_read(transition.cond, always_live, always_seen)
+                observed.append(transition.cond)
             for _, addr, data, enable in state.writes:
-                _vars_read(addr, always_live, always_seen)
-                _vars_read(data, always_live, always_seen)
-                _vars_read(enable, always_live, always_seen)
+                observed += (addr, data, enable)
             for name, expr in state.updates.items():
-                reads = update_reads.setdefault(name, set())
-                _vars_read(expr, reads)
+                update_reads.setdefault(name, set()).update(
+                    _vars_read((expr,)))
 
-        live = set(always_live)
+        live = set(ctx.result_names) | _vars_read(observed)
         frontier = list(live)
         while frontier:
             name = frontier.pop()

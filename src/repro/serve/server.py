@@ -39,7 +39,9 @@ import time
 import traceback
 
 from repro.engine.batch import LANES
-from repro.engine.openloop import OpenLoopReport, drain, runtime
+from repro.engine.openloop import (
+    OpenLoopReport, check_capacity, drain, runtime,
+)
 from repro.errors import ReproError, ServeError
 from repro.serve.spec import resolve_binding
 
@@ -59,7 +61,8 @@ class SocketServer:
         self.deployment = deployment
         self.binding = resolve_binding(deployment.spec, transport)
         self.host, self.port = host, int(port)
-        self.capacity = DEFAULT_CAPACITY if capacity is None else int(capacity)
+        self.capacity = check_capacity(
+            DEFAULT_CAPACITY if capacity is None else int(capacity))
         self.batch = max(1, int(batch))
         self.series = series
         #: Exceptions out of the bridge that were not a ``ReproError``,

@@ -5,17 +5,17 @@ faithful to the unoptimized schedule but blind to the optimizer.  When
 a target is given an explicit ``opt_level``, services that have a flat
 Emu-Python kernel swap in this model instead: the kernel is compiled at
 that level and every request's core-cycle count is *measured* by
-running the frame through the compiled machine with warm state (so
-stateful kernels — e.g. Memcached's key-value memories — keep their
-state between requests, exactly like the hardware).
-
-The measurement runs on the compiled execution spine
-(:mod:`repro.engine.compiler`); its cycle counts are identical to the
-interpreted netlist's by the engine's differential proof
-(:mod:`repro.verify`), the wall clock is not.
+running the frame through the compiled machine's latency-only layout
+(:meth:`~repro.engine.batch.BatchedKernel.latencies`: every branch and
+every write to the warm memories, none of the reply bytes or results),
+with warm state, so stateful kernels — e.g. Memcached's key-value
+memories — keep their state between requests, exactly like the
+hardware.  Its cycle counts are the interpreted netlist's by the
+engine's differential proof (:mod:`repro.verify`); the wall clock is
+not.
 """
 
-from repro.engine.batch import LANES, BatchedKernel
+from repro.engine.batch import BatchedKernel
 from repro.errors import TargetError
 from repro.kiwi.compiler import DEFAULT_LEVEL_BUDGET, compile_function
 
@@ -88,19 +88,16 @@ class KernelCycleModel:
     def cycles_batch(self, frames):
         """Measured latencies (cycles) of *frames*, in order.
 
-        They go through the lockstep driver ``LANES`` at a time; how a
-        stream is cut into calls is unobservable — cycle counts and the
-        warm-memory end state are those of one frame per call (the batch
-        differential harness in :mod:`repro.verify` proves it).
+        They go through the lockstep driver in one call; how a stream
+        is cut into calls is unobservable — cycle counts and the
+        warm-memory end state are those of one frame per call (the
+        ``Cycles`` leg of the differential suite proves it).
         """
-        depth, param = self.depth, self.frame_param
-        jobs = [(self.scalars,
-                 {param: frame.data[:depth].ljust(depth, b"\0")})
-                for frame in frames]
-        latencies = []
-        for start in range(0, len(jobs), LANES):
-            latencies += [latency for _, latency in self._runner.run_batch(
-                jobs[start:start + LANES], self.max_cycles)]
+        depth = self.depth
+        latencies = self._runner.latencies(
+            self.scalars, self.frame_param,
+            [frame.data[:depth].ljust(depth, b"\0") for frame in frames],
+            self.max_cycles)
         self.requests += len(latencies)
         self.total_cycles += sum(latencies)
         return latencies

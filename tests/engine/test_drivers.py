@@ -1,16 +1,19 @@
 """The three drivers are one kernel: same budget rule, same latch rule,
 same generated code.
 
-* **Cycle budget** — ``run``, one-lane and 8-lane ``run_batch`` and the
-  interpreter agree on finish-vs-timeout for every budget around a
-  request's latency, on every service kernel (trace superblocks used to
-  charge a lane the whole block before a side exit).
+* **Cycle budget** — ``run``, one-lane and 8-lane ``run_batch``,
+  one- and 8-lane ``latencies`` and the interpreter agree on
+  finish-vs-timeout for every budget around a request's latency, on
+  every service kernel (trace superblocks used to charge a lane the
+  whole block before a side exit).
 * **Rejected calls are atomic** — a call that raises for an unknown
   scalar, an unknown memory or a bad image has changed nothing, on all
-  three entry points.
+  four entry points.
 * **Image contract** — memory images may be ``bytes``, ``bytearray``
   or lists of ints, with identical observables; out-of-range list
   values are masked; reads back are ints.
+* **One observation per kernel** — after a ``latencies`` call a full
+  call is refused until ``reset()``, and the other way round.
 * ``kernel.source`` is the code that runs.
 
 Seeded per tests/README: one module SEED, one stream per property.
@@ -94,6 +97,31 @@ def test_budget_sweep_agrees_on_every_driver(case, level):
         assert sequential == _finishes(lambda: kernel.run_batch(
             jobs, max_cycles=budget)), budget
         assert sequential == (budget >= worst)
+    # The latency entry: the tables loaded once, one frame per job.
+    tables = {name: image for name, image in frames[0][2].items()
+              if name != "frame"}
+    latency = compile_design(design, batch=8)
+
+    def latencies(images, budget=100000):
+        latency.reset()
+        for name, image in tables.items():
+            latency.load_memory(name, image)
+        return latency.latencies(case.scalars, "frame", images, budget)
+
+    images = [memories["frame"] for _, _, memories in (frames * 3)[:8]]
+    kernel.reset()
+    for name, image in tables.items():
+        kernel.load_memory(name, image)
+    expected = [kernel.run(memories={"frame": image}, **case.scalars)[1]
+                for image in images]
+    assert latencies(images) == expected
+    assert latency.lockstep_batches > 0
+    for budget in range(1, max(expected) + 3):
+        assert _finishes(lambda: latencies(images, budget)) \
+            == (budget >= max(expected)), budget
+        for image, cycles in zip(images[:3], expected):
+            assert _finishes(lambda: latencies([image], budget)) \
+                == (budget >= cycles), budget
 
 
 def sticky(frame: "mem[8]x8", acc: "mem[8]x8", key: "u8") -> "u8":
@@ -155,6 +183,57 @@ def test_rejected_calls_change_nothing(entry, bad_jobs):
         assert _observable(kernel) == expected, (scalars, memories)
 
 
+#: ``latencies`` calls to refuse: an unknown scalar, an unknown memory,
+#: a short image and an over-long one (each behind a good image).
+_BAD_LATENCY_CALLS = [
+    ({"not_a_param": 1}, "frame", [[2] * 8, [9] * 8]),
+    ({"key": 7}, "nope", [[2] * 8, [9] * 8]),
+    ({"key": 7}, "frame", [[2] * 8, [9] * 4]),
+    ({"key": 7}, "frame", [[2] * 8, [9] * 9]),
+]
+
+
+def test_rejected_latency_calls_change_nothing():
+    def fresh():
+        kernel = compile_kernel(sticky, batch=4)
+        kernel.latencies({"key": 3}, "frame", [[1] * 8])
+        return kernel
+
+    def observable(kernel):
+        """Registers, memories, and — through a call that omits every
+        scalar — the sticky key (it lands in ``acc``)."""
+        registers = {name: col[0] for name, col in kernel._cols.items()}
+        images = {name: kernel.memory_image(name)
+                  for name in ("frame", "acc")}
+        follow_up = kernel.latencies({}, "frame", [[0] * 8])
+        return registers, images, follow_up, kernel.memory_image("acc")
+
+    expected = observable(fresh())
+    for scalars, memory, images in _BAD_LATENCY_CALLS:
+        kernel = fresh()
+        with pytest.raises(EngineError):
+            kernel.latencies(scalars, memory, images)
+        assert observable(kernel) == expected, (scalars, memory, images)
+
+
+def test_a_kernel_serves_one_observation_until_reset():
+    """A latency-only call leaves dead registers stale, so the kernel
+    refuses a full call after one (and the other way round); ``reset``
+    lifts it.  A refused call runs nothing."""
+    kernel = compile_kernel(sticky, batch=4)
+    assert kernel.latencies({"key": 3}, "frame", [[1] * 8]) == [3]
+    for full in (lambda: kernel.run(memories={"frame": [1] * 8}, key=3),
+                 lambda: kernel.run_batch([_GOOD_JOB])):
+        with pytest.raises(EngineError, match="serves latency-only calls"):
+            full()
+    assert kernel.invocations == 1
+    kernel.reset()
+    kernel.run_batch([_GOOD_JOB])
+    with pytest.raises(EngineError, match="serves full calls"):
+        kernel.latencies({"key": 3}, "frame", [[1] * 8])
+    assert kernel.invocations == 2
+
+
 _MY_IP = {"my_ip": 0x0A000001}
 
 
@@ -206,6 +285,33 @@ def test_images_may_be_bytes_bytearray_or_list(level):
         group = [entry for entry in observed if entry[0] == pad]
         assert len(group) == 9
         assert all(entry == group[0] for entry in group), pad
+
+
+@pytest.mark.parametrize("level", [0, 3])
+def test_latency_images_may_be_bytes_bytearray_or_list(level):
+    """The same frames as ``bytes``, ``bytearray`` and ``list`` images
+    through ``latencies`` one, four and eight at a time: the cycles of
+    ``run`` per frame and the same warm tables; the caller's images are
+    left as they were."""
+    design = compile_function(memcached_kernel, opt_level=level)
+    depth = dict(design.spec.memory_params)["frame"].depth
+    frames = [frame.ljust(depth, b"\0")
+              for frame in _memcached_frames("latency/%d" % level, 8)]
+    reference = compile_design(design)
+    expected = ([reference.run(memories={"frame": frame}, **_MY_IP)[1]
+                 for frame in frames],
+                {name: reference.memory_image(name)
+                 for name in ("ktags", "values", "kvalid")})
+    for convert in (bytes, bytearray, list):
+        for width in (1, 4, 8):
+            kernel = compile_design(design, batch=4)
+            images = [convert(frame) for frame in frames]
+            out = [cycles for start in range(0, len(images), width)
+                   for cycles in kernel.latencies(
+                       _MY_IP, "frame", images[start:start + width])]
+            assert (out, {name: kernel.memory_image(name)
+                          for name in expected[1]}) == expected
+            assert images == [convert(frame) for frame in frames]
 
 
 def test_out_of_range_list_images_are_masked():

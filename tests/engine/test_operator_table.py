@@ -5,7 +5,9 @@ memory operation: the front-end compiles a two-state template, the
 test swaps the result expression (and memory writes) for the node
 under test, and every driver — one-lane ``run``, 8-lane ``run_batch``
 (per-lane operands, then lane-uniform operands that hoist out of the
-lane loop), ``run_stream`` with requests in flight — must reproduce
+lane loop), ``run_stream`` with requests in flight, and the
+latency-only ``latencies`` (cycle counts and shared memories) — must
+reproduce
 ``repro.rtl.expr.eval_binop``/``eval_unop`` and the interpreted
 :class:`~repro.rtl.simulator.Simulator` on edge operands.  Constant
 operands (folded at compile time) get their own kernels.
@@ -19,7 +21,9 @@ from repro.engine import BatchedKernel
 from repro.engine.pipelined import PipelinedKernel
 from repro.kiwi.builder import FsmBuilder, MemReadRef, VarRef, zext
 from repro.kiwi.codegen import generate
-from repro.kiwi.compiler import CompiledDesign, compute_timing
+from repro.kiwi.compiler import (
+    CompiledDesign, compile_function, compute_timing,
+)
 from repro.kiwi.frontend import parse_function
 from repro.kiwi.opt import analyze_pipeline
 from repro.rtl.expr import (
@@ -115,6 +119,16 @@ def _check(design, pairs, expect=None):
     for scalars, memories in jobs[::7]:
         expected = [uniform.run(memories=memories, **scalars)[:2]]
         assert uniform.run_batch([(scalars, memories)] * 8) == expected * 8
+    latency = fresh(BatchedKernel)
+    assert [cycles for scalars, memories in jobs
+            for cycles in latency.latencies(scalars, "frame",
+                                            [memories["frame"]])] == \
+        [cycles for _, cycles in reference]
+    assert latency.memory_image("table") == sim_images["table"]
+    for scalars, memories in jobs[::7]:
+        cycles = latency.latencies(scalars, "frame", [memories["frame"]])
+        assert latency.latencies(scalars, "frame",
+                                 [memories["frame"]] * 8) == cycles * 8
     stream = fresh(PipelinedKernel, depth=4)
     assert [results for results, _, _ in stream.run_stream(jobs)] == \
         [results for results, _ in reference]
@@ -207,3 +221,40 @@ def test_memory_write_out_of_range_is_dropped(memory):
             design = _design(MemReadRef(memory, addr, WIDTH),
                              writes=[(memory, addr, B, enable)])
             _check(design, pairs)
+
+
+@pytest.mark.parametrize("memory", ["frame", "table"])
+def test_constant_expression_address_stores_at_its_value(memory):
+    """An address that folds to a constant in range is stored to,
+    however loose the bound its structure gives: a 3-bit ``5 - 1``, a
+    constant-selected ``Mux`` arm and a slice of a constant are word 4
+    of a 5-word memory, each with a structural bound of 7."""
+    for addr in (BinOp("-", Const(5, 3), Const(1, 3)),
+                 Mux(Const(1, 1), Const(4, 3), Const(7, 3)),
+                 Slice(Const(0xC4, 8), 2, 0)):
+        design = _design(MemReadRef(memory, addr, WIDTH),
+                         writes=[(memory, addr, B, Const(1, 1))])
+        _check(design, [(a, 0x00F1) for a in (0, 3)],
+               lambda a, b: b)
+
+
+def _constant_store(m: "mem[6]x8", v: "u8") -> "u8":
+    m[5 - 1] = v
+    pause()
+    return m[4]
+
+
+def test_constant_expression_store_at_o0_matches_the_simulator():
+    """The front end leaves ``5 - 1`` unfolded at ``-O0``; the store
+    lands in word 4 of a 6-word memory on every driver."""
+    design = compile_function(_constant_store, opt_level=0)
+    sim = design.simulator()
+    results, latency, _ = design.run_on(sim, v=9)
+    image = [sim.peek_memory("m", addr) for addr in range(6)]
+    assert results == (9,) and image[4] == 9
+    one = BatchedKernel(design)
+    assert one.run(v=9)[:2] == (results, latency)
+    assert one.memory_image("m") == image
+    lanes = BatchedKernel(design)
+    assert lanes.run_batch([({"v": 9}, {})] * 3) == [(results, latency)] * 3
+    assert lanes.memory_image("m") == image

@@ -17,7 +17,7 @@ import time
 import pytest
 
 from repro.deploy import deploy
-from repro.errors import ParseError, ServeError
+from repro.errors import EngineError, ParseError, ServeError
 from repro.obs.slo import SloSpec
 from repro.obs.validate import (
     validate_alert_log, validate_trace, validate_tsv,
@@ -267,6 +267,24 @@ def test_a_served_queue_admits_exactly_its_capacity():
             snapshot["queue_drops"], snapshot["replies"]) == (9, 8, 1, 8)
     assert answered == [bytes(binding.wrap_reply(expected))
                         for _, expected in probes[:4]] * 2
+
+
+@pytest.mark.parametrize("capacity", [0, -1])
+def test_a_served_capacity_below_one_is_refused(capacity):
+    """Like ``with_arrivals(capacity=...)``: a queue that can hold
+    nothing is an error up front, not a server that drops every
+    request — through ``SocketServer`` and ``Deployment.serve`` alike,
+    with nothing bound."""
+    dep = deploy("memcached").on("cpu").start()
+    try:
+        for start in (lambda: SocketServer(dep, capacity=capacity),
+                      lambda: dep.serve(capacity=capacity)):
+            with pytest.raises(EngineError,
+                               match="queue capacity must be >= 1"):
+                start()
+        assert dep.server is None
+    finally:
+        dep.stop()
 
 
 def test_a_payload_of_exactly_max_payload_is_not_oversized():
