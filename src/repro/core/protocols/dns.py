@@ -5,6 +5,9 @@ addresses and answers NXDOMAIN for unknown names; we implement the full
 header, question and A-record answer encoding (plus name compression
 pointers on decode) so the constraint is a *server* policy, not a parser
 limitation — matching "these constraints can be relaxed".
+
+A reply carries back the question exactly as it was received: a
+decoded :class:`DNSQuestion` encodes to the bytes it was read from.
 """
 
 import struct
@@ -16,6 +19,7 @@ HEADER_BYTES = 12
 _HEADER = struct.Struct("!HHHHHH")  # txid, flags, qd/an/ns/ar counts
 _QUESTION_TAIL = struct.Struct("!HH")       # qtype, qclass
 _ANSWER_FIXED = struct.Struct("!HHIH")      # qtype, qclass, ttl, rdlength
+_A_ANSWER = struct.Struct("!HHHIHI")  # pointer, qtype, class, ttl, 4, IP
 MAX_PAPER_NAME_BYTES = 26
 
 
@@ -127,28 +131,48 @@ class DNSHeader:
 
 
 class DNSQuestion:
-    """One question entry."""
+    """One question entry.  A decoded one keeps the bytes it was read
+    from in ``wire`` and encodes to exactly them; one built from a
+    name (``wire`` is ``None``) encodes from that name."""
 
-    __slots__ = ("name", "qtype", "qclass")
+    __slots__ = ("name", "qtype", "qclass", "wire")
 
     def __init__(self, name, qtype=QType.A, qclass=QClass.IN):
         self.name = name
         self.qtype = qtype
         self.qclass = qclass
+        self.wire = None
 
     def encode(self):
-        out = bytearray(encode_name(self.name))
-        out.extend(self.qtype.to_bytes(2, "big"))
-        out.extend(self.qclass.to_bytes(2, "big"))
-        return bytes(out)
+        if self.wire is not None:
+            return self.wire
+        return encode_name(self.name) + \
+            _QUESTION_TAIL.pack(self.qtype, self.qclass)
 
     @classmethod
     def decode(cls, data, offset):
-        name, offset = decode_name(data, offset)
-        if offset + 4 > len(data):
-            raise ParseError("truncated DNS question")
-        qtype, qclass = _QUESTION_TAIL.unpack_from(data, offset)
-        return cls(name, qtype, qclass), offset + 4
+        """Read the question at *offset* in one pass; returns
+        ``(question, next_off)``.  The name is the labels joined by
+        dots, a byte outside ASCII read as U+FFFD.  A compression
+        pointer is refused: the question is the message's first name,
+        so it could only point into the header or forward."""
+        start, labels = offset, []
+        try:
+            length = data[offset]
+            while length:
+                if length > 63:
+                    raise ParseError("DNS label length %d in a question"
+                                     % length)
+                offset += 1 + length
+                labels.append(data[offset - length:offset])
+                length = data[offset]
+            offset += 5
+            tail = _QUESTION_TAIL.unpack_from(data, offset - 4)
+        except (IndexError, struct.error):
+            raise ParseError("truncated DNS question") from None
+        question = cls(b".".join(labels).decode("ascii", "replace"), *tail)
+        question.wire = bytes(data[start:offset])
+        return question, offset
 
 
 class DNSWrapper:
@@ -195,20 +219,11 @@ def build_dns_query(txid, name, qtype=QType.A, recursion_desired=False):
 
 def build_dns_response(txid, question, address=None,
                        rcode=RCode.NO_ERROR, ttl=300):
-    """Encode a response to *question*; A record if *address* given."""
-    flags = 0x8000 | (rcode & 0xF)      # QR=1, AA left clear, RD/RA clear
+    """Encode a response to *question* (QR=1, AA/RD/RA clear); an A
+    record, naming the question by a pointer, if *address* given."""
     if rcode == RCode.NO_ERROR and address is not None:
-        ancount = 1
-    else:
-        ancount = 0
-    header = DNSHeader(txid=txid, flags=flags, qdcount=1, ancount=ancount)
-    out = bytearray(header.encode())
-    out.extend(question.encode())
-    if ancount:
-        out.extend(b"\xC0\x0C")          # pointer to the question name
-        out.extend(QType.A.to_bytes(2, "big"))
-        out.extend(QClass.IN.to_bytes(2, "big"))
-        out.extend(int(ttl).to_bytes(4, "big"))
-        out.extend((4).to_bytes(2, "big"))
-        out.extend(int(address).to_bytes(4, "big"))
-    return bytes(out)
+        return _HEADER.pack(txid & 0xFFFF, 0x8000, 1, 1, 0, 0) + \
+            question.encode() + \
+            _A_ANSWER.pack(0xC00C, QType.A, QClass.IN, ttl, 4, address)
+    return _HEADER.pack(txid & 0xFFFF, 0x8000 | (rcode & 0xF), 1, 0, 0, 0) \
+        + question.encode()

@@ -336,16 +336,19 @@ def runtime(report, capacity, clock, wake, backend):
     return arrive, waiting, busy
 
 
-def drain(waiting, batch, clock, execute):
+def drain(waiting, batch, clock, execute, fault):
     """The executor of a run whose arrivals are not known ahead (a
     served one, which refuses a frame no server owns before it is
     queued): every request in *waiting* runs at its dequeue, at most
     *batch* per ``execute(index, frames)``, which returns one outcome
-    per frame; a frame that raises a
-    :class:`~repro.errors.ReproError` on its own gets ``None``.
-    Returns ``(item, outcome, (index, dispatch_ns, done_ns,
-    busy_ns))`` per request, server by server: a group's requests
-    share one stamp, its *clock* time split equally among them."""
+    per frame.  A group that raises runs again frame by frame: a frame
+    that raises a :class:`~repro.errors.ReproError` on its own gets
+    ``None``, one that raises anything else gets ``fault()`` (called
+    in its ``except``), and nothing propagates, so one bad request
+    costs no other.  Returns ``(item, outcome, (index, dispatch_ns,
+    done_ns, busy_ns))`` per request, server by server: a group's
+    requests share one stamp, its *clock* time split equally among
+    them."""
     done = []
     for index, queue in enumerate(waiting):
         items = list(queue)
@@ -356,13 +359,15 @@ def drain(waiting, batch, clock, execute):
             dispatch_ns = clock.now_ns
             try:
                 outcomes = execute(index, frames)
-            except ReproError:
+            except Exception:
                 outcomes = []
                 for frame in frames:
                     try:
                         outcomes.extend(execute(index, [frame]))
                     except ReproError:
                         outcomes.append(None)
+                    except Exception:
+                        outcomes.append(fault())
             done_ns = clock.now_ns
             done.extend(zip(group, outcomes, repeat((
                 index, dispatch_ns, done_ns,

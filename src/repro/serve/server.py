@@ -24,9 +24,11 @@ reason on its trace row: ``oversized``, ``malformed`` (a codec raised
 a :class:`~repro.errors.ReproError`; a stream peer also loses its
 connection) or ``internal_error`` (any other exception, the server's
 own bug, also on :attr:`SocketServer.internal_errors`).  So are a
-request no server owns (``unroutable``) and a reply the codecs reject
-(``undecodable_reply``).  Nothing raises out of the loop or wedges it;
-a reply lost to a vanished peer counts on
+request no server owns (``unroutable``), one whose execution raised
+(``internal_error`` unless it was a ``ReproError``; the rest of its
+group and of the tick are still answered) and a reply the codecs
+reject (``undecodable_reply``).  Nothing raises out of the loop or
+wedges it; a reply lost to a vanished peer counts on
 :attr:`SocketServer.peer_gone`.  Traces, time-series windows and SLO
 alerts are the simulated run's, in wall-clock nanoseconds.
 """
@@ -48,6 +50,9 @@ from repro.serve.spec import resolve_binding
 #: Ingest bound per server (default *capacity*) on requests waiting
 #: for a drain tick: tail-drop above it, like the model's queues.
 DEFAULT_CAPACITY = 4096
+
+#: The outcome of a request whose execution was the server's own bug.
+_FAULT = ((), 0, 0, 0)
 
 
 class SocketServer:
@@ -217,14 +222,17 @@ class SocketServer:
         accounted (so a client holding its reply finds it in the
         report) and answered, in arrival order."""
         self._tick_due = False
-        done = drain(self._waiting, self.batch, self, self._execute)
+        done = drain(self._waiting, self.batch, self, self._execute,
+                     self._internal_error)
         if len(self._waiting) > 1:
             done.sort(key=lambda entry: entry[0][3][0])
         binding = self.binding
         for (arrival_ns, _, detail, (_, reply)), outcome, \
                 (index, t_disp, t_done, busy_ns) in done:
             wire = None
-            if outcome is not None and outcome[0]:
+            if outcome is _FAULT:
+                detail = dict(detail or (), reason="internal_error")
+            elif outcome is not None and outcome[0]:
                 try:
                     wire = binding.wrap_reply(
                         binding.decap(outcome[0][0][1]))
@@ -253,10 +261,12 @@ class SocketServer:
         return outcomes
 
     def _internal_error(self):
-        """The bridge itself raised (call from the ``except``)."""
+        """The bridge itself raised (call from the ``except``); returns
+        the outcome of a request whose execution did."""
         self.internal_errors += 1
         if self.first_internal_error is None:
             self.first_internal_error = traceback.format_exc()
+        return _FAULT
 
     def _refuse(self, arrival_ns, reason):
         """Offered, admitted and completed with no service."""

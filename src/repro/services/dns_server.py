@@ -4,12 +4,21 @@ Resolves A-record queries from a fixed table.  The paper's prototype
 limits names to 26 bytes and answers "cannot resolve" for unknown names;
 both behaviours are reproduced (the length cap is configurable, as the
 paper notes the constraint can be relaxed).
+
+A name the table holds (A, IN, within the cap) is answered with its
+question echoed byte for byte and an A record; any other query gets
+NXDOMAIN (NOTIMP for another qtype or class), its question echoed
+likewise.  A name with bytes outside ASCII is held by no table; a
+label holding a ``.`` is looked up as two labels.  A response or a
+message with no question is dropped; a truncated header or question,
+or a compression pointer in the question, raises
+:class:`~repro.errors.ParseError`: a drop counted on ``malformed``.
 """
 
 from repro.core import netfpga as NetFPGA
 from repro.core.protocols.dns import (
-    DNSHeader, DNSQuestion, MAX_PAPER_NAME_BYTES, QClass, QType, RCode,
-    build_dns_response, decode_name, encode_name,
+    HEADER_BYTES, DNSHeader, DNSQuestion, MAX_PAPER_NAME_BYTES, QClass,
+    QType, RCode, build_dns_response,
 )
 from repro.core.protocols.udp import UDPRequest
 from repro.errors import ParseError
@@ -54,13 +63,10 @@ class DnsServerService(EmuService):
         yield pause()
 
         payload = request.payload()
-        try:
-            header = DNSHeader.decode(payload)
-            if not header.is_query or header.qdcount < 1:
-                return
-            question, _ = DNSQuestion.decode(payload, 12)
-        except ParseError:
+        header = DNSHeader.decode(payload)
+        if not header.is_query or header.qdcount < 1:
             return
+        question, _ = DNSQuestion.decode(payload, HEADER_BYTES)
         self.queries_seen += 1
         yield pause()
 
@@ -80,12 +86,13 @@ class DnsServerService(EmuService):
         NetFPGA.send_back(dataplane)
 
     def _resolve(self, question):
-        name = question.name.lower()
-        if len(encode_name(name)) - 1 > self.max_name_bytes + 1:
+        # The name's encoded length less its root byte: the question
+        # less that byte and its 4-byte qtype/qclass tail.
+        if len(question.wire) - 5 > self.max_name_bytes + 1:
             return RCode.NAME_ERROR, None
         if question.qtype != QType.A or question.qclass != QClass.IN:
             return RCode.NOT_IMPLEMENTED, None
-        address = self.table.get(name)
+        address = self.table.get(question.name.lower())
         if address is None:
             return RCode.NAME_ERROR, None
         return RCode.NO_ERROR, address

@@ -15,7 +15,8 @@ import random
 import pytest
 
 from repro.core.protocols.dns import (
-    DNSQuestion, DNSWrapper, QType, build_dns_query, build_dns_response,
+    MAX_PAPER_NAME_BYTES, DNSQuestion, DNSWrapper, QType, RCode,
+    build_dns_query, build_dns_response, encode_name,
 )
 from repro.core.protocols.ethernet import EthernetWrapper, build_ethernet
 from repro.core.protocols.ipv4 import IPv4Wrapper, build_ipv4_frame
@@ -27,6 +28,8 @@ from repro.core.protocols.memcached import (
 from repro.core.protocols.tcp import TCPWrapper, build_tcp
 from repro.core.protocols.udp import UDPRequest, UDPWrapper, build_udp
 from repro.errors import ParseError
+from repro.net.packet import Frame
+from repro.services import DnsServerService
 
 SEED = 0xE1111            # change deliberately, never casually
 CASES = 150
@@ -180,6 +183,35 @@ class TestRoundTrips:
                                          address=message.first_a_record(),
                                          ttl=message.answers[0][3])
             assert rebuilt == wire
+
+    def test_dns_served_reply_is_the_one_built_from_the_name(self):
+        """Answering from the query's own bytes changes no byte on a
+        well-formed query: the served reply is the response built from
+        the name, over qtypes, hits, misses and names over the paper's
+        cap (checked as the name's encoding, less its root byte)."""
+        rng = rng_for("dns-served")
+        for _ in range(CASES):
+            txid = rng.getrandbits(16)
+            name = rand_name(rng)
+            qtype = rng.choice([QType.A, QType.NS, QType.CNAME,
+                                QType.AAAA])
+            address = rng.getrandbits(32)
+            hit = rng.random() < 0.5 and len(name) <= MAX_PAPER_NAME_BYTES
+            service = DnsServerService(1, table={name: address} if hit
+                                       else None)
+            served = service.process(Frame(build_udp(
+                2, 3, 4, 1, 4000, 53, build_dns_query(txid, name, qtype))))
+            if len(encode_name(name)) - 1 > MAX_PAPER_NAME_BYTES + 1:
+                rcode, address = RCode.NAME_ERROR, None
+            elif qtype != QType.A:
+                rcode, address = RCode.NOT_IMPLEMENTED, None
+            elif not hit:
+                rcode, address = RCode.NAME_ERROR, None
+            else:
+                rcode = RCode.NO_ERROR
+            assert UDPWrapper(served.tdata).payload() == build_dns_response(
+                txid, DNSQuestion(name, qtype), address=address,
+                rcode=rcode)
 
     def test_memcached_binary(self):
         rng = rng_for("mc-binary")

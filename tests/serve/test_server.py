@@ -334,6 +334,52 @@ def test_a_group_that_raises_runs_frame_by_frame():
     assert server.internal_errors == 0
 
 
+def test_a_service_fault_costs_only_its_own_request():
+    """An exception that is not a ReproError out of one request's
+    execution is the server's own bug: that request is an
+    ``internal_error`` drop, traceback kept, and every other request
+    of the burst is still answered; nothing reaches asyncio."""
+    dep = deploy("dns").on("cpu").with_trace().start()
+    server = dep.serve()
+    binding = resolve_binding(dep.spec, "udp")
+    probes = [binding.probe(SEED, seq) for seq in range(8)]
+    marked = probes[3][0][12:]               # the bad request's question
+    service = dep.target.service
+    on_frame = service.on_frame
+
+    def faulty(dataplane):
+        if marked in bytes(dataplane.tdata):
+            raise RuntimeError("injected service fault")
+        return on_frame(dataplane)
+
+    service.on_frame = faulty
+    handled = []
+    server._loop.set_exception_handler(
+        lambda loop, context: handled.append(context))
+    answered = []
+    try:
+        _burst(server, [binding.wrap(payload) for payload, _ in probes],
+               answered.append)
+    finally:
+        server.stop()
+        dep.stop()
+    assert answered == [bytes(binding.wrap_reply(expected))
+                        for seq, (_, expected) in enumerate(probes)
+                        if seq != 3]
+    assert handled == []
+    assert server.internal_errors == 1
+    assert "injected service fault" in server.first_internal_error
+    assert [event["args"].get("reason")
+            for event in dep.tracer.find("request")] == \
+        [None] * 3 + ["internal_error"] + [None] * 4
+    snapshot = server.report.snapshot()
+    assert snapshot["offered"] == \
+        snapshot["admitted"] + snapshot["queue_drops"] == 8
+    assert snapshot["completed"] == \
+        snapshot["replies"] + snapshot["service_drops"] == 8
+    assert (snapshot["replies"], snapshot["service_drops"]) == (7, 1)
+
+
 # -- robustness against hostile bytes ----------------------------------------
 
 def test_garbage_datagram_flood_counts_drops_and_never_wedges(

@@ -1,5 +1,8 @@
 """ICMP echo, TCP ping, DNS, Memcached, NAT, KV cache (§4.2-§4.4)."""
 
+import socket
+import struct
+
 import pytest
 
 from repro.core.protocols.dns import DNSWrapper, RCode, build_dns_query
@@ -12,7 +15,9 @@ from repro.core.protocols.memcached import (
 )
 from repro.core.protocols.tcp import TCPFlags, TCPWrapper, build_tcp
 from repro.core.protocols.udp import UDPWrapper, build_udp
+from repro.deploy import deploy
 from repro.net.packet import Frame, ip_to_int, mac_to_int
+from repro.serve.spec import resolve_binding
 from repro.services import (
     DnsServerService, IcmpEchoService, KVCacheService, MemcachedService,
     NatService, TcpPingService,
@@ -158,6 +163,116 @@ class TestDnsServer:
         dp = svc.process(udp_frame(build_dns_query(1, "host.example"),
                                    5353))
         assert dp.dst_ports == 0
+
+
+def dns_message(question, flags=0, qdcount=1, txid=0x77):
+    """A query whose question is *question*'s raw bytes, as sent."""
+    return struct.pack("!HHHHHH", txid, flags, qdcount, 0, 0, 0) + question
+
+
+#: The question's raw bytes, echoed verbatim: a label with a byte
+#: outside ASCII, and a label holding a dot.
+NON_ASCII = b"\x03w\xffw\x07example\x00\x00\x01\x00\x01"
+DOTTED = b"\x03w.w\x07example\x00\x00\x01\x00\x01"
+DOTTED_HIT = b"\x0chost.example\x00\x00\x01\x00\x01"
+POINTER = b"\x03www\xc0\x0c\x00\x01\x00\x01"
+
+
+class TestDnsFates:
+    """What the server does with a query it cannot take at its word:
+    an answer carries the question back byte for byte, a malformed
+    question is a counted drop, a message that is no query is an
+    uncounted one."""
+
+    def make(self):
+        return DnsServerService(
+            my_ip=IP_SVC,
+            table={"host.example": ip_to_int("192.0.2.1")})
+
+    def answer(self, svc, message):
+        dp = svc.process(udp_frame(message, 53))
+        if dp.dst_ports == 0:
+            return None
+        return UDPWrapper(dp.tdata).payload()
+
+    def test_a_name_outside_ascii_is_nxdomain_echoed(self):
+        svc = self.make()
+        reply = self.answer(svc, dns_message(NON_ASCII))
+        assert reply[12:] == NON_ASCII
+        assert DNSWrapper(reply).header.rcode == RCode.NAME_ERROR
+        assert svc.nxdomain_sent == 1 and svc.malformed == 0
+
+    @pytest.mark.parametrize("question, rcode", [
+        (DOTTED, RCode.NAME_ERROR), (DOTTED_HIT, RCode.NO_ERROR)],
+        ids=["miss", "hit"])
+    def test_a_label_holding_a_dot_is_echoed_as_one_label(
+            self, question, rcode):
+        """The lookup joins labels with dots, so ``\\x0chost.example``
+        finds ``host.example``; the reply still carries the one label
+        it was asked, not ``\\x04host\\x07example``."""
+        svc = self.make()
+        reply = self.answer(svc, dns_message(question))
+        assert reply[12:12 + len(question)] == question
+        assert DNSWrapper(reply).header.rcode == rcode
+
+    def test_a_pointer_in_the_question_is_malformed(self):
+        svc = self.make()
+        assert self.answer(svc, dns_message(POINTER)) is None
+        assert svc.malformed == 1
+        assert svc.queries_seen == 0
+
+    def test_every_truncation_is_malformed(self):
+        svc = self.make()
+        message = build_dns_query(0x77, "host.example")
+        for cut in range(len(message)):
+            assert self.answer(svc, message[:cut]) is None, cut
+            assert svc.malformed == cut + 1, cut
+        assert svc.queries_seen == 0
+        assert self.answer(svc, message) is not None
+
+    @pytest.mark.parametrize("flags, qdcount", [(0x8000, 1), (0, 0)],
+                             ids=["response", "no-question"])
+    def test_a_message_that_is_no_query_is_dropped_uncounted(
+            self, flags, qdcount):
+        svc = self.make()
+        message = dns_message(b"\x04host\x07example\x00\x00\x01\x00\x01",
+                              flags=flags, qdcount=qdcount)
+        assert self.answer(svc, message) is None
+        assert svc.malformed == 0
+        assert svc.queries_seen == 0
+
+    def test_served_hostile_questions_keep_the_server_whole(self):
+        """Over a real socket on ``fpga``: the hostile names are
+        answered with their question echoed, the malformed ones are
+        counted drops, the response an uncounted one, and none is the
+        server's own error."""
+        dep = deploy("dns").on("fpga").start()
+        service = dep.target.service
+        server = dep.serve()
+        binding = resolve_binding(dep.spec, "udp")
+        truncated = build_dns_query(0x77, "host.example")[:20]
+        try:
+            with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as sock:
+                sock.connect(server.address)
+                sock.settimeout(5.0)
+                for question in (NON_ASCII, DOTTED):
+                    sock.send(binding.wrap(dns_message(question)))
+                    assert sock.recv(65535)[12:] == question
+                for message in (dns_message(POINTER), truncated,
+                                dns_message(DOTTED, flags=0x8000)):
+                    sock.send(binding.wrap(message))
+                payload, expected = binding.probe(7, 0)
+                sock.send(binding.wrap(payload))
+                assert sock.recv(65535) == \
+                    bytes(binding.wrap_reply(expected))
+        finally:
+            server.stop()
+            dep.stop()
+        snapshot = server.report.snapshot()
+        assert (snapshot["completed"], snapshot["replies"],
+                snapshot["service_drops"]) == (6, 3, 3)
+        assert service.malformed == 2
+        assert server.internal_errors == 0
 
 
 class TestMemcached:
